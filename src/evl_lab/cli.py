@@ -9,6 +9,7 @@ n, tau).  Rerunning a configuration byte-reproduces the result files.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -145,7 +146,7 @@ class ExperimentConfig:
         known = {
             "experiment", "process", "observable", "zeta", "offsets", "tau", "n",
             "trials", "seed", "out", "emit_plot_data", "delta", "horizon_factor",
-            "cylinder_n", "word", "trials_scale", "n_scale", "profile",
+            "cylinder_n", "word", "profile",
         }
         unknown = set(d) - known
         if unknown:
@@ -180,8 +181,8 @@ class ExperimentReport:
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
@@ -393,13 +394,10 @@ _FULL = {
     "dichotomy_champernowne": {"experiment": "dichotomy", "process": "doubling",
                                "word": "champernowne", "cylinder_n": 10, "tau": [1.0],
                                "trials": 100000},
+    # the 153-symbol block word: 10 blocks of 0^14 1, then 001
     "symbolic_blocks": {"experiment": "symbolic", "process": "doubling",
-                        "word": "0" * 14 + ("1" + "0" * 14) * 9 + "100" + "1",
-                        "trials": 2},
+                        "word": ("0" * 14 + "1") * 10 + "001", "trials": 2},
 }
-
-# the 153-symbol block word written explicitly (10 blocks of 0^14 1, then 001)
-_FULL["symbolic_blocks"]["word"] = ("0" * 14 + "1") * 10 + "001"
 
 _QUICK_SCALE = {"trials": 50, "n": 10}
 
@@ -456,9 +454,10 @@ def run_experiment(config):
 
 def _write_report(cfg, rep):
     cfg.out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(rep.header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rep.rows]
-    (cfg.out / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(cfg.out / "results.csv", "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(rep.header)
+        writer.writerows([_fmt(x) for x in row] for row in rep.rows)
     if cfg.emit_plot_data:
         plines = ["\t".join(rep.plot_header)]
         plines += ["\t".join(_fmt(x) for x in row) for row in rep.plot_rows]

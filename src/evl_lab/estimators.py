@@ -89,26 +89,9 @@ def ei_runs(ensemble, p_or_offsets, u):
 
     For order 1 this is P(X_p <= u | X_0 > u), conditioning on every
     exceedance index of every path; stderr is cluster-robust (path-level).
+    It is the last element of ``ei_runs_nested``.
     """
-    offsets = (
-        EscapeOffsets.single(p_or_offsets)
-        if isinstance(p_or_offsets, int)
-        else p_or_offsets
-    )
-    if ensemble.obs is None:
-        raise ValueError("the ensemble must carry the observable defining exceedances")
-    event = exceedance_event(ensemble.spec, ensemble.obs, u)
-    n = ensemble.length
-    num = _RatioAcc()
-    for _, e in ensemble.mask_chunks(event, extra=offsets.span):
-        parent = escape_matrix(e, offsets, depth=offsets.order - 1)
-        child = escape_matrix(e, offsets)
-        num.add(child[:, :n].sum(axis=1), parent[:, :n].sum(axis=1))
-    if num.b < 100:
-        raise ValueError(f"too few conditioning events ({int(num.b)}) for the runs estimator")
-    return EIEstimate.clamp(
-        num.ratio, num.stderr, "Runs", n=n, tau=0.0, trials=ensemble.trials
-    )
+    return ei_runs_nested(ensemble, p_or_offsets, u)[-1]
 
 
 def ei_runs_nested(ensemble, offsets, u):

@@ -2,9 +2,9 @@
 
 Hitting counts from step 1, so the Kac normalisation E[r | start in U] =
 1/mu(U) holds exactly.  Return starts are drawn from the invariant measure
-conditioned on the target: exactly, by digit construction, for cylinder and
-interval targets of the symbolic kinds, and by rejection sampling for the
-moving-maximum models.
+conditioned on the target, exactly: by digit construction for cylinder and
+interval targets of the symbolic kinds, and through the law of the window
+maximum for the moving-maximum models.
 """
 
 from __future__ import annotations
@@ -21,11 +21,20 @@ from .observables import (
     ball_event,
     ball_measure,
     ball_radius_for_measure,
+    bernoulli_cdf,
 )
-from .processes import PRECISION, TIME_BLOCK, PathEngine, dyadic_jump_paths, evaluate_point
+from .processes import (
+    PRECISION,
+    PathEngine,
+    _chunk_trials,
+    _digit_block,
+    _window_end,
+    evaluate_point,
+)
 
-#: per-trial ceiling on conditional-start rejection attempts
-REJECTION_CAP = 1_000_000
+
+class ConditionalStartError(RuntimeError):
+    """A drawn return-time start lies outside its target."""
 
 
 @dataclass(frozen=True)
@@ -107,38 +116,19 @@ def hitting_time(spec, target, state, horizon):
 
 
 def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None):
-    """Vectorized first-hit steps (>= 1): trial-chunked, fixed-block alive sweep."""
+    """Vectorized first-hit steps (>= 1): trial-chunked, windowed alive sweep."""
     steps = np.full(trials, horizon + 1, dtype=np.int64)
-    if spec.kind == "dyadic_jump":
-        chunk = max(256, (96 << 20) // (16 * (horizon + 1)))
-        for lo in range(0, trials, chunk):
-            sub = np.arange(lo, min(lo + chunk, trials), dtype=np.uint64)
-            sub_prefix = None if prefix is None else prefix[lo : lo + sub.size]
-            pts = dyadic_jump_paths(spec, seed, sub, horizon + 1, channel, sub_prefix)
-            m = target.event.mask_native(pts)
-            m[:, 0] = False
-            hit = m.any(axis=1)
-            steps[lo : lo + sub.size][hit] = np.argmax(m[hit], axis=1)
-        return steps
-    per_step = 48 if spec.kind in ("mma2", "mma13", "iid_uniform") else 16
-    chunk = max(256, (192 << 20) // (per_step * TIME_BLOCK))
+    stop = horizon + 1
+    chunk = _chunk_trials(spec, _window_end(spec, 0, stop))
     for lo in range(0, trials, chunk):
         ids = np.arange(lo, min(lo + chunk, trials), dtype=np.uint64)
         sub_prefix = None if prefix is None else prefix[lo : lo + ids.size]
         eng = PathEngine(spec, seed, ids, channel, sub_prefix)
         t = 0
         alive_rows = np.arange(lo, lo + ids.size)
-        while t <= horizon and alive_rows.size:
-            t1 = min(t + TIME_BLOCK, horizon + 1)
-            if target.event.is_cylinder:
-                word = np.asarray(target.event.word, dtype=np.uint8)
-                k = word.size
-                d = eng.digit_matrix(t, t1, lookahead=k - 1)
-                m = np.ones((alive_rows.size, t1 - t), dtype=bool)
-                for i in range(k):
-                    m &= d[:, i : i + t1 - t] == word[i]
-            else:
-                m = eng.masks(t, t1, target.event)
+        while t < stop and alive_rows.size:
+            t1 = _window_end(spec, t, stop)
+            m = eng.masks(t, t1, target.event)
             if t == 0:
                 m[:, 0] = False
             hit = m.any(axis=1)
@@ -167,24 +157,6 @@ def sample_hts(spec, target, trials, seed, horizon_factor=20, channel=rng.CH_HTS
 # ---------------------------------------------------------------------------
 
 
-def _bernoulli_cdf_vec(x, weights, depth=64):
-    """Vectorized product-measure CDF (see observables.bernoulli_cdf)."""
-    w = np.asarray(weights, dtype=np.float64)
-    m = w.size
-    cum = np.concatenate([[0.0], np.cumsum(w)])
-    x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0).copy()
-    acc = np.zeros_like(x)
-    prod = np.where(x >= 1.0, 0.0, 1.0)
-    acc[x >= 1.0] = 1.0
-    for _ in range(depth):
-        x *= m
-        d = np.minimum(x.astype(np.int64), m - 1)
-        x -= d
-        acc += prod * cum[d]
-        prod *= w[d]
-    return acc + 0.5 * prod
-
-
 def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
     """Digits of points drawn from the invariant measure conditioned on the
     (possibly wrapped) open interval (lo, hi).
@@ -198,9 +170,8 @@ def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
     w = spec.digit_weights
     m = w.size
     ids = np.arange(trials, dtype=np.uint64)
-    uniform_measure = bool(np.allclose(w, 1.0 / m))
-    F = (lambda t: np.clip(t, 0.0, 1.0)) if uniform_measure else (
-        lambda t: _bernoulli_cdf_vec(t, w)
+    F = (lambda t: np.clip(t, 0.0, 1.0)) if spec.is_uniform else (
+        lambda t: bernoulli_cdf(t, w)
     )
     lo_m, hi_m = lo % 1.0, hi % 1.0
     rel_lo = np.empty(trials)
@@ -215,8 +186,6 @@ def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
         take_hi = u_side * (mass_lo + mass_hi) < mass_hi
         rel_lo[:] = np.where(take_hi, 0.0, lo_m)
         rel_hi[:] = np.where(take_hi, hi_m, 1.0)
-    from .processes import _digit_block
-
     prefix = _digit_block(spec, seed, ids, 0, depth, rng.CH_ORBIT)
     active = np.flatnonzero((rel_lo > 0.0) | (rel_hi < 1.0))
     for k in range(depth):
@@ -259,23 +228,20 @@ def _rts_prefix(spec, target, trials, seed):
     if spec.kind == "iid_uniform":
         u0 = ev.u + rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 1)[:, 0] * (1.0 - ev.u)
         return u0[:, None]
-    # moving-maximum kinds: rejection sampling on the innovation window
-    need = np.arange(trials, dtype=np.uint64)
-    prefix = np.empty((trials, 4), dtype=np.float64)
-    found = np.zeros(trials, dtype=bool)
-    attempt = 0
-    while not found.all():
-        if attempt >= REJECTION_CAP:
-            raise RuntimeError("rejection-sampling attempt cap exceeded")
-        rem = np.flatnonzero(~found)
-        cand = rng.uniforms(seed, rng.CH_INIT, need[rem], 4 * attempt, 4 * attempt + 4)
-        x0 = np.maximum(cand[:, 1], cand[:, 3]) if spec.kind == "mma2" else np.maximum(
-            np.maximum(cand[:, 0], cand[:, 1]), cand[:, 3]
-        )
-        ok = target.event.mask_native(x0)
-        prefix[rem[ok]] = cand[ok]
-        found[rem[ok]] = True
-        attempt += 1
+    # moving-maximum kinds: X_0 is the maximum M of the k window slots, so
+    # given M > u it has the tail law (x^k - u^k) / (1 - u^k) on (u, 1]; M
+    # sits in a uniformly chosen slot, the other slots of the window are
+    # uniform below it, and the slots outside the window stay Uniform(0, 1).
+    slots = np.array([1, 3] if spec.kind == "mma2" else [0, 1, 3])
+    k = slots.size
+    r = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 6)
+    uk = max(ev.u, 0.0) ** k
+    top = (uk + (1.0 - r[:, 0]) * (1.0 - uk)) ** (1.0 / k)  # 1 - r in (0, 1]: top > u
+    prefix = r[:, 2:6].copy()
+    prefix[:, slots] *= top[:, None]
+    prefix[np.arange(trials), slots[(r[:, 1] * k).astype(np.int64)]] = top
+    if not ev.mask_native(prefix[:, slots].max(axis=1)).all():
+        raise ConditionalStartError("a moving-maximum start lies outside the target")
     return prefix
 
 

@@ -104,36 +104,26 @@ class ObservableSpec:
 
 
 def bernoulli_cdf(x, weights, depth=64):
-    """CDF at x of the product measure with the given digit weights (base m)."""
-    m = len(weights)
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    acc, prod = 0.0, 1.0
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    """CDF at x of the product measure with the given digit weights (base m).
+
+    Vectorized in x (a float for a scalar x); exactly 0 at x <= 0 and exactly
+    1 at x >= 1.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    m = w.size
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    x0 = np.asarray(x, dtype=np.float64)
+    x = np.clip(x0, 0.0, 1.0)
+    acc = (x0 >= 1.0).astype(np.float64)
+    prod = ((x0 > 0.0) & (x0 < 1.0)).astype(np.float64)
     for _ in range(depth):
         x *= m
-        d = min(int(x), m - 1)
+        d = np.minimum(x.astype(np.int64), m - 1)
         x -= d
         acc += prod * cum[d]
-        prod *= weights[d]
-        if prod == 0.0:
-            break
-    return acc + 0.5 * prod  # midpoint of the residual cell
-
-
-def _circle_interval_measure(spec, lo, hi):
-    """Invariant measure of the circle interval (lo, hi) for m_ary kinds."""
-    w = spec.digit_weights
-    lo, hi = lo % 1.0, hi % 1.0
-    if all(abs(x - w[0]) < 1e-15 for x in w):
-        return (hi - lo) % 1.0 if hi != lo else 1.0
-    F = lambda t: bernoulli_cdf(t, w)
-    if lo <= hi:
-        return F(hi) - F(lo)
-    return (1.0 - F(lo)) + F(hi)
+        prod *= w[d]
+    out = acc + 0.5 * prod  # midpoint of the residual cell
+    return float(out) if out.ndim == 0 else out
 
 
 def ball_measure(spec, obs, radius):
@@ -142,13 +132,14 @@ def ball_measure(spec, obs, radius):
     r = np.asarray(radius, dtype=np.float64)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    out = np.empty_like(r)
     if spec.kind == "m_ary":
-        if all(abs(x - spec.weights[0] if spec.weights else x - 1.0 / spec.m) < 1e-15 for x in spec.digit_weights):
+        if spec.is_uniform:
             out = np.minimum(2.0 * r, 1.0)
-        else:
-            for i, ri in enumerate(r):
-                out[i] = _circle_interval_measure(spec, z - ri, z + ri) if ri < 0.5 else 1.0
+        else:  # circle interval (lo, hi), wrapped through 0 when lo > hi
+            lo, hi = (z - r) % 1.0, (z + r) % 1.0
+            f_lo, f_hi = bernoulli_cdf(lo, spec.digit_weights), bernoulli_cdf(hi, spec.digit_weights)
+            wrapped = (1.0 - f_lo) + f_hi
+            out = np.where(r >= 0.5, 1.0, np.where(lo <= hi, f_hi - f_lo, wrapped))
     elif spec.kind == "dyadic_jump":
         out = np.clip(np.minimum(z + r, 1.0) - np.maximum(z - r, 0.0), 0.0, 1.0)
     elif spec.kind == "chebyshev":
@@ -179,10 +170,9 @@ def marginal_cdf(spec, x):
     """CDF of the exposed stationary point of ``spec`` (for KS checks)."""
     x = np.asarray(x, dtype=np.float64)
     if spec.kind == "m_ary":
-        w = spec.digit_weights
-        if all(abs(v - w[0]) < 1e-15 for v in w):
+        if spec.is_uniform:
             return np.clip(x, 0.0, 1.0)
-        return np.vectorize(lambda t: bernoulli_cdf(t, w))(x)
+        return bernoulli_cdf(x, spec.digit_weights)
     if spec.kind == "chebyshev":
         return 0.5 + np.arcsin(np.clip(x, -1.0, 1.0)) / math.pi
     if spec.kind == "mma2":

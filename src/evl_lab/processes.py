@@ -32,6 +32,12 @@ PRECISION = 64
 #: to runtime conditions) so that blocked results are reproducible
 TIME_BLOCK = 2048
 
+#: tolerance of the weight checks: the weights sum to 1, and are uniform
+WEIGHT_TOL = 1e-12
+
+#: memory budget of one trial chunk of a sweep
+CHUNK_BUDGET = 192 << 20
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -52,7 +58,7 @@ class ProcessSpec:
             w = self.weights or tuple([1.0 / self.m] * self.m)
             if len(w) != self.m:
                 raise ValueError("weights length must equal m")
-            if abs(sum(w) - 1.0) > 1e-12 or any(not 0.0 < x < 1.0 for x in w):
+            if abs(sum(w) - 1.0) > WEIGHT_TOL or any(not 0.0 < x < 1.0 for x in w):
                 raise ValueError("weights must lie in (0,1) and sum to 1")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if self.kind == "ar1" and self.r < 2:
@@ -62,7 +68,7 @@ class ProcessSpec:
 
     def _default_label(self):
         if self.kind == "m_ary":
-            if all(abs(w - 1.0 / self.m) < 1e-12 for w in self.weights):
+            if self.is_uniform:
                 return f"m_ary(m={self.m},uniform)"
             return f"m_ary(m={self.m},weights={','.join(f'{w:g}' for w in self.weights)})"
         if self.kind == "ar1":
@@ -123,6 +129,12 @@ class ProcessSpec:
         if self.kind == "m_ary":
             return np.asarray(self.weights)
         return np.full(self.base, 1.0 / self.base)
+
+    @property
+    def is_uniform(self):
+        """Whether the digit weights are uniform (digit kinds only)."""
+        w = self.digit_weights
+        return bool(np.all(np.abs(w - 1.0 / w.size) <= WEIGHT_TOL))
 
     @property
     def uses_digits(self):
@@ -290,12 +302,12 @@ def observe_path(spec, observable, seed, n, trial=0, channel=rng.CH_ORBIT):
 
 def _digit_block(spec, seed, trials, lo, hi, channel, prefix=None):
     """Digits at positions [lo, hi) for many trials, honouring a fixed prefix."""
-    base = spec.base
-    w = spec.digit_weights
-    if base == 2 and abs(w[0] - 0.5) < 1e-15:
+    if not spec.is_uniform:
+        out = rng.digits(seed, channel, trials, lo, hi, np.cumsum(spec.digit_weights))
+    elif spec.base == 2:
         out = rng.bits(seed, channel, trials, lo, hi)
     else:
-        out = rng.digits(seed, channel, trials, lo, hi, np.cumsum(w))
+        out = rng.uniform_digits(seed, channel, trials, lo, hi, spec.base)
     if prefix is not None and lo < prefix.shape[1]:
         k = min(hi, prefix.shape[1])
         out[:, : k - lo] = prefix[:, lo:k]
@@ -310,12 +322,35 @@ def _uniform_block(spec, seed, trials, lo, hi, channel, prefix=None):
     return out
 
 
-class PathEngine:
-    """Sequential block sweep over an ensemble of paths of one process.
+def _chunk_trials(spec, steps):
+    """Trials per chunk of a sweep that holds ``steps`` steps of each trial.
 
-    ``masks``/``points`` must be called with contiguous increasing windows
-    (the ar1 scan carries state across blocks).  ``select`` compacts the
-    ensemble to the paths where ``keep`` is True, preserving per-path streams.
+    Bytes per trial-step: 4 for base-2 digit scans, 12 for other digit
+    bases, 36 where the sweep holds float values (series innovations with
+    their shifted-max temporaries, the jump map's bit-tail values).
+    """
+    if spec.kind in ("dyadic_jump", "mma2", "mma13", "iid_uniform"):
+        per_step = 36
+    else:
+        per_step = 4 if spec.base == 2 else 12
+    return max(256, CHUNK_BUDGET // (per_step * (steps + 1)))
+
+
+def _window_end(spec, t, stop):
+    """End of the sweep window that starts at step t of an open sweep to
+    ``stop``: fixed time blocks, except the jump map's one whole window."""
+    return stop if spec.kind == "dyadic_jump" else min(t + TIME_BLOCK, stop)
+
+
+class PathEngine:
+    """Sweep over an ensemble of paths of one process: the one entry point for
+    exceedance masks and exposed points, for every process and event kind.
+
+    ``masks``/``points`` take increasing windows [t0, t1); steps skipped
+    between windows are scanned through where state is carried (ar1).  The
+    jump map consumes a variable number of digits per step, so it is swept as
+    one whole window from step 0.  ``select`` compacts the ensemble to the
+    paths where ``keep`` is True, preserving per-path streams.
     """
 
     def __init__(self, spec, seed, trials, channel=rng.CH_ORBIT, prefix=None):
@@ -325,11 +360,11 @@ class PathEngine:
         self.channel = channel
         self.prefix = prefix
         self._t = 0
-        self._carry = None  # ar1 running value
+        self._carry = None  # ar1 value at step self._t - 1
 
     def _check_window(self, t0):
-        if t0 != self._t:
-            raise ValueError("engine windows must be contiguous and increasing")
+        if t0 < self._t:
+            raise ValueError("engine windows must be increasing")
 
     def select(self, keep):
         self.trials = self.trials[keep]
@@ -358,7 +393,8 @@ class PathEngine:
         # the most significant digit at position 63.  The division contracts,
         # so float error stays bounded by ~2eps * r/(r-1).
         r = float(self.spec.r)
-        if self._carry is None:  # t0 == 0 enforced by _check_window
+        lo = self._t
+        if self._carry is None:
             d0 = _digit_block(
                 self.spec, self.seed, self.trials, 0, PRECISION, self.channel, self.prefix
             )
@@ -366,10 +402,9 @@ class PathEngine:
             for j in range(PRECISION):
                 x = (x + d0[:, j]) / r
             self._carry = x
-            consume(0, x)
+            if t0 == 0:
+                consume(0, x)
             lo = 1
-        else:
-            lo = t0
         if lo >= t1:
             return
         d = _digit_block(
@@ -386,33 +421,46 @@ class PathEngine:
         for k, t in enumerate(range(lo, t1)):
             np.add(x, d[:, k], out=buf)
             np.multiply(buf, 1.0 / r, out=x)
-            consume(t - t0, x)
+            if t >= t0:
+                consume(t - t0, x)
         self._carry = x
 
-    def _series_values(self, t0, t1):
+    def _values(self, t0, t1):
+        """Float values of the series kinds and the jump map at steps [t0, t1)."""
         spec = self.spec
+        if spec.kind == "dyadic_jump":
+            if t0 != 0:
+                raise ValueError("jump-map sweeps cover one whole window from step 0")
+            return dyadic_jump_paths(spec, self.seed, self.trials, t1, self.channel, self.prefix)
         if spec.kind == "iid_uniform":
             return _uniform_block(spec, self.seed, self.trials, t0, t1, self.channel, self.prefix)
         u = _uniform_block(spec, self.seed, self.trials, t0, t1 + 3, self.channel, self.prefix)
         n = t1 - t0
-        if spec.kind == "mma2":
-            return np.maximum(u[:, 1 : n + 1], u[:, 3 : n + 3])
-        return np.maximum(np.maximum(u[:, :n], u[:, 1 : n + 1]), u[:, 3 : n + 3])
+        out = np.maximum(u[:, 1 : n + 1], u[:, 3 : n + 3])
+        if spec.kind == "mma13":
+            np.maximum(out, u[:, :n], out=out)
+        return out
 
     def masks(self, t0, t1, event):
-        """Boolean exceedance matrix for steps [t0, t1)."""
+        """Boolean exceedance matrix for steps [t0, t1); cylinder events match
+        their word on the digits, every other event reads the exposed values."""
         self._check_window(t0)
         n = t1 - t0
         out = np.empty((self.trials.size, n), dtype=bool)
-        if self.spec.kind in ("m_ary", "chebyshev"):
+        if event.is_cylinder:
+            word = np.asarray(event.word, dtype=np.uint8)
+            d = _digit_block(
+                self.spec, self.seed, self.trials, t0, t1 + word.size - 1, self.channel, self.prefix
+            )
+            out.fill(True)
+            for i, digit in enumerate(word):
+                out &= d[:, i : i + n] == digit
+        elif self.spec.kind in ("m_ary", "chebyshev"):
             self._map_theta_columns(t0, t1, lambda t, x: event.mask_native(x, out=out[:, t]))
         elif self.spec.kind == "ar1":
             self._ar1_columns(t0, t1, lambda t, x: event.mask_native(x, out=out[:, t]))
-        elif self.spec.kind in ("mma2", "mma13", "iid_uniform"):
-            v = self._series_values(t0, t1)
-            event.mask_native(v, out=out)
         else:
-            raise ValueError("use dyadic_jump_paths for the jump map")
+            event.mask_native(self._values(t0, t1), out=out)
         self._t = t1
         return out
 
@@ -420,22 +468,20 @@ class PathEngine:
         """Exposed process points at steps [t0, t1) (x-space for chebyshev)."""
         self._check_window(t0)
         n = t1 - t0
-        if self.spec.kind in ("m_ary", "chebyshev"):
+        if self.spec.kind in ("m_ary", "chebyshev", "ar1"):
             out = np.empty((self.trials.size, n))
-            self._map_theta_columns(t0, t1, lambda t, x: out.__setitem__((slice(None), t), x))
+            columns = self._ar1_columns if self.spec.kind == "ar1" else self._map_theta_columns
+            columns(t0, t1, lambda t, x: out.__setitem__((slice(None), t), x))
             if self.spec.kind == "chebyshev":
                 out = -np.cos(2.0 * np.pi * out)
-        elif self.spec.kind == "ar1":
-            out = np.empty((self.trials.size, n))
-            self._ar1_columns(t0, t1, lambda t, x: out.__setitem__((slice(None), t), x))
         else:
-            out = self._series_values(t0, t1)
+            out = self._values(t0, t1)
         self._t = t1
         return out
 
     def digit_matrix(self, t0, t1, lookahead=0):
-        """Raw digits at [t0, t1+lookahead) for cylinder matching; the sweep
-        cursor advances to t1 (digit positions are stateless, overlap is fine)."""
+        """Raw digits at [t0, t1+lookahead); the sweep cursor advances to t1
+        (digit positions are stateless, overlap is fine)."""
         self._check_window(t0)
         d = _digit_block(
             self.spec, self.seed, self.trials, t0, t1 + lookahead, self.channel, self.prefix
@@ -468,29 +514,15 @@ def dyadic_jump_paths(spec, seed, trials, n_steps, channel=rng.CH_ORBIT, prefix=
         vals[:, t] = x
     out = np.empty((T, n_steps))
     out[:, 0] = vals[:, 0]
-    rows, cols = np.nonzero(b[:, : need - PRECISION])
-    counts = np.bincount(rows, minlength=T)
-    starts = np.zeros(T, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
     for i in range(T):
-        ones = cols[starts[i] : starts[i] + n_steps - 1]
+        ones = np.flatnonzero(b[i, : need - PRECISION])[: n_steps - 1]
         out[i, 1:] = vals[i, ones + 1]
     return out
 
 
 def point_values_range(spec, seed, trials, t0, t1, channel=rng.CH_ORBIT, prefix=None):
     """Exposed points at steps [t0, t1) for many trials (one-shot sweep)."""
-    if spec.kind == "dyadic_jump":
-        if t0 != 0:
-            raise ValueError("jump-map sweeps must start at step 0")
-        return dyadic_jump_paths(spec, seed, trials, t1, channel)
-    eng = PathEngine(spec, seed, trials, channel, prefix)
-    if t0 > 0:
-        if spec.kind == "ar1":
-            eng.points(0, t0)  # warm the carried scan
-        else:
-            eng._t = t0
-    return eng.points(t0, t1)
+    return PathEngine(spec, seed, trials, channel, prefix).points(t0, t1)
 
 
 def point_values_at(spec, seed, trials, steps, channel=rng.CH_ORBIT):
@@ -521,29 +553,10 @@ class Ensemble:
     channel: int = rng.CH_ORBIT
     obs: object = None
 
-    def chunk_size(self, extra=0):
-        per_step = 12 if self.spec.uses_digits and self.spec.base != 2 else 4
-        if self.spec.kind in ("mma2", "mma13", "iid_uniform"):
-            per_step = 36  # float64 innovations plus shifted-max temporaries
-        budget = 192 << 20
-        return max(256, int(budget / (per_step * (self.length + extra + 1))))
-
     def mask_chunks(self, event, extra=0):
         """Yield (trial_index_array, bool matrix (ct, length+extra)) chunks."""
         L = self.length + extra
-        step = self.chunk_size(extra)
+        step = _chunk_trials(self.spec, L)
         for lo in range(0, self.trials, step):
             ids = np.arange(lo, min(lo + step, self.trials), dtype=np.uint64)
-            eng = PathEngine(self.spec, self.seed, ids, self.channel)
-            if event.is_cylinder:
-                word = np.asarray(event.word, dtype=np.uint8)
-                d = eng.digit_matrix(0, L, lookahead=word.size - 1)
-                m = np.ones((ids.size, L), dtype=bool)
-                for i in range(word.size):
-                    m &= d[:, i : i + L] == word[i]
-                yield ids, m
-            elif self.spec.kind == "dyadic_jump":
-                pts = dyadic_jump_paths(self.spec, self.seed, ids, L, self.channel)
-                yield ids, event.mask_native(pts)
-            else:
-                yield ids, eng.masks(0, L, event)
+            yield ids, PathEngine(self.spec, self.seed, ids, self.channel).masks(0, L, event)

@@ -26,7 +26,8 @@ CH_HTS = 2        # stationary starts for hitting-time sampling
 CH_AUX = 3        # auxiliary draws (rejection sampling, quantile sampling)
 
 
-_CHUNK = 1 << 22  # elements per in-place kernel pass; bounds scratch at ~200 MB
+_CHUNK = 1 << 22  # elements per chunk of a draw; bounds its transient buffers
+_KERNEL_BLOCK = 1 << 14  # elements per Philox pass: its six buffers stay in L2 cache
 
 
 def _philox_flat(x0, x1, key):
@@ -73,8 +74,8 @@ def philox2x64(c0, c1, key):
     o1 = np.empty(shape, dtype=np.uint64).reshape(-1)
     f0, f1 = x0b.reshape(-1), x1b.reshape(-1)
     n = f0.size
-    for s in range(0, max(n, 1), _CHUNK):
-        e = min(s + _CHUNK, n)
+    for s in range(0, max(n, 1), _KERNEL_BLOCK):
+        e = min(s + _KERNEL_BLOCK, n)
         r0, r1 = _philox_flat(f0[s:e].copy(), f1[s:e].copy(), key)
         o0[s:e] = r0
         o1[s:e] = r1
@@ -126,13 +127,11 @@ def _lanes16(seed, channel, trials, lo, hi):
     """16-bit lanes at positions [lo, hi): lane j is halfword (j mod 4) of word (j // 4)."""
     w0, w1 = lo >> 2, (hi + 3) >> 2
     words = raw_words(seed, channel, trials, w0, w1)
-    lanes = np.empty(words.shape[:1] + (4 * words.shape[1],), dtype=np.uint16)
-    for k in range(4):
-        lanes[:, k::4] = ((words >> np.uint64(16 * k)) & np.uint64(0xFFFF)).astype(np.uint16)
+    lanes = words.astype("<u8", copy=False).view("<u2")
     return lanes[:, lo - 4 * w0 : hi - 4 * w0]
 
 
-def _uniform_digits(seed, channel, trials, lo, hi, m):
+def uniform_digits(seed, channel, trials, lo, hi, m):
     """Uniform base-m digits, k = floor(32/log2 m) per word via mod-unpacking.
 
     Taking word mod m**k leaves a relative bias below m**k / 2**64 <= 2**-32.
@@ -142,26 +141,23 @@ def _uniform_digits(seed, channel, trials, lo, hi, m):
     w0, w1 = lo // k, (hi + k - 1) // k
     words = raw_words(seed, channel, trials, w0, w1)
     out = np.empty(words.shape[:1] + (k * words.shape[1],), dtype=np.uint8)
-    with np.errstate(over="ignore"):
-        v = words % M
-        um = np.uint64(m)
-        for slot in range(k):
-            out[:, slot::k] = (v % um).astype(np.uint8)
-            v //= um
+    v = (words % M).astype(np.uint32)  # m**k <= 2**32
+    r = np.empty_like(v)
+    for slot in range(k):
+        np.divmod(v, np.uint32(m), out=(v, r))
+        out[:, slot::k] = r
     return out[:, lo - k * w0 : hi - k * w0]
 
 
 def digits(seed, channel, trials, lo, hi, cum_weights):
     """Digits with the given cumulative weights at positions [lo, hi).
 
-    Uniform weights use exact-to-2^-32 mod-unpacking; general weights use
-    16-bit threshold lanes (quantization 2^-16, at least three orders of
-    magnitude below any tolerance used in this package).
+    16-bit threshold lanes: quantization 2^-16, at least three orders of
+    magnitude below any tolerance used in this package.  Uniform weights
+    have the exact-to-2^-32 ``uniform_digits``.
     """
     cw = np.asarray(cum_weights, dtype=np.float64)
     m = cw.size
-    if np.allclose(cw, np.arange(1, m + 1) / m, atol=0, rtol=1e-12):
-        return _uniform_digits(seed, channel, trials, lo, hi, m)
     thresholds = np.ceil(cw[:-1] * 65536.0).astype(np.uint32)
     lanes = _lanes16(seed, channel, trials, lo, hi)
     out = np.empty(lanes.shape, dtype=np.uint8)
@@ -179,7 +175,7 @@ def uniforms(seed, channel, trials, lo, hi):
     """float64 uniforms on [0,1) at positions [lo, hi), from 32-bit lanes."""
     w0, w1 = lo >> 1, (hi + 1) >> 1
     words = raw_words(seed, channel, trials, w0, w1)
-    lanes = np.empty(words.shape[:1] + (2 * words.shape[1],), dtype=np.float64)
-    lanes[:, 0::2] = (words & _MASK32).astype(np.float64)
-    lanes[:, 1::2] = (words >> np.uint64(32)).astype(np.float64)
-    return lanes[:, lo - 2 * w0 : hi - 2 * w0] * 2.0**-32
+    lanes = words.astype("<u8", copy=False).view("<u4")  # lane 2w is the low half of word w
+    out = np.empty((lanes.shape[0], hi - lo), dtype=np.float64)
+    np.multiply(lanes[:, lo - 2 * w0 : hi - 2 * w0], 2.0**-32, out=out)
+    return out

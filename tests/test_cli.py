@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from evl_lab.cli import (
     parse_process,
     reproduce_paper_configs,
     run_experiment,
+    run_reproduce_paper,
 )
 
 
@@ -33,6 +35,9 @@ def test_config_validation_names_offending_key():
         ExperimentConfig.from_dict({"experiment": "estimate-ei", "seed": 1, "trials": 1})
     with pytest.raises(ConfigError, match="banana"):
         ExperimentConfig.from_dict({"experiment": "estimate-ei", "seed": 1, "banana": 2})
+    for key in ("trials_scale", "n_scale"):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({"experiment": "estimate-ei", "seed": 1, key: 2})
 
 
 def _ei_config(out, trials=4000, n=500):
@@ -149,6 +154,26 @@ def test_reproduce_paper_quick_profile_is_scaled():
     full = reproduce_paper_configs("full")
     assert full["ar1_r2"]["trials"] == 100000
     assert set(cfgs) == set(full)
+
+
+#: results.csv columns that hold labels; every other column is numeric
+LABEL_COLUMNS = {"process", "observable", "zeta", "p_or_offsets", "method", "target", "mode", "name", "word"}
+
+
+def test_quick_profile_results_csv_parses(tmp_path):
+    # labels such as m_ary(m=2,weights=0.3,0.7) and p=1,3 hold commas
+    run_reproduce_paper(tmp_path, 7, "quick")
+    files = sorted(tmp_path.glob("*/results.csv"))
+    assert len(files) == len(reproduce_paper_configs("quick"))
+    for path in files:
+        with open(path, newline="", encoding="utf-8") as f:
+            header, *rows = list(csv.reader(f))
+        assert rows, path
+        for row in rows:
+            assert len(row) == len(header), (path, row)
+            for col, cell in zip(header, row):
+                if col not in LABEL_COLUMNS:
+                    float(cell)
 
 
 def test_dichotomy_requires_word_or_zeta(tmp_path):

@@ -190,12 +190,47 @@ def test_tsv_rows_format():
     assert rows[0] == "0.5\t0" and rows[1] == "2.0\t1"
 
 
-def test_rejection_cap_error(monkeypatch):
+def test_moving_max_start_law(ks):
+    # starts conditioned on X_0 > u: window maximum M on its tail law, the
+    # other window slots uniform below M, the free slots Uniform(0, 1)
     import evl_lab.hts_rts as H
-    from evl_lab.observables import ExceedanceEvent
+    from evl_lab.observables import ExceedanceEvent, ObservableSpec
 
-    spec = ProcessSpec.mma2()
-    tgt = TargetSet(spec, "ball", None, 1e-9, 1e-9, ExceedanceEvent("gt", u=1.0 - 1e-9))
-    monkeypatch.setattr(H, "REJECTION_CAP", 40)
-    with pytest.raises(RuntimeError):
-        H._rts_prefix(spec, tgt, 4, seed=1)
+    trials = 200_000
+    bound = 1.63 / math.sqrt(trials)
+    end = ObservableSpec(family="distance", form="weibull", anchor=None)
+    uniform = lambda x: np.clip(x, 0.0, 1.0)
+    for spec, slots in ((ProcessSpec.mma2(), [1, 3]), (ProcessSpec.mma13(), [0, 1, 3])):
+        tgt = TargetSet.ball_of_measure(spec, end, 2.0**-3)
+        u, k = tgt.event.u, len(slots)
+        prefix = H._rts_prefix(spec, tgt, trials, seed=5)
+        window = prefix[:, slots]
+        top = window.max(axis=1)
+        assert (top > u).all()
+        assert ks(top, lambda x: (x**k - u**k) / (1.0 - u**k)) <= bound, spec.label
+        is_top = window == top[:, None]
+        for j in range(k):
+            rest = window[~is_top[:, j], j] / top[~is_top[:, j]]
+            assert ks(rest, uniform) <= 1.63 / math.sqrt(rest.size), (spec.label, slots[j])
+        for j in sorted(set(range(4)) - set(slots)):
+            assert ks(prefix[:, j], uniform) <= bound, (spec.label, j)
+        unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent("gt", u=1.5))
+        with pytest.raises(H.ConditionalStartError):
+            H._rts_prefix(spec, unreachable, 10, seed=5)
+
+
+def test_first_hits_engine_matches_scalar_cylinder_and_jump():
+    from evl_lab import rng
+    from evl_lab.hts_rts import _first_hits_engine
+
+    jump = ProcessSpec.dyadic_jump()
+    for spec, tgt, horizon in (
+        (DOUB, TargetSet.cylinder(DOUB, "0110"), 300),
+        (jump, TargetSet.ball(jump, "01", 2.0**-5), 300),
+    ):
+        steps = _first_hits_engine(spec, tgt, 8, 57, horizon, rng.CH_ORBIT)
+        assert (steps <= horizon).sum() >= 4
+        for trial in range(8):
+            st = sample_initial(spec, 57, trial=trial)
+            hit = hitting_time(spec, tgt, st, horizon)
+            assert (horizon + 1 if hit is None else hit) == int(steps[trial]), (spec.label, trial)

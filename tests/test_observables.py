@@ -126,6 +126,16 @@ def test_bernoulli_cdf_self_consistency():
     assert bernoulli_cdf(0.5, w) == pytest.approx(a, abs=1e-12)
 
 
+def test_bernoulli_cdf_array_matches_scalar():
+    grid = np.concatenate([[-0.5, 0.0, 1.0, 1.5], np.linspace(0.0, 1.0, 257)[1:-1], [1 / 3]])
+    for w in ((0.3, 0.7), (0.2, 0.3, 0.5)):
+        arr = bernoulli_cdf(grid, w)
+        scalars = [bernoulli_cdf(float(t), w) for t in grid]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(arr, np.array(scalars))
+        assert arr[0] == 0.0 and arr[1] == 0.0 and arr[2] == 1.0 and arr[3] == 1.0
+
+
 def test_bernoulli_ball_measure_against_monte_carlo():
     spec = ProcessSpec.bernoulli_doubling(0.3)
     obs = ObservableSpec(family="distance", form="weibull", anchor="01")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evl_lab import observables
+from evl_lab import observables, rng
 from evl_lab.processes import (
     DigitStream,
     Ensemble,
@@ -47,6 +47,26 @@ def test_spec_validation():
         ProcessSpec.ar1(1)
     with pytest.raises(ValueError):
         ProcessSpec("nope")
+
+
+def test_near_uniform_weights_are_not_uniform(monkeypatch):
+    import evl_lab.hts_rts as H
+
+    near = ProcessSpec.bernoulli_doubling(0.5 + 1e-7)
+    doub = ProcessSpec.doubling()
+    assert doub.is_uniform and not near.is_uniform
+    assert near.label != doub.label
+    obs = observables.ObservableSpec(family="distance", form="weibull", anchor="01")
+    assert abs(observables.ball_measure(near, obs, 1 / 3) - observables.ball_measure(doub, obs, 1 / 3)) > 1e-9
+    assert observables.marginal_cdf(near, 0.5) > 0.5 + 5e-8
+    digits = DigitStream.random(near, seed=3, trial=2).block(0, 200)
+    assert np.array_equal(digits, rng.digits(3, rng.CH_ORBIT, [2], 0, 200, np.cumsum(near.weights))[0])
+    calls = []
+    monkeypatch.setattr(H, "bernoulli_cdf", lambda *a: calls.append(1) or observables.bernoulli_cdf(*a))
+    H._interval_digit_prefix(doub, 0.2, 0.3, 10, seed=1)
+    assert not calls
+    H._interval_digit_prefix(near, 0.2, 0.3, 10, seed=1)
+    assert calls
 
 
 def test_digit_stream_is_stable_under_extension():
@@ -164,6 +184,23 @@ def test_dyadic_engine_matches_scalar():
         for t in range(40):
             assert evaluate_point(spec, st) == pytest.approx(pts[trial, t], abs=1e-12)
             st = step(spec, st)
+
+
+def test_engine_windows_are_positional():
+    # a window starting past step 0 equals the tail of the full sweep
+    for spec in ALL_SPECS:
+        if spec.kind == "dyadic_jump":
+            continue
+        full = point_values_range(spec, 19, [0, 1, 2], 0, 60)
+        assert np.array_equal(point_values_range(spec, 19, [0, 1, 2], 40, 60), full[:, 40:])
+    jump = ProcessSpec.dyadic_jump()
+    ev = observables.ExceedanceEvent("interval", lo=0.2, hi=0.3)
+    with pytest.raises(ValueError):
+        PathEngine(jump, 19, [0, 1]).masks(5, 10, ev)
+    eng = PathEngine(jump, 19, [0, 1])
+    eng.masks(0, 10, ev)
+    with pytest.raises(ValueError):
+        eng.masks(10, 20, ev)
 
 
 def test_observe_path_reproducible():
