@@ -147,7 +147,9 @@ class _MeanAcc:
 
 def _sparse_cols(q):
     """Per-row sorted column indices of True entries, as a list of arrays."""
-    rows, cols = np.nonzero(q)
+    # column-major scan: q.T is C-contiguous for the engine's time-major masks
+    cols, rows = np.divmod(np.flatnonzero(q.T), q.shape[0])
+    cols = cols[np.argsort(rows, kind="stable")]
     counts = np.bincount(rows, minlength=q.shape[0])
     out = []
     pos = 0

@@ -128,13 +128,15 @@ def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None
         alive_rows = np.arange(lo, lo + ids.size)
         while t < stop and alive_rows.size:
             t1 = _window_end(spec, t, stop)
-            m = eng.masks(t, t1, target.event)
+            m = eng.masks(t, t1, target.event).T  # time-major (steps, trials)
             if t == 0:
-                m[:, 0] = False
-            hit = m.any(axis=1)
-            first = np.argmax(m, axis=1)
-            steps[alive_rows[hit]] = t + first[hit]
-            keep = ~hit
+                m[0] = False
+            # hits listed step-major: unique's first entry per trial is its earliest
+            at, rows = np.divmod(np.flatnonzero(m), m.shape[1])
+            rows, first = np.unique(rows, return_index=True)
+            steps[alive_rows[rows]] = t + at[first]
+            keep = np.ones(alive_rows.size, dtype=bool)
+            keep[rows] = False
             eng.select(keep)
             alive_rows = alive_rows[keep]
             t = t1
@@ -226,7 +228,10 @@ def _rts_prefix(spec, target, trials, seed):
         msb_first = _interval_digit_prefix(spec, ev.u, 1.0, trials, seed, depth=PRECISION)
         return msb_first[:, ::-1].copy()
     if spec.kind == "iid_uniform":
-        u0 = ev.u + rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 1)[:, 0] * (1.0 - ev.u)
+        r = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 1)[:, 0]
+        u0 = ev.u + (1.0 - r) * (1.0 - ev.u)  # 1 - r in (0, 1]: u0 > u
+        if not ev.mask_native(u0).all():
+            raise ConditionalStartError("an i.i.d. start lies outside the target")
         return u0[:, None]
     # moving-maximum kinds: X_0 is the maximum M of the k window slots, so
     # given M > u it has the tail law (x^k - u^k) / (1 - u^k) on (u, 1]; M

@@ -10,6 +10,12 @@ keep a short window of i.i.d. innovations.
 Every path is a pure function of (seed, trial index, step index) through the
 counter-based generator in :mod:`evl_lab.rng`, so trial-chunked, blocked and
 serial executions produce bit-identical results.
+
+Sweeps are time-major.  The generator builds every draw as the ``.T`` view of
+a (positions, trials) buffer, the scans read one contiguous row ``d.T[t]`` of
+digits per step, and masks and points are written into ``(steps, trials)``
+buffers, one contiguous row per step.  Their public shape stays
+``(trials, steps)``: the engine returns the ``.T`` views.
 """
 
 from __future__ import annotations
@@ -377,13 +383,12 @@ class PathEngine:
     def _map_theta_columns(self, t0, t1, consume):
         d = _digit_block(
             self.spec, self.seed, self.trials, t0, t1 + PRECISION, self.channel, self.prefix
-        )
+        ).T
         inv = 1.0 / self.spec.base
         x = np.zeros(self.trials.size)
-        cols = d.shape[1]
         buf = np.empty_like(x)
-        for t in range(cols - 1, -1, -1):
-            np.add(d[:, t], x, out=buf)
+        for t in range(d.shape[0] - 1, -1, -1):
+            np.add(d[t], x, out=buf)
             np.multiply(buf, inv, out=x)
             if t < t1 - t0:
                 consume(t, x)
@@ -397,10 +402,10 @@ class PathEngine:
         if self._carry is None:
             d0 = _digit_block(
                 self.spec, self.seed, self.trials, 0, PRECISION, self.channel, self.prefix
-            )
+            ).T
             x = np.zeros(self.trials.size)
             for j in range(PRECISION):
-                x = (x + d0[:, j]) / r
+                x = (x + d0[j]) / r
             self._carry = x
             if t0 == 0:
                 consume(0, x)
@@ -415,23 +420,26 @@ class PathEngine:
             t1 + PRECISION - 1,
             self.channel,
             self.prefix,
-        )
+        ).T
         x = self._carry
         buf = np.empty_like(x)
         for k, t in enumerate(range(lo, t1)):
-            np.add(x, d[:, k], out=buf)
+            np.add(x, d[k], out=buf)
             np.multiply(buf, 1.0 / r, out=x)
             if t >= t0:
                 consume(t - t0, x)
         self._carry = x
 
+    def _jump_window(self, t0, t1):
+        if t0 != 0:
+            raise ValueError("jump-map sweeps cover one whole window from step 0")
+        return _jump_bits(self.seed, self.trials, t1, self.channel, self.prefix)
+
     def _values(self, t0, t1):
         """Float values of the series kinds and the jump map at steps [t0, t1)."""
         spec = self.spec
         if spec.kind == "dyadic_jump":
-            if t0 != 0:
-                raise ValueError("jump-map sweeps cover one whole window from step 0")
-            return dyadic_jump_paths(spec, self.seed, self.trials, t1, self.channel, self.prefix)
+            return _jump_values(*self._jump_window(t0, t1))
         if spec.kind == "iid_uniform":
             return _uniform_block(spec, self.seed, self.trials, t0, t1, self.channel, self.prefix)
         u = _uniform_block(spec, self.seed, self.trials, t0, t1 + 3, self.channel, self.prefix)
@@ -441,39 +449,49 @@ class PathEngine:
             np.maximum(out, u[:, :n], out=out)
         return out
 
+    def _cylinder_rows(self, t0, t1, word):
+        """Time-major word matches at each step's orbit point: digit t, or
+        for the jump map the bit after each consumed 0^(k-1)1 block."""
+        word = np.asarray(word, dtype=np.uint8)
+        if self.spec.kind == "dyadic_jump":
+            d, pos = self._jump_window(t0, t1)
+        else:
+            d = _digit_block(
+                self.spec, self.seed, self.trials, t0, t1 + word.size - 1, self.channel, self.prefix
+            ).T
+            pos = None
+        match = np.ones((d.shape[0] - word.size + 1, self.trials.size), dtype=bool)
+        for i, digit in enumerate(word):
+            match &= d[i : i + match.shape[0]] == digit
+        return match if pos is None else np.take_along_axis(match, pos, axis=0)
+
     def masks(self, t0, t1, event):
         """Boolean exceedance matrix for steps [t0, t1); cylinder events match
         their word on the digits, every other event reads the exposed values."""
         self._check_window(t0)
-        n = t1 - t0
-        out = np.empty((self.trials.size, n), dtype=bool)
         if event.is_cylinder:
-            word = np.asarray(event.word, dtype=np.uint8)
-            d = _digit_block(
-                self.spec, self.seed, self.trials, t0, t1 + word.size - 1, self.channel, self.prefix
-            )
-            out.fill(True)
-            for i, digit in enumerate(word):
-                out &= d[:, i : i + n] == digit
-        elif self.spec.kind in ("m_ary", "chebyshev"):
-            self._map_theta_columns(t0, t1, lambda t, x: event.mask_native(x, out=out[:, t]))
-        elif self.spec.kind == "ar1":
-            self._ar1_columns(t0, t1, lambda t, x: event.mask_native(x, out=out[:, t]))
+            out = self._cylinder_rows(t0, t1, event.word)
         else:
-            event.mask_native(self._values(t0, t1), out=out)
+            out = np.empty((t1 - t0, self.trials.size), dtype=bool)  # time-major
+            if self.spec.kind in ("m_ary", "chebyshev"):
+                self._map_theta_columns(t0, t1, lambda t, x: event.mask_native(x, out=out[t]))
+            elif self.spec.kind == "ar1":
+                self._ar1_columns(t0, t1, lambda t, x: event.mask_native(x, out=out[t]))
+            else:
+                event.mask_native(self._values(t0, t1), out=out.T)
         self._t = t1
-        return out
+        return out.T
 
     def points(self, t0, t1):
         """Exposed process points at steps [t0, t1) (x-space for chebyshev)."""
         self._check_window(t0)
-        n = t1 - t0
         if self.spec.kind in ("m_ary", "chebyshev", "ar1"):
-            out = np.empty((self.trials.size, n))
+            out = np.empty((t1 - t0, self.trials.size))  # time-major
             columns = self._ar1_columns if self.spec.kind == "ar1" else self._map_theta_columns
-            columns(t0, t1, lambda t, x: out.__setitem__((slice(None), t), x))
+            columns(t0, t1, out.__setitem__)
             if self.spec.kind == "chebyshev":
                 out = -np.cos(2.0 * np.pi * out)
+            out = out.T
         else:
             out = self._values(t0, t1)
         self._t = t1
@@ -490,14 +508,10 @@ class PathEngine:
         return d
 
 
-def dyadic_jump_paths(spec, seed, trials, n_steps, channel=rng.CH_ORBIT, prefix=None):
-    """Orbit points of the countable-branch jump map: (T, n_steps) values.
-
-    Each step consumes the leading 0^(k-1)1 bit block; orbit points are the
-    bit tails after each 1.  Geometric branch lengths mean ~2 bits per step.
-    """
-    trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    T = trials.size
+def _jump_bits(seed, trials, n_steps, channel, prefix):
+    """Bits of jump-map paths, time-major (positions, trials), and the bit
+    position of each step's orbit point, (steps, trials): 0, then one past
+    the 1 that closes each consumed 0^(k-1)1 block."""
     need = int(2 * n_steps + 8 * np.sqrt(n_steps) + PRECISION + 64)
     while True:
         b = rng.bits(seed, channel, trials, 0, need)
@@ -507,17 +521,31 @@ def dyadic_jump_paths(spec, seed, trials, n_steps, channel=rng.CH_ORBIT, prefix=
         if (b.sum(axis=1) - b[:, -PRECISION:].sum(axis=1)).min() >= n_steps:
             break
         need *= 2  # astronomically rare top-up, keeps positional determinism
-    vals = np.empty((T, need), dtype=np.float64)
-    x = np.zeros(T)
-    for t in range(need - 1, -1, -1):
-        x = (b[:, t] + x) * 0.5
-        vals[:, t] = x
-    out = np.empty((T, n_steps))
-    out[:, 0] = vals[:, 0]
-    for i in range(T):
-        ones = np.flatnonzero(b[i, : need - PRECISION])[: n_steps - 1]
-        out[i, 1:] = vals[i, ones + 1]
-    return out
+    rows = np.ascontiguousarray(b[:, : need - PRECISION])  # trial-major, for the per-path search
+    pos = np.zeros((trials.size, n_steps), dtype=np.int32)
+    for i in range(trials.size):
+        pos[i, 1:] = np.flatnonzero(rows[i])[: n_steps - 1] + 1
+    return b.T, pos.T
+
+
+def _jump_values(b, pos):
+    """Orbit points at the step positions: the bit tails, by a backward scan."""
+    vals = np.empty(b.shape)
+    x = np.zeros(b.shape[1])
+    for t in range(b.shape[0] - 1, -1, -1):
+        x = (b[t] + x) * 0.5
+        vals[t] = x
+    return np.take_along_axis(vals, pos, axis=0).T
+
+
+def dyadic_jump_paths(spec, seed, trials, n_steps, channel=rng.CH_ORBIT, prefix=None):
+    """Orbit points of the countable-branch jump map: (T, n_steps) values.
+
+    Each step consumes the leading 0^(k-1)1 bit block; orbit points are the
+    bit tails after each 1.  Geometric branch lengths mean ~2 bits per step.
+    """
+    trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
+    return _jump_values(*_jump_bits(seed, trials, n_steps, channel, prefix))
 
 
 def point_values_range(spec, seed, trials, t0, t1, channel=rng.CH_ORBIT, prefix=None):

@@ -5,6 +5,11 @@ The generator is Philox-2x64 with 10 rounds.  A stream is identified by a
 independent trials, independent channels within one experiment, and arbitrary
 position ranges can all be generated out of order, in chunks, or in parallel
 with bit-identical results.
+
+Every draw has the public shape (trials, positions) but is built time-major:
+the array is the ``.T`` view of a C-contiguous (positions, trials) buffer, so
+one position of all trials is one contiguous row.  The sweeps in
+:mod:`evl_lab.processes` read those rows with ``draw.T[t]``.
 """
 
 from __future__ import annotations
@@ -94,41 +99,47 @@ def raw_words(seed, channel, trials, lo, hi):
 
     Word w of a stream is lane (w & 1) of the Philox block with counter
     (stream, w >> 1); the mapping is positional, so overlapping ranges agree.
-    Rows are processed in chunks so transient buffers stay bounded.
+    The words are built time-major, in chunks of blocks so transient buffers
+    stay bounded.
     """
     trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
     if hi <= lo:
         return np.empty((trials.size, 0), dtype=np.uint64)
     b0, b1 = lo >> 1, (hi + 1) >> 1
     nb = b1 - b0
-    blocks = np.arange(b0, b1, dtype=np.uint64)[None, :]
-    counters = _stream_counter(channel, trials)
+    blocks = np.arange(b0, b1, dtype=np.uint64)[:, None]
+    counters = _stream_counter(channel, trials)[None, :]
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    words = np.empty((trials.size, 2 * nb), dtype=np.uint64)
-    rc = max(1, _CHUNK // max(nb, 1))
-    for s in range(0, trials.size, rc):
-        e = min(s + rc, trials.size)
-        o0, o1 = philox2x64(counters[s:e, None], blocks, key)
-        words[s:e, 0::2] = o0
-        words[s:e, 1::2] = o1
-    return words[:, lo - 2 * b0 : hi - 2 * b0]
+    words = np.empty((nb, 2, trials.size), dtype=np.uint64)
+    bc = max(1, _CHUNK // max(trials.size, 1))
+    for s in range(0, nb, bc):
+        words[s : s + bc, 0], words[s : s + bc, 1] = philox2x64(counters, blocks[s : s + bc], key)
+    return words.reshape(2 * nb, trials.size)[lo - 2 * b0 : hi - 2 * b0].T
+
+
+def _lanes(seed, channel, trials, w0, w1, lane):
+    """Words [w0, w1) split into little-endian lanes of dtype ``lane``:
+    a strided (words, lanes per word, trials) view of the time-major words."""
+    words = raw_words(seed, channel, trials, w0, w1).T
+    per_word = 8 // np.dtype(lane).itemsize
+    lanes = words.astype("<u8", copy=False).view(lane)
+    return lanes.reshape(words.shape[0], words.shape[1], per_word).transpose(0, 2, 1)
+
+
+def _rows(a):
+    """Merge the first two axes of a (words, per word, trials) array: one row per position."""
+    return a.reshape(a.shape[0] * a.shape[1], a.shape[2])
 
 
 def bits(seed, channel, trials, lo, hi):
     """Fair bits at positions [lo, hi): bit j is bit (j mod 64) of word (j // 64)."""
     w0, w1 = lo >> 6, (hi + 63) >> 6
-    words = raw_words(seed, channel, trials, w0, w1)
-    by = words.astype("<u8").view(np.uint8)
-    b = np.unpackbits(by, axis=1, bitorder="little")
-    return b[:, lo - 64 * w0 : hi - 64 * w0]
-
-
-def _lanes16(seed, channel, trials, lo, hi):
-    """16-bit lanes at positions [lo, hi): lane j is halfword (j mod 4) of word (j // 4)."""
-    w0, w1 = lo >> 2, (hi + 3) >> 2
-    words = raw_words(seed, channel, trials, w0, w1)
-    lanes = words.astype("<u8", copy=False).view("<u2")
-    return lanes[:, lo - 4 * w0 : hi - 4 * w0]
+    by = _rows(np.ascontiguousarray(_lanes(seed, channel, trials, w0, w1, np.uint8)))
+    b = np.empty((by.shape[0], 8, by.shape[1]), dtype=np.uint8)  # row 8w + k: byte k of word w
+    for k in range(8):
+        np.bitwise_and(by, 1, out=b[:, k])
+        by >>= 1
+    return _rows(b)[lo - 64 * w0 : hi - 64 * w0].T
 
 
 def uniform_digits(seed, channel, trials, lo, hi, m):
@@ -139,14 +150,14 @@ def uniform_digits(seed, channel, trials, lo, hi, m):
     k = int(32 // math.log2(m))
     M = np.uint64(m**k)
     w0, w1 = lo // k, (hi + k - 1) // k
-    words = raw_words(seed, channel, trials, w0, w1)
-    out = np.empty(words.shape[:1] + (k * words.shape[1],), dtype=np.uint8)
+    words = raw_words(seed, channel, trials, w0, w1).T
+    out = np.empty((words.shape[0], k, words.shape[1]), dtype=np.uint8)
     v = (words % M).astype(np.uint32)  # m**k <= 2**32
     r = np.empty_like(v)
     for slot in range(k):
         np.divmod(v, np.uint32(m), out=(v, r))
-        out[:, slot::k] = r
-    return out[:, lo - k * w0 : hi - k * w0]
+        out[:, slot] = r
+    return _rows(out)[lo - k * w0 : hi - k * w0].T
 
 
 def digits(seed, channel, trials, lo, hi, cum_weights):
@@ -157,25 +168,23 @@ def digits(seed, channel, trials, lo, hi, cum_weights):
     have the exact-to-2^-32 ``uniform_digits``.
     """
     cw = np.asarray(cum_weights, dtype=np.float64)
-    m = cw.size
     thresholds = np.ceil(cw[:-1] * 65536.0).astype(np.uint32)
-    lanes = _lanes16(seed, channel, trials, lo, hi)
+    w0, w1 = lo >> 2, (hi + 3) >> 2
+    lanes = _lanes(seed, channel, trials, w0, w1, "<u2")
     out = np.empty(lanes.shape, dtype=np.uint8)
-    flat_in, flat_out = lanes.reshape(-1), out.reshape(-1)
-    for s in range(0, flat_in.size, _CHUNK):
-        e = min(s + _CHUNK, flat_in.size)
-        if m == 2:
-            flat_out[s:e] = flat_in[s:e] >= thresholds[0]
+    rows = max(1, _CHUNK // max(lanes.shape[1] * lanes.shape[2], 1))
+    for s in range(0, lanes.shape[0], rows):
+        if cw.size == 2:
+            np.greater_equal(lanes[s : s + rows], thresholds[0], out=out[s : s + rows])
         else:
-            flat_out[s:e] = np.searchsorted(thresholds, flat_in[s:e], side="right")
-    return out
+            out[s : s + rows] = np.searchsorted(thresholds, lanes[s : s + rows], side="right")
+    return _rows(out)[lo - 4 * w0 : hi - 4 * w0].T
 
 
 def uniforms(seed, channel, trials, lo, hi):
     """float64 uniforms on [0,1) at positions [lo, hi), from 32-bit lanes."""
     w0, w1 = lo >> 1, (hi + 1) >> 1
-    words = raw_words(seed, channel, trials, w0, w1)
-    lanes = words.astype("<u8", copy=False).view("<u4")  # lane 2w is the low half of word w
-    out = np.empty((lanes.shape[0], hi - lo), dtype=np.float64)
-    np.multiply(lanes[:, lo - 2 * w0 : hi - 2 * w0], 2.0**-32, out=out)
-    return out
+    lanes = _lanes(seed, channel, trials, w0, w1, "<u4")  # lane 2w is the low half of word w
+    out = np.empty(lanes.shape)
+    np.multiply(lanes, 2.0**-32, out=out)
+    return _rows(out)[lo - 2 * w0 : hi - 2 * w0].T

@@ -227,6 +227,7 @@ def test_first_hits_engine_matches_scalar_cylinder_and_jump():
     for spec, tgt, horizon in (
         (DOUB, TargetSet.cylinder(DOUB, "0110"), 300),
         (jump, TargetSet.ball(jump, "01", 2.0**-5), 300),
+        (jump, TargetSet.cylinder(jump, "0110"), 300),
     ):
         steps = _first_hits_engine(spec, tgt, 8, 57, horizon, rng.CH_ORBIT)
         assert (steps <= horizon).sum() >= 4
@@ -234,3 +235,24 @@ def test_first_hits_engine_matches_scalar_cylinder_and_jump():
             st = sample_initial(spec, 57, trial=trial)
             hit = hitting_time(spec, tgt, st, horizon)
             assert (horizon + 1 if hit is None else hit) == int(steps[trial]), (spec.label, trial)
+
+
+def test_iid_start_law(ks, monkeypatch):
+    # starts conditioned on X_0 > u are uniform on (u, 1], never at u itself
+    import evl_lab.hts_rts as H
+    from evl_lab.observables import ExceedanceEvent, ObservableSpec
+
+    spec = ProcessSpec.iid_uniform()
+    trials = 200_000
+    end = ObservableSpec(family="distance", form="weibull", anchor=None)
+    tgt = TargetSet.ball_of_measure(spec, end, 2.0**-3)
+    u = tgt.event.u
+    start = H._rts_prefix(spec, tgt, trials, seed=5)[:, 0]
+    assert (start > u).all() and (start <= 1.0).all()
+    assert ks(start, lambda x: np.clip((x - u) / (1.0 - u), 0.0, 1.0)) <= 1.63 / math.sqrt(trials)
+    unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent("gt", u=1.5))
+    with pytest.raises(H.ConditionalStartError):
+        H._rts_prefix(spec, unreachable, 10, seed=5)
+    # a zero uniform draw maps to the top of the target, not to its open end u
+    monkeypatch.setattr(H.rng, "uniforms", lambda seed, ch, ids, lo, hi: np.zeros((ids.size, hi - lo)))
+    assert (H._rts_prefix(spec, tgt, 4, seed=5)[:, 0] == 1.0).all()

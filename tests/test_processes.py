@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evl_lab import observables, rng
 from evl_lab.processes import (
@@ -250,3 +252,50 @@ def test_ensemble_mask_determinism_across_runs():
     a = np.concatenate([m for _, m in ens.mask_chunks(ev)])
     b = np.concatenate([m for _, m in ens.mask_chunks(ev)])
     assert np.array_equal(a, b)
+
+
+def _random_event(spec, data):
+    if spec.uses_digits and data.draw(st.booleans()):
+        word = data.draw(st.lists(st.integers(0, spec.base - 1), min_size=1, max_size=4))
+        return observables.ExceedanceEvent("cylinder", word=tuple(word))
+    if spec.kind in ("m_ary", "chebyshev"):
+        lo = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        return observables.ExceedanceEvent("circle", lo=lo, hi=(lo + 0.2) % 1.0)
+    if spec.kind == "dyadic_jump":
+        lo = data.draw(st.floats(0.0, 0.8))
+        return observables.ExceedanceEvent("interval", lo=lo, hi=lo + 0.2)
+    return observables.ExceedanceEvent("gt", u=data.draw(st.floats(0.3, 0.95)))
+
+
+def _cuts(data, n):
+    """0 = c_0 < c_1 < ... < c_k = n."""
+    inner = data.draw(st.lists(st.integers(1, n - 1), max_size=5)) if n > 1 else []
+    return [0, *sorted(set(inner)), n]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_masks_window_and_chunk_invariant(spec, data):
+    # trial chunks swept over increasing windows (some skipped) reproduce
+    # one one-shot sweep; the jump map sweeps one whole window per chunk
+    n = data.draw(st.integers(1, 150))
+    trials = data.draw(st.integers(1, 12))
+    seed = data.draw(st.integers(0, 2**32))
+    ev = _random_event(spec, data)
+    ids = np.arange(trials, dtype=np.uint64)
+    whole = PathEngine(spec, seed, ids).masks(0, n, ev)
+    assert whole.shape == (trials, n) and whole.dtype == bool
+    trial_cuts = _cuts(data, trials)
+    for a, b in zip(trial_cuts, trial_cuts[1:]):
+        eng = PathEngine(spec, seed, ids[a:b])
+        steps = [0, n] if spec.kind == "dyadic_jump" else _cuts(data, n)
+        for t0, t1 in zip(steps, steps[1:]):
+            if t0 > 0 and data.draw(st.booleans()):
+                continue  # skipped window: the engine scans through it
+            assert np.array_equal(eng.masks(t0, t1, ev), whole[a:b, t0:t1])
+    # points exist in the event's coordinate for all but chebyshev (x-space
+    # points, theta-space events)
+    if not ev.is_cylinder and spec.kind != "chebyshev":
+        pts = point_values_range(spec, seed, ids, 0, n)
+        assert np.array_equal(ev.mask_native(pts), whole)

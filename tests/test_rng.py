@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,64 @@ def test_kolmogorov_quantile_simulation_oracle():
     q99 = float(np.quantile(stats, 0.99))
     ref = 1.628 / np.sqrt(n)
     assert 0.75 * ref < q99 < 1.35 * ref
+
+
+# sha256 of each generator's output over KAT_WINDOWS (concatenated row-major
+# (trials, hi-lo) bytes), pinned when the words were still built trial-major:
+# the time-major layout must reproduce every value.
+KAT_TRIALS = [0, 3, 17, 1 << 40]
+KAT_WINDOWS = [(0, 1), (1, 2), (5, 70), (63, 130), (131, 260), (999, 1003)]
+KAT = {
+    "raw_words": (
+        lambda lo, hi: rng.raw_words(2024, 0, KAT_TRIALS, lo, hi),
+        np.uint64,
+        "a641cc92f49581f702c9cbc894fc4082be9c29e7683e0f0c98a9daa3c208ba54",
+    ),
+    "bits": (
+        lambda lo, hi: rng.bits(2024, 1, KAT_TRIALS, lo, hi),
+        np.uint8,
+        "1eeb968c1baa15dcc76a25429e4c1794a3df3ce5cc283ddd54bf3a91eb87465f",
+    ),
+    "uniform_digits_m3": (
+        lambda lo, hi: rng.uniform_digits(2024, 0, KAT_TRIALS, lo, hi, 3),
+        np.uint8,
+        "d7662180dd5bda44256898b53f48f91071f8d6e11bd0b3065cee70002d09b12a",
+    ),
+    "uniform_digits_m5": (
+        lambda lo, hi: rng.uniform_digits(2024, 2, KAT_TRIALS, lo, hi, 5),
+        np.uint8,
+        "a86a61f21613a8b61b973bb2f4d3388963d0421c1ea0cac8681aac3fbf93929e",
+    ),
+    "digits_bernoulli": (
+        lambda lo, hi: rng.digits(2024, 0, KAT_TRIALS, lo, hi, np.cumsum([0.3, 0.7])),
+        np.uint8,
+        "38dd8a517ab79c3a2c1f99777e7a7262599f876b339eaf40d7700f56b0b572df",
+    ),
+    "digits_m4": (
+        lambda lo, hi: rng.digits(2024, 0, KAT_TRIALS, lo, hi, np.cumsum([0.1, 0.2, 0.3, 0.4])),
+        np.uint8,
+        "12071e9cfc1b4133970e5c23d7b2865954e38624bd1080e65a4f87eac4ca40d1",
+    ),
+    "uniforms": (
+        lambda lo, hi: rng.uniforms(2024, 3, KAT_TRIALS, lo, hi),
+        np.float64,
+        "1c335e7866c9da3213084b8dadba6b89b94f9629bb6c763c908f243963ae0a8b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KAT))
+def test_generator_known_answers(name):
+    draw, dtype, expected = KAT[name]
+    h = hashlib.sha256()
+    for lo, hi in KAT_WINDOWS:
+        a = draw(lo, hi)
+        assert a.shape == (len(KAT_TRIALS), hi - lo) and a.dtype == dtype
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == expected
+
+
+def test_words_are_built_time_major():
+    w = rng.raw_words(2024, 0, KAT_TRIALS, 5, 70)
+    assert w.T.flags.c_contiguous
+    assert rng.raw_words(1, 0, [0, 1], 3, 3).shape == (2, 0)
