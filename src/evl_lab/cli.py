@@ -249,10 +249,11 @@ def _run_hts_rts(cfg, mode):
     cdf = theory.theoretical_cdf(mode, th if not math.isnan(th) else 1.0)
     if mode == "rts":
         unc = ~samples.censored
-        atom = float(((samples.times <= 0.01) & unc).mean())
-        cont = np.sort(samples.times[(samples.times > 0.01) & unc])
+        eps = estimators.ATOM_EPS
+        atom = float(((samples.times <= eps) & unc).mean())
+        cont = np.sort(samples.times[(samples.times > eps) & unc])
         base = theory.theoretical_cdf("hts", th if not math.isnan(th) else 1.0)
-        f0 = float(base(0.01))
+        f0 = float(base(eps))
         fx = (np.asarray(base(cont)) - f0) / (1.0 - f0)
         k = cont.size
         ks = float(
@@ -362,6 +363,17 @@ def _run_tail_check(cfg):
     return rep
 
 
+_RUNNERS = {
+    "estimate-ei": _run_estimate_ei,
+    "hts": lambda cfg: _run_hts_rts(cfg, "hts"),
+    "rts": lambda cfg: _run_hts_rts(cfg, "rts"),
+    "conditions": _run_conditions,
+    "dichotomy": _run_dichotomy,
+    "symbolic": _run_symbolic,
+    "tail-check": _run_tail_check,
+}
+
+
 # ---------------------------------------------------------------------------
 # bundled meta-configuration reproducing the acceptance experiments
 # ---------------------------------------------------------------------------
@@ -425,22 +437,9 @@ def run_experiment(config):
     """Dispatch one validated configuration and write its result files."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     t0 = time.time()
-    if cfg.kind == "estimate-ei":
-        rep = _run_estimate_ei(cfg)
-    elif cfg.kind == "hts":
-        rep = _run_hts_rts(cfg, "hts")
-    elif cfg.kind == "rts":
-        rep = _run_hts_rts(cfg, "rts")
-    elif cfg.kind == "conditions":
-        rep = _run_conditions(cfg)
-    elif cfg.kind == "dichotomy":
-        rep = _run_dichotomy(cfg)
-    elif cfg.kind == "symbolic":
-        rep = _run_symbolic(cfg)
-    elif cfg.kind == "tail-check":
-        rep = _run_tail_check(cfg)
-    else:
+    if cfg.kind not in _RUNNERS:
         raise ConfigError(f"experiment {cfg.kind!r} is not directly runnable")
+    rep = _RUNNERS[cfg.kind](cfg)
     rep.provenance = {
         "config": cfg.raw,
         "seed": cfg.seed,

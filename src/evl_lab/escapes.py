@@ -7,6 +7,12 @@ The report operations estimate the short-range conditional structure, the
 summability of capture chains, the clustering of escapes over the first
 n/k_n lags, and the long-range independence gap between an escape and a
 later no-escape window.
+
+The pair statistics work on a whole chunk of paths at once.  Escapes are
+sparse (about theta * tau per path), so they read the escape positions
+(rows, cols), sorted by row and then by column, as the keys
+row * width + col; a search on those keys finds every later escape of the
+same path, and ``bincount`` sums per path and per lag.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ class EscapeOffsets:
     @staticmethod
     def single(p):
         return EscapeOffsets((p,))
+
+    @staticmethod
+    def of(offsets):
+        """The offsets themselves, or order 1 at period p for an int p."""
+        return EscapeOffsets.single(offsets) if isinstance(offsets, int) else offsets
 
     @property
     def order(self):
@@ -64,8 +75,7 @@ def escape_matrix(exceed, offsets, depth=None):
 
 def escape_event(series, j, offsets, u):
     """Order-i escape at index j of a plain series (strict exceedance X > u)."""
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     x = np.asarray(series, dtype=np.float64)
     if j < 0 or j + offsets.span >= x.size:
         raise IndexError("series too short to read the escape at this index")
@@ -75,8 +85,7 @@ def escape_event(series, j, offsets, u):
 
 def no_escape_window(series, s, length, offsets, u):
     """True iff no order-i escape occurs at any index in [s, s+length)."""
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     if length == 0:
         return True
     x = np.asarray(series, dtype=np.float64)
@@ -145,18 +154,15 @@ class _MeanAcc:
         return math.sqrt(max(v, 0.0) / self.n)
 
 
-def _sparse_cols(q):
-    """Per-row sorted column indices of True entries, as a list of arrays."""
+def _escape_positions(q):
+    """Escapes of a (paths, width) matrix as (rows, cols, keys), sorted by row
+    and then by column; the key of an escape is row * width + col."""
     # column-major scan: q.T is C-contiguous for the engine's time-major masks
     cols, rows = np.divmod(np.flatnonzero(q.T), q.shape[0])
-    cols = cols[np.argsort(rows, kind="stable")]
-    counts = np.bincount(rows, minlength=q.shape[0])
-    out = []
-    pos = 0
-    for c in counts:
-        out.append(cols[pos : pos + c])
-        pos += c
-    return out
+    keys = rows * q.shape[1] + cols
+    keys.sort()
+    rows, cols = np.divmod(keys, q.shape[1])
+    return rows, cols, keys
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +205,7 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
     ratios P(X_p,...,X_ip > u | X_0>u) / (1-theta)^i, and the n-scaled
     partial sums of the chain probabilities.
     """
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     p = offsets.period
     u = levels.u(n)
     if ratio_cutoff is None:
@@ -216,7 +221,7 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
         n_exc += int(base_rows.sum())
         for j in range(1, p):
             sub[j].add((base & e[:, j : n + j]).sum(axis=1), base_rows)
-        run = base.copy()
+        run = base.copy(order="K")  # keep the time-major layout of the mask
         for i in range(1, ratio_cutoff + 1):
             run &= e[:, i * p : n + i * p]
             chain[i].add(run.sum(axis=1), base_rows)
@@ -242,8 +247,7 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
 
 def annulus_rate(ensemble, offsets, n, levels):
     """(n * P(order-i escape at a fixed index), stderr): the escape-rate law."""
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     u = levels.u(n)
     event = exceedance_event(ensemble.spec, levels.obs, u)
     acc = _MeanAcc()
@@ -267,11 +271,9 @@ def escape_clustering_sum(ensemble, offsets, n, k_n, levels):
     """n * sum_{j=1..n/k_n} P(escape at 0 and at j), with Monte Carlo stderr.
 
     Joint escape probabilities are averaged over all start indices in [0, n)
-    and over paths; escapes are sparse (mean theta*tau per path) so pairs are
-    counted from per-path escape indices.
+    and over paths; pairs are counted from the sorted escape positions.
     """
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     jmax = n // k_n
     u = levels.u(n)
     event = exceedance_event(ensemble.spec, levels.obs, u)
@@ -279,20 +281,15 @@ def escape_clustering_sum(ensemble, offsets, n, k_n, levels):
     lag_counts = np.zeros(jmax + 1)
     for _, e in ensemble.mask_chunks(event, extra=jmax + offsets.span):
         q = escape_matrix(e, offsets)
-        w = np.zeros(q.shape[0])
-        for row, cols in enumerate(_sparse_cols(q)):
-            cols_a = cols[cols < n]
-            if cols_a.size == 0 or cols.size < 2:
-                continue
-            total = 0
-            for a in cols_a:
-                hi = np.searchsorted(cols, a + jmax, side="right")
-                lo = np.searchsorted(cols, a, side="right")
-                for b in cols[lo:hi]:
-                    lag_counts[b - a] += 1
-                    total += 1
-            w[row] = total
-        per_path.add(w)
+        rows, cols, keys = _escape_positions(q)
+        # escape a at col < n pairs with the escapes at keys (a, a + jmax]:
+        # the next ones in the sorted keys, all in a's row (width is n + jmax)
+        a = np.flatnonzero(cols < n)
+        counts = np.searchsorted(keys, keys[a] + jmax, side="right") - (a + 1)
+        per_path.add(np.bincount(rows[a], weights=counts, minlength=q.shape[0]))
+        # pair k of escape a is the escape at sorted index a + 1 + k
+        b = np.repeat(a + 1 - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        lag_counts += np.bincount(cols[b] - np.repeat(cols[a], counts), minlength=jmax + 1)
     value = per_path.s / ensemble.trials
     se = per_path.stderr * per_path.n / ensemble.trials
     return value, se, lag_counts / (ensemble.trials * n)
@@ -304,8 +301,7 @@ def escape_mixing_gap(ensemble, offsets, n, t, ell, levels):
     All three probabilities are averaged over start indices in [0, n); returns
     (gap, stderr of the joint term).
     """
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     if ell == 0:
         return 0.0, 0.0
     u = levels.u(n)
@@ -315,30 +311,21 @@ def escape_mixing_gap(ensemble, offsets, n, t, ell, levels):
     clean = _MeanAcc()   # per start: no escape in [s, s+ell)
     for _, e in ensemble.mask_chunks(event, extra=t + ell + offsets.span):
         q = escape_matrix(e, offsets)
-        rows = q.shape[0]
-        w_joint = np.zeros(rows)
-        w_clean = np.full(rows, float(n))
-        w_lone = np.zeros(rows)
-        for row, cols in enumerate(_sparse_cols(q)):
-            cols_a = cols[cols < n]
-            w_lone[row] = cols_a.size
-            for a in cols_a:
-                lo = np.searchsorted(cols, a + t)
-                hi = np.searchsorted(cols, a + t + ell)
-                if hi == lo:
-                    w_joint[row] += 1
-            covered = 0
-            last = -1
-            for c in cols:
-                s_lo = max(0, c - ell + 1, last + 1)
-                s_hi = min(n - 1, c)
-                if s_hi >= s_lo:
-                    covered += s_hi - s_lo + 1
-                    last = s_hi
-            w_clean[row] = n - covered
-        joint.add(w_joint / n)
-        lone.add(w_lone / n)
-        clean.add(w_clean / n)
+        paths = q.shape[0]
+        rows, cols, keys = _escape_positions(q)
+        # the window [a+t, a+t+ell) of an escape a at col < n ends in a's row
+        a = np.flatnonzero(cols < n)
+        quiet = np.searchsorted(keys, keys[a] + t) == np.searchsorted(keys, keys[a] + t + ell)
+        # starts s in [0, n) whose window [s, s+ell) holds escape c and no
+        # earlier escape: [max(0, c-ell+1, min(n-1, c_prev)+1), min(n-1, c)]
+        prev = np.full(cols.size, -1)
+        same = rows[1:] == rows[:-1]
+        prev[1:][same] = np.minimum(n - 1, cols[:-1][same])
+        lo = np.maximum(np.maximum(0, cols - ell + 1), prev + 1)
+        covered = np.maximum(np.minimum(n - 1, cols) - lo + 1, 0)
+        joint.add(np.bincount(rows[a], weights=quiet, minlength=paths) / n)
+        lone.add(np.bincount(rows[a], minlength=paths) / n)
+        clean.add((n - np.bincount(rows, weights=covered, minlength=paths)) / n)
     gap = abs(joint.mean - lone.mean * clean.mean)
     se = math.sqrt(
         joint.stderr**2 + (clean.mean * lone.stderr) ** 2 + (lone.mean * clean.stderr) ** 2

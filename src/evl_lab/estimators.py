@@ -14,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hts_rts, symbolic
 from .escapes import EscapeOffsets, escape_matrix, _RatioAcc
-from .observables import exceedance_event, level_for_tau
+from .observables import ExceedanceEvent, exceedance_event, level_for_tau, omega_for_cylinder
 from .processes import Ensemble
+
+#: return times at most ATOM_EPS (normalized) count toward the atom at zero
+ATOM_EPS = 0.01
 
 
 @dataclass(frozen=True)
@@ -42,13 +46,13 @@ def _binomial_se(p, trials):
     return math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
 
 
-def estimate_max_law(spec, obs, tau, n, trials, seed, channel=0):
+def estimate_max_law(spec, obs, tau, n, trials, seed):
     """(P(max of n steps <= u_n), stderr) over independent stationary paths."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
     u = level_for_tau(spec, obs, n, tau)
     event = exceedance_event(spec, obs, u)
-    ens = Ensemble(spec, seed, trials, n, channel)
+    ens = Ensemble(spec, seed, trials, n)
     quiet = 0
     for _, e in ens.mask_chunks(event):
         quiet += int((~e[:, :n].any(axis=1)).sum())
@@ -56,15 +60,14 @@ def estimate_max_law(spec, obs, tau, n, trials, seed, channel=0):
     return p, _binomial_se(p, trials)
 
 
-def estimate_escape_law(spec, obs, offsets, tau, n, trials, seed, channel=0):
+def estimate_escape_law(spec, obs, offsets, tau, n, trials, seed):
     """(P(no order-i escape in [0, n)), stderr); tau = 0 gives exactly 1."""
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     u = level_for_tau(spec, obs, n, tau)
     if tau == 0.0:
         return 1.0, 0.0
     event = exceedance_event(spec, obs, u)
-    ens = Ensemble(spec, seed, trials, n, channel)
+    ens = Ensemble(spec, seed, trials, n)
     quiet = 0
     for _, e in ens.mask_chunks(event, extra=offsets.span):
         q = escape_matrix(e, offsets)
@@ -100,8 +103,7 @@ def ei_runs_nested(ensemble, offsets, u):
     Element k estimates theta_{k+1} = P(no continuation at lag p_{k+1} given
     an order-k event); their product estimates the full extremal index.
     """
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     if ensemble.obs is None:
         raise ValueError("the ensemble must carry the observable defining exceedances")
     event = exceedance_event(ensemble.spec, ensemble.obs, u)
@@ -110,7 +112,7 @@ def ei_runs_nested(ensemble, offsets, u):
     for _, e in ensemble.mask_chunks(event, extra=offsets.span):
         level = e
         for k, p in enumerate(offsets.offsets):
-            child = level[:, :-p] & ~level[:, p:]
+            child = escape_matrix(level, EscapeOffsets.single(p))
             accs[k].add(child[:, :n].sum(axis=1), level[:, :n].sum(axis=1))
             level = child
     out = []
@@ -123,20 +125,20 @@ def ei_runs_nested(ensemble, offsets, u):
     return out
 
 
-def ei_rts_atom(samples, eps=0.01):
+def ei_rts_atom(samples):
     """Extremal index from the atom at zero of normalized return times.
 
     theta = 1 - mass(atom); the continuous part contributes
-    theta * (1 - exp(-theta * eps)) inside [0, eps], removed by one
-    fixed-point pass (bias below theta * eps).
+    theta * (1 - exp(-theta * eps)) inside [0, eps], eps = ATOM_EPS, removed
+    by one fixed-point pass (bias below theta * eps).
     """
     times = np.asarray(samples.times, dtype=np.float64)
     if times.size == 0:
         raise ValueError("empty sample set")
     uncensored = ~np.asarray(samples.censored, dtype=bool)
-    a = float(((times <= eps) & uncensored).sum()) / times.size
+    a = float(((times <= ATOM_EPS) & uncensored).sum()) / times.size
     theta0 = 1.0 - a
-    theta1 = 1.0 - a + theta0 * (1.0 - math.exp(-theta0 * eps))
+    theta1 = 1.0 - a + theta0 * (1.0 - math.exp(-theta0 * ATOM_EPS))
     se = _binomial_se(a, times.size)
     return EIEstimate.clamp(theta1, se, "RtsAtom", trials=times.size)
 
@@ -144,8 +146,7 @@ def ei_rts_atom(samples, eps=0.01):
 def survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed):
     """One pass over a shared ensemble: survival of the maximum, survival of
     the no-escape event, and the runs ratio, all on identical trajectories."""
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
+    offsets = EscapeOffsets.of(offsets)
     u = level_for_tau(spec, obs, n, tau)
     event = exceedance_event(spec, obs, u)
     ens = Ensemble(spec, seed, trials, n)
@@ -154,9 +155,9 @@ def survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed):
     runs = _RatioAcc()
     for _, e in ens.mask_chunks(event, extra=offsets.span):
         quiet_max += int((~e[:, :n].any(axis=1)).sum())
-        q = escape_matrix(e, offsets)
-        quiet_esc += int((~q[:, :n].any(axis=1)).sum())
         parent = escape_matrix(e, offsets, depth=offsets.order - 1)
+        q = escape_matrix(parent, EscapeOffsets.single(offsets.offsets[-1]))
+        quiet_esc += int((~q[:, :n].any(axis=1)).sum())
         runs.add(q[:, :n].sum(axis=1), parent[:, :n].sum(axis=1))
     p_max = quiet_max / trials
     p_esc = quiet_esc / trials
@@ -181,17 +182,13 @@ def ball_annulus_gap(spec, obs, offsets, tau, n, trials, seed):
 def cylinder_ei(spec, word, tau, trials, seed):
     """Cylinder-mode extremal index: survival of the maximum over the horizon
     floor(tau / mu(Z_n)) with exceedance set the anchor cylinder itself."""
-    from .observables import omega_for_cylinder
-    from .observables import ExceedanceEvent as _EE
-    from . import symbolic
-
     w = symbolic.SymbolicWord.parse(word, spec.base)
     omega = omega_for_cylinder(spec, w, tau)
     if omega < 1:
         raise ValueError("tau too small: empty observation window")
     mu = symbolic.cylinder_measure(w, spec.digit_weights)
     tau_eff = omega * mu
-    event = _EE("cylinder", word=tuple(w.digits))
+    event = ExceedanceEvent("cylinder", word=tuple(w.digits))
     ens = Ensemble(spec, seed, trials, omega)
     quiet = 0
     for _, e in ens.mask_chunks(event):
@@ -200,24 +197,10 @@ def cylinder_ei(spec, word, tau, trials, seed):
     return ei_from_max(p, tau_eff, _binomial_se(p, trials), "MaxLaw", n=omega, trials=trials)
 
 
-def estimate_ei_bundle(
-    spec,
-    obs,
-    offsets,
-    tau,
-    n,
-    trials,
-    seed,
-    rts_measure=2.0**-10,
-    rts_trials=None,
-):
+def estimate_ei_bundle(spec, obs, offsets, tau, n, trials, seed, rts_measure=2.0**-10):
     """All four estimators on one configuration; MaxLaw, EscapeLaw and Runs
     share a single simulated ensemble, RtsAtom samples its own returns at a
     target of measure ``rts_measure``."""
-    from . import hts_rts
-
-    if isinstance(offsets, int):
-        offsets = EscapeOffsets.single(offsets)
     s = survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed)
     out = [
         ei_from_max(s["p_max"], tau, s["se_max"], "MaxLaw", n=n, trials=trials),
@@ -225,6 +208,6 @@ def estimate_ei_bundle(
         EIEstimate.clamp(s["runs_theta"], s["runs_se"], "Runs", n=n, tau=tau, trials=trials),
     ]
     target = hts_rts.TargetSet.ball_of_measure(spec, obs, rts_measure)
-    rts = hts_rts.sample_rts(spec, target, rts_trials or trials, seed + 1)
+    rts = hts_rts.sample_rts(spec, target, trials, seed + 1)
     out.append(ei_rts_atom(rts))
     return out

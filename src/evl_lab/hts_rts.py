@@ -143,12 +143,12 @@ def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None
     return steps
 
 
-def sample_hts(spec, target, trials, seed, horizon_factor=20, channel=rng.CH_HTS):
+def sample_hts(spec, target, trials, seed, horizon_factor=20):
     """Normalized first hitting times from stationary starts."""
     if horizon_factor < 10:
         raise ValueError("horizon_factor must be >= 10 (truncation bias)")
     horizon = int(math.ceil(horizon_factor / target.measure))
-    steps = _first_hits_engine(spec, target, trials, seed, horizon, channel)
+    steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_HTS)
     censored = steps > horizon
     times = np.where(censored, horizon, steps).astype(np.float64) * target.measure
     return TimeSampleSet(times, censored, "hts", horizon * target.measure, target.measure)
@@ -250,13 +250,13 @@ def _rts_prefix(spec, target, trials, seed):
     return prefix
 
 
-def sample_rts(spec, target, trials, seed, horizon_factor=20, channel=rng.CH_ORBIT):
+def sample_rts(spec, target, trials, seed, horizon_factor=20):
     """Normalized return times: starts drawn from mu conditioned on the target."""
     if horizon_factor < 10:
         raise ValueError("horizon_factor must be >= 10 (truncation bias)")
     horizon = int(math.ceil(horizon_factor / target.measure))
     prefix = _rts_prefix(spec, target, trials, seed)
-    steps = _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=prefix)
+    steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_ORBIT, prefix=prefix)
     censored = steps > horizon
     times = np.where(censored, horizon, steps).astype(np.float64) * target.measure
     return TimeSampleSet(times, censored, "rts", horizon * target.measure, target.measure)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .processes import ProcessSpec
-from . import symbolic
+from .processes import ProcessSpec, point_values_at
+from . import rng, symbolic
 
 G_FORMS = ("gumbel", "frechet", "weibull")
 FAMILIES = ("distance", "ball_measure", "cylinder")
@@ -103,7 +103,7 @@ class ObservableSpec:
 # ---------------------------------------------------------------------------
 
 
-def bernoulli_cdf(x, weights, depth=64):
+def bernoulli_cdf(x, weights):
     """CDF at x of the product measure with the given digit weights (base m).
 
     Vectorized in x (a float for a scalar x); exactly 0 at x <= 0 and exactly
@@ -116,7 +116,7 @@ def bernoulli_cdf(x, weights, depth=64):
     x = np.clip(x0, 0.0, 1.0)
     acc = (x0 >= 1.0).astype(np.float64)
     prod = ((x0 > 0.0) & (x0 < 1.0)).astype(np.float64)
-    for _ in range(depth):
+    for _ in range(64):  # base-m digits; 64 exceed float64 precision
         x *= m
         d = np.minimum(x.astype(np.int64), m - 1)
         x -= d
@@ -137,7 +137,7 @@ def ball_measure(spec, obs, radius):
             out = np.minimum(2.0 * r, 1.0)
         else:  # circle interval (lo, hi), wrapped through 0 when lo > hi
             lo, hi = (z - r) % 1.0, (z + r) % 1.0
-            f_lo, f_hi = bernoulli_cdf(lo, spec.digit_weights), bernoulli_cdf(hi, spec.digit_weights)
+            f_lo, f_hi = bernoulli_cdf(np.stack([lo, hi]), spec.digit_weights)
             wrapped = (1.0 - f_lo) + f_hi
             out = np.where(r >= 0.5, 1.0, np.where(lo <= hi, f_hi - f_lo, wrapped))
     elif spec.kind == "dyadic_jump":
@@ -302,9 +302,7 @@ def level_for_tau(spec, obs, n, tau):
 
 def empirical_level_for_tau(spec, obs, n, tau, seed, samples=10**6):
     """Quantile fallback: u_n from the empirical marginal of X_0."""
-    from . import processes as proc
-
-    pts = proc.point_values_at(spec, seed, np.arange(samples), [0], channel=3)[:, 0]
+    pts = point_values_at(spec, seed, np.arange(samples), [0], channel=rng.CH_AUX)[:, 0]
     xs = np.sort(obs.apply(spec, pts))
     q = 1.0 - tau / n
     pos = q * samples - 0.5
@@ -320,24 +318,12 @@ class LevelSchedule:
     spec: ProcessSpec
     obs: ObservableSpec
     tau: float
-    source: str = "analytic"
-    seed: int = 0
     _cache: dict = field(default_factory=dict)
 
     def u(self, n):
         if n not in self._cache:
-            if self.source == "analytic":
-                self._cache[n] = level_for_tau(self.spec, self.obs, n, self.tau)
-            else:
-                self._cache[n] = empirical_level_for_tau(
-                    self.spec, self.obs, n, self.tau, self.seed
-                )
+            self._cache[n] = level_for_tau(self.spec, self.obs, n, self.tau)
         return self._cache[n]
-
-    def omega(self, n):
-        """Cylinder-mode time horizon floor(tau / mu(Z_n))."""
-        word = symbolic.SymbolicWord.parse(self.obs.anchor, self.spec.base)
-        return omega_for_cylinder(self.spec, word.prefix(n), self.tau)
 
 
 def omega_for_cylinder(spec, word, tau):

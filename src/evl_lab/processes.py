@@ -578,7 +578,6 @@ class Ensemble:
     seed: int
     trials: int
     length: int
-    channel: int = rng.CH_ORBIT
     obs: object = None
 
     def mask_chunks(self, event, extra=0):
@@ -587,4 +586,4 @@ class Ensemble:
         step = _chunk_trials(self.spec, L)
         for lo in range(0, self.trials, step):
             ids = np.arange(lo, min(lo + step, self.trials), dtype=np.uint64)
-            yield ids, PathEngine(self.spec, self.seed, ids, self.channel).masks(0, L, event)
+            yield ids, PathEngine(self.spec, self.seed, ids).masks(0, L, event)

@@ -28,7 +28,7 @@ _ROUNDS = 10
 CH_ORBIT = 0      # main digit / innovation stream of a path
 CH_INIT = 1       # conditional-start entropy (hitting/return experiments)
 CH_HTS = 2        # stationary starts for hitting-time sampling
-CH_AUX = 3        # auxiliary draws (rejection sampling, quantile sampling)
+CH_AUX = 3        # auxiliary draws (empirical quantile levels)
 
 
 _CHUNK = 1 << 22  # elements per chunk of a draw; bounds its transient buffers

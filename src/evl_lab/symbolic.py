@@ -181,7 +181,7 @@ class ReturnStructure:
     returns: tuple[CylinderReturn, ...]
 
 
-def return_structure(word, n, j_max, brute_force_limit=1 << 20):
+def return_structure(word, n, j_max):
     """(n+j)-cylinders inside Z_n[word] mapping back into Z_n[word] at time j.
 
     A return at lag j exists iff the n-prefix repeats with period j; the
@@ -189,7 +189,7 @@ def return_structure(word, n, j_max, brute_force_limit=1 << 20):
     n - p (p the minimal repetition period) every admissible j is a multiple
     of p; lags in the final window (n-p, n] may repeat without dividing p
     (overlap too short for the two periods to interact).  Small cases are
-    verified by exhaustive enumeration of all base**j extensions.
+    verified by exhaustive enumeration of all base**j extensions (at most 2**20).
     """
     if j_max > n:
         raise ValueError("j_max must be <= n")
@@ -202,7 +202,7 @@ def return_structure(word, n, j_max, brute_force_limit=1 << 20):
     for j in range(1, j_max + 1):
         periodic = all(d[k] == d[k + j] for k in range(n - j))
         witnesses = []
-        if base**j <= brute_force_limit:
+        if base**j <= 1 << 20:
             for ext in range(base**j):
                 alpha = []
                 e = ext

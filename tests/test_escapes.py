@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evl_lab.escapes import (
     EscapeOffsets,
+    _MeanAcc,
     annulus_rate,
     default_block_count,
     default_gap,
@@ -15,7 +18,7 @@ from evl_lab.escapes import (
     no_escape_window,
     periodicity_report,
 )
-from evl_lab.observables import LevelSchedule, ObservableSpec, level_for_tau
+from evl_lab.observables import LevelSchedule, ObservableSpec, exceedance_event, level_for_tau
 from evl_lab.processes import Ensemble, ProcessSpec
 
 AR1_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
@@ -204,3 +207,90 @@ def test_mixing_gap_ar1_below_noise():
 def test_default_parameters():
     assert default_block_count(10000) == 100
     assert default_gap(10000) == 10
+
+
+def _escapes_by_definition(exceed, offsets):
+    """Order-i escape booleans of one path, entry by entry from the recursion
+    Q_0(j) = X_j > u, Q_k(j) = Q_{k-1}(j) and not Q_{k-1}(j + p_k)."""
+
+    def q(k, j):
+        if k == 0:
+            return bool(exceed[j])
+        return q(k - 1, j) and not q(k - 1, j + offsets[k - 1])
+
+    width = len(exceed) - sum(offsets)
+    return [q(len(offsets), j) for j in range(width)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_escape_matrix_matches_recursive_definition(data):
+    offs = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="offsets")
+    rows = data.draw(st.integers(1, 4), label="rows")
+    width = data.draw(st.integers(sum(offs) + 1, sum(offs) + 16), label="width")
+    bits = data.draw(st.lists(st.booleans(), min_size=rows * width, max_size=rows * width))
+    exceed = np.array(bits, dtype=bool).reshape(rows, width)
+    offsets = EscapeOffsets(tuple(offs))
+    for depth in range(len(offs) + 1):
+        got = escape_matrix(exceed, offsets, depth=depth)
+        want = [_escapes_by_definition(row, offs[:depth]) for row in exceed]
+        assert got.tolist() == want, depth
+    assert np.array_equal(escape_matrix(exceed, offsets), escape_matrix(exceed, offsets, depth=len(offs)))
+
+
+def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
+    """escape_clustering_sum and escape_mixing_gap by plain loops over the
+    dense exceedance masks, one path and one start index at a time."""
+    pairs, lags = [], np.zeros(jmax + 1)
+    joint, lone, clean = _MeanAcc(), _MeanAcc(), _MeanAcc()
+    for _, e in ens.mask_chunks(event, extra=max(jmax, t + ell) + offsets.span):
+        w_joint, w_lone, w_clean = [], [], []
+        for row in e:
+            q = _escapes_by_definition(row, offsets.offsets)
+            total = 0
+            for s in range(n):
+                for j in range(1, jmax + 1):
+                    if q[s] and q[s + j]:
+                        lags[j] += 1
+                        total += 1
+            pairs.append(total)
+            w_lone.append(sum(q[:n]))
+            w_joint.append(sum(q[s] and not any(q[s + t : s + t + ell]) for s in range(n)))
+            w_clean.append(sum(not any(q[s : s + ell]) for s in range(n)))
+        joint.add(np.array(w_joint) / n)
+        lone.add(np.array(w_lone) / n)
+        clean.add(np.array(w_clean) / n)
+    per_path = _MeanAcc()
+    per_path.add(pairs)
+    cluster = (per_path.s / ens.trials, per_path.stderr, lags / (ens.trials * n))
+    gap = abs(joint.mean - lone.mean * clean.mean)
+    se = math.sqrt(joint.stderr**2 + (clean.mean * lone.stderr) ** 2 + (lone.mean * clean.stderr) ** 2)
+    return cluster, (gap, se)
+
+
+@pytest.mark.parametrize(
+    "spec, obs, offs",
+    [
+        (ProcessSpec.ar1(2), AR1_OBS, (1,)),
+        (ProcessSpec.mma13(), MMA_OBS, (1, 3)),
+        (ProcessSpec.doubling(), ObservableSpec(family="ball_measure", form="gumbel", anchor="0"), (1,)),
+    ],
+    ids=["ar1_2", "mma13", "doubling_ball"],
+)
+def test_escape_pair_statistics_match_brute_force(spec, obs, offs):
+    n, trials = 60, 40
+    offsets = EscapeOffsets(offs)
+    levels = LevelSchedule(spec, obs, tau=6.0)  # P(X_0 > u) = 0.1: many escapes per path
+    event = exceedance_event(spec, obs, levels.u(n))
+    ens = Ensemble(spec, 17, trials, n, obs=obs)
+    assert len(list(ens.mask_chunks(event))) == 1  # one chunk: the sums see the same rows
+    k_n = 8
+    jmax = n // k_n
+    # windows ending inside the span, at the right edge, and longer than n
+    for t, ell in ((1, jmax), (3, 5), (0, 1), (2, n + 3)):
+        (value, se, lags), gap = _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event)
+        assert value > 0 and gap[1] > 0
+        got_value, got_se, got_lags = escape_clustering_sum(ens, offsets, n, k_n, levels)
+        assert (got_value, got_se) == (value, se)
+        assert got_lags.tolist() == lags.tolist()
+        assert escape_mixing_gap(ens, offsets, n, t, ell, levels) == gap, (t, ell)
