@@ -298,15 +298,10 @@ def _run_conditions(cfg):
                 ens, cfg.offsets, th if not math.isnan(th) else 0.5, levels, n
             )
             rep.rows.extend(list(report.rows()))
-            k_n = escapes.default_block_count(n)
-            v, se, _ = escapes.escape_clustering_sum(ens, cfg.offsets, n, k_n, levels)
-            rep.rows.append(["escape_pair_sum", n, n // k_n, v, se])
-            t_n = escapes.default_gap(n)
-            ell = n // k_n
-            g, gse = escapes.escape_mixing_gap(ens, cfg.offsets, n, t_n, ell, levels)
-            rep.rows.append(["mixing_gap", n, t_n, g, gse])
-            rate, rse = escapes.annulus_rate(ens, cfg.offsets, n, levels)
-            rep.rows.append(["escape_rate", n, 0, rate, rse])
+            rate, (v, se, _), gap = escapes.escape_statistics(ens, cfg.offsets, n, levels)
+            rep.rows.append(["escape_pair_sum", n, n // escapes.default_block_count(n), v, se])
+            rep.rows.append(["mixing_gap", n, escapes.default_gap(n), *gap])
+            rep.rows.append(["escape_rate", n, 0, *rate])
     return rep
 
 

@@ -8,11 +8,16 @@ summability of capture chains, the clustering of escapes over the first
 n/k_n lags, and the long-range independence gap between an escape and a
 later no-escape window.
 
-The pair statistics work on a whole chunk of paths at once.  Escapes are
-sparse (about theta * tau per path), so they read the escape positions
-(rows, cols), sorted by row and then by column, as the keys
-row * width + col; a search on those keys finds every later escape of the
-same path, and ``bincount`` sums per path and per lag.
+Two sweeps of the exceedance masks serve all of them.  ``periodicity_report``
+reads the exceedances themselves: the sub-period and capture-chain
+conditionals.  ``escape_statistics`` reads the escapes: the escape rate, the
+pair sum behind D'_p and the mixing gap behind D_p, all from one set of
+escape positions per chunk (``annulus_rate``, ``escape_clustering_sum`` and
+``escape_mixing_gap`` are its views).  Escapes are sparse (about theta * tau
+per path), so it reads the escape positions (rows, cols), sorted by row and
+then by column, as the keys row * width + col; a search on those keys finds
+every later escape of the same path, and ``bincount`` sums per path and per
+lag.
 """
 
 from __future__ import annotations
@@ -61,14 +66,10 @@ class EscapeOffsets:
         return "p=" + ",".join(str(p) for p in self.offsets)
 
 
-def escape_matrix(exceed, offsets, depth=None):
-    """Order-i escape booleans from an exceedance matrix (columns shrink by span).
-
-    depth < order gives the intermediate escape levels (depth 0 returns the
-    exceedances themselves).
-    """
+def escape_matrix(exceed, offsets):
+    """Order-i escape booleans from an exceedance matrix (columns shrink by span)."""
     q = exceed
-    for p in offsets.offsets[: depth if depth is not None else offsets.order]:
+    for p in offsets.offsets:
         q = q[..., :-p] & ~q[..., p:]
     return q
 
@@ -175,16 +176,12 @@ class ConditionReport:
     """Short-range periodicity and capture-chain diagnostics at level u_n."""
 
     n: int
-    u: float
     offsets: EscapeOffsets
-    theta_ref: float
     exceedances: int = 0
-    widened_ci: bool = False
     sub_period: list = field(default_factory=list)      # (j, prob, se)
     continuation: tuple = (math.nan, math.nan)          # (prob, se) at lag p
     run_ratios: list = field(default_factory=list)      # (i, ratio/(1-theta)^i, se)
     chain_partial_sums: list = field(default_factory=list)  # (i, n * sum_{k<=i} P_k)
-    params: dict = field(default_factory=dict)
 
     def rows(self):
         yield ("exceedances", self.n, 0, float(self.exceedances), 0.0)
@@ -225,8 +222,7 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
         for i in range(1, ratio_cutoff + 1):
             run &= e[:, i * p : n + i * p]
             chain[i].add(run.sum(axis=1), base_rows)
-    rep = ConditionReport(n=n, u=u, offsets=offsets, theta_ref=theta, exceedances=n_exc)
-    rep.widened_ci = n_exc < 100
+    rep = ConditionReport(n=n, offsets=offsets, exceedances=n_exc)
     rep.sub_period = [(j, sub[j].ratio, sub[j].stderr) for j in range(1, p)]
     rep.continuation = (chain[1].ratio, chain[1].stderr)
     rep.run_ratios = [
@@ -241,20 +237,7 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
         acc += chain[i].a / total
         sums.append((i, n * acc))
     rep.chain_partial_sums = sums
-    rep.params = {"ratio_cutoff": ratio_cutoff}
     return rep
-
-
-def annulus_rate(ensemble, offsets, n, levels):
-    """(n * P(order-i escape at a fixed index), stderr): the escape-rate law."""
-    offsets = EscapeOffsets.of(offsets)
-    u = levels.u(n)
-    event = exceedance_event(ensemble.spec, levels.obs, u)
-    acc = _MeanAcc()
-    for _, e in ensemble.mask_chunks(event, extra=offsets.span):
-        q = escape_matrix(e, offsets)
-        acc.add(q[:, :n].sum(axis=1))
-    return acc.mean, acc.stderr
 
 
 def default_block_count(n):
@@ -267,54 +250,48 @@ def default_gap(n):
     return max(1, int(n**0.25))
 
 
-def escape_clustering_sum(ensemble, offsets, n, k_n, levels):
-    """n * sum_{j=1..n/k_n} P(escape at 0 and at j), with Monte Carlo stderr.
+def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
+    """The escape-pair statistics at level u_n from one ensemble sweep.
 
-    Joint escape probabilities are averaged over all start indices in [0, n)
-    and over paths; pairs are counted from the sorted escape positions.
+    Returns three results, all averaged over the start indices in [0, n)
+    and over paths:
+
+    - the escape rate (n * P(order-i escape at a fixed index), stderr);
+    - the pair sum n * sum_{j=1..n/k_n} P(escape at 0 and at j), with its
+      stderr and the per-lag probabilities;
+    - the mixing gap |P(escape at 0 and no escape in [t, t+ell)) -
+      P(escape) P(no escape in [0, ell))|, with the stderr of its terms.
+
+    The defaults are k_n = ``default_block_count(n)``, t = ``default_gap(n)``
+    and ell = n // k_n; ell = 0 gives a mixing gap of exactly (0, 0).
     """
     offsets = EscapeOffsets.of(offsets)
+    k_n = default_block_count(n) if k_n is None else k_n
     jmax = n // k_n
-    u = levels.u(n)
-    event = exceedance_event(ensemble.spec, levels.obs, u)
-    per_path = _MeanAcc()
+    t = default_gap(n) if t is None else t
+    ell = jmax if ell is None else ell
+    event = exceedance_event(ensemble.spec, levels.obs, levels.u(n))
+    per_path = _MeanAcc()  # escape pairs of each path
     lag_counts = np.zeros(jmax + 1)
-    for _, e in ensemble.mask_chunks(event, extra=jmax + offsets.span):
-        q = escape_matrix(e, offsets)
-        rows, cols, keys = _escape_positions(q)
-        # escape a at col < n pairs with the escapes at keys (a, a + jmax]:
-        # the next ones in the sorted keys, all in a's row (width is n + jmax)
-        a = np.flatnonzero(cols < n)
-        counts = np.searchsorted(keys, keys[a] + jmax, side="right") - (a + 1)
-        per_path.add(np.bincount(rows[a], weights=counts, minlength=q.shape[0]))
-        # pair k of escape a is the escape at sorted index a + 1 + k
-        b = np.repeat(a + 1 - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-        lag_counts += np.bincount(cols[b] - np.repeat(cols[a], counts), minlength=jmax + 1)
-    value = per_path.s / ensemble.trials
-    se = per_path.stderr * per_path.n / ensemble.trials
-    return value, se, lag_counts / (ensemble.trials * n)
-
-
-def escape_mixing_gap(ensemble, offsets, n, t, ell, levels):
-    """|P(escape at 0 and no escape in [t, t+ell)) - P(escape) P(no-escape window)|.
-
-    All three probabilities are averaged over start indices in [0, n); returns
-    (gap, stderr of the joint term).
-    """
-    offsets = EscapeOffsets.of(offsets)
-    if ell == 0:
-        return 0.0, 0.0
-    u = levels.u(n)
-    event = exceedance_event(ensemble.spec, levels.obs, u)
     joint = _MeanAcc()   # per start: escape at s and clean window at s+t
     lone = _MeanAcc()    # per start: escape at s
     clean = _MeanAcc()   # per start: no escape in [s, s+ell)
-    for _, e in ensemble.mask_chunks(event, extra=t + ell + offsets.span):
+    rate = _MeanAcc()    # escapes of each path in [0, n)
+    for _, e in ensemble.mask_chunks(event, extra=max(jmax, t + ell) + offsets.span):
         q = escape_matrix(e, offsets)
         paths = q.shape[0]
         rows, cols, keys = _escape_positions(q)
-        # the window [a+t, a+t+ell) of an escape a at col < n ends in a's row
+        # escape a at col < n pairs with the escapes at keys (a, a + jmax],
+        # and its window [a+t, a+t+ell) ends in a's row: the width of q is at
+        # least n + max(jmax, t + ell)
         a = np.flatnonzero(cols < n)
+        escapes = np.bincount(rows[a], minlength=paths)
+        rate.add(escapes)
+        counts = np.searchsorted(keys, keys[a] + jmax, side="right") - (a + 1)
+        per_path.add(np.bincount(rows[a], weights=counts, minlength=paths))
+        # pair k of escape a is the escape at sorted index a + 1 + k
+        b = np.repeat(a + 1 - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        lag_counts += np.bincount(cols[b] - np.repeat(cols[a], counts), minlength=jmax + 1)
         quiet = np.searchsorted(keys, keys[a] + t) == np.searchsorted(keys, keys[a] + t + ell)
         # starts s in [0, n) whose window [s, s+ell) holds escape c and no
         # earlier escape: [max(0, c-ell+1, min(n-1, c_prev)+1), min(n-1, c)]
@@ -324,10 +301,32 @@ def escape_mixing_gap(ensemble, offsets, n, t, ell, levels):
         lo = np.maximum(np.maximum(0, cols - ell + 1), prev + 1)
         covered = np.maximum(np.minimum(n - 1, cols) - lo + 1, 0)
         joint.add(np.bincount(rows[a], weights=quiet, minlength=paths) / n)
-        lone.add(np.bincount(rows[a], minlength=paths) / n)
+        lone.add(escapes / n)
         clean.add((n - np.bincount(rows, weights=covered, minlength=paths)) / n)
+    pair_sum = per_path.s / ensemble.trials
+    pair_se = per_path.stderr * per_path.n / ensemble.trials
+    pairs = (pair_sum, pair_se, lag_counts / (ensemble.trials * n))
+    if ell == 0:
+        return (rate.mean, rate.stderr), pairs, (0.0, 0.0)
     gap = abs(joint.mean - lone.mean * clean.mean)
     se = math.sqrt(
         joint.stderr**2 + (clean.mean * lone.stderr) ** 2 + (lone.mean * clean.stderr) ** 2
     )
-    return gap, se
+    return (rate.mean, rate.stderr), pairs, (gap, se)
+
+
+def annulus_rate(ensemble, offsets, n, levels):
+    """(n * P(order-i escape at a fixed index), stderr): the escape-rate law."""
+    return escape_statistics(ensemble, offsets, n, levels)[0]
+
+
+def escape_clustering_sum(ensemble, offsets, n, k_n, levels):
+    """n * sum_{j=1..n/k_n} P(escape at 0 and at j), with Monte Carlo stderr
+    and the per-lag probabilities (see ``escape_statistics``)."""
+    return escape_statistics(ensemble, offsets, n, levels, k_n=k_n)[1]
+
+
+def escape_mixing_gap(ensemble, offsets, n, t, ell, levels):
+    """(|P(escape at 0 and no escape in [t, t+ell)) - P(escape) P(no-escape
+    window)|, stderr of the joint term) (see ``escape_statistics``)."""
+    return escape_statistics(ensemble, offsets, n, levels, t=t, ell=ell)[2]

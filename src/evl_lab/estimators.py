@@ -5,6 +5,11 @@ the same for the no-escape event (the two agree asymptotically around
 repelling periodic structure), Runs reads the conditional non-continuation
 probability at the period, and RtsAtom reads the weight of the at-zero atom
 of the normalized return-time law.
+
+MaxLaw, EscapeLaw and Runs, and the cylinder-mode MaxLaw, all read one sweep
+of the exceedance masks, ``_survey``: per path it notes whether any
+exceedance and any last-order escape occurs in [0, n), and per escape order
+it counts the escapes and the events they condition on.
 """
 
 from __future__ import annotations
@@ -46,17 +51,33 @@ def _binomial_se(p, trials):
     return math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
 
 
+def _survey(ensemble, event, offsets):
+    """The one sweep of the estimator family over [0, n) of every path.
+
+    Returns (share of paths with no exceedance, share of paths with no
+    last-order escape, one runs accumulator per escape order k: order-k
+    escapes over order-(k-1) events, stepped through one offset at a time).
+    """
+    n = ensemble.length
+    quiet_max = quiet_esc = 0
+    runs = [_RatioAcc() for _ in offsets.offsets]
+    for _, e in ensemble.mask_chunks(event, extra=offsets.span):
+        quiet_max += int((~e[:, :n].any(axis=1)).sum())
+        level = e
+        for acc, p in zip(runs, offsets.offsets):
+            child = escape_matrix(level, EscapeOffsets.single(p))
+            acc.add(child[:, :n].sum(axis=1), level[:, :n].sum(axis=1))
+            level = child
+        quiet_esc += int((~level[:, :n].any(axis=1)).sum())
+    return quiet_max / ensemble.trials, quiet_esc / ensemble.trials, runs
+
+
 def estimate_max_law(spec, obs, tau, n, trials, seed):
     """(P(max of n steps <= u_n), stderr) over independent stationary paths."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    u = level_for_tau(spec, obs, n, tau)
-    event = exceedance_event(spec, obs, u)
-    ens = Ensemble(spec, seed, trials, n)
-    quiet = 0
-    for _, e in ens.mask_chunks(event):
-        quiet += int((~e[:, :n].any(axis=1)).sum())
-    p = quiet / trials
+    event = exceedance_event(spec, obs, level_for_tau(spec, obs, n, tau))
+    p, _, _ = _survey(Ensemble(spec, seed, trials, n), event, EscapeOffsets.single(1))
     return p, _binomial_se(p, trials)
 
 
@@ -66,13 +87,7 @@ def estimate_escape_law(spec, obs, offsets, tau, n, trials, seed):
     u = level_for_tau(spec, obs, n, tau)
     if tau == 0.0:
         return 1.0, 0.0
-    event = exceedance_event(spec, obs, u)
-    ens = Ensemble(spec, seed, trials, n)
-    quiet = 0
-    for _, e in ens.mask_chunks(event, extra=offsets.span):
-        q = escape_matrix(e, offsets)
-        quiet += int((~q[:, :n].any(axis=1)).sum())
-    p = quiet / trials
+    _, p, _ = _survey(Ensemble(spec, seed, trials, n), exceedance_event(spec, obs, u), offsets)
     return p, _binomial_se(p, trials)
 
 
@@ -107,20 +122,13 @@ def ei_runs_nested(ensemble, offsets, u):
     if ensemble.obs is None:
         raise ValueError("the ensemble must carry the observable defining exceedances")
     event = exceedance_event(ensemble.spec, ensemble.obs, u)
-    n = ensemble.length
-    accs = [_RatioAcc() for _ in range(offsets.order)]
-    for _, e in ensemble.mask_chunks(event, extra=offsets.span):
-        level = e
-        for k, p in enumerate(offsets.offsets):
-            child = escape_matrix(level, EscapeOffsets.single(p))
-            accs[k].add(child[:, :n].sum(axis=1), level[:, :n].sum(axis=1))
-            level = child
+    _, _, accs = _survey(ensemble, event, offsets)
     out = []
     for k, acc in enumerate(accs):
         if acc.b < 100:
             raise ValueError(f"too few order-{k} conditioning events ({int(acc.b)})")
         out.append(
-            EIEstimate.clamp(acc.ratio, acc.stderr, "Runs", n=n, trials=ensemble.trials)
+            EIEstimate.clamp(acc.ratio, acc.stderr, "Runs", n=ensemble.length, trials=ensemble.trials)
         )
     return out
 
@@ -148,28 +156,17 @@ def survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed):
     the no-escape event, and the runs ratio, all on identical trajectories."""
     offsets = EscapeOffsets.of(offsets)
     u = level_for_tau(spec, obs, n, tau)
-    event = exceedance_event(spec, obs, u)
     ens = Ensemble(spec, seed, trials, n)
-    quiet_max = 0
-    quiet_esc = 0
-    runs = _RatioAcc()
-    for _, e in ens.mask_chunks(event, extra=offsets.span):
-        quiet_max += int((~e[:, :n].any(axis=1)).sum())
-        parent = escape_matrix(e, offsets, depth=offsets.order - 1)
-        q = escape_matrix(parent, EscapeOffsets.single(offsets.offsets[-1]))
-        quiet_esc += int((~q[:, :n].any(axis=1)).sum())
-        runs.add(q[:, :n].sum(axis=1), parent[:, :n].sum(axis=1))
-    p_max = quiet_max / trials
-    p_esc = quiet_esc / trials
+    p_max, p_esc, runs = _survey(ens, exceedance_event(spec, obs, u), offsets)
     return {
         "u": u,
         "p_max": p_max,
         "se_max": _binomial_se(p_max, trials),
         "p_escape": p_esc,
         "se_escape": _binomial_se(p_esc, trials),
-        "runs_theta": runs.ratio,
-        "runs_se": runs.stderr,
-        "exceedances": runs.b,
+        "runs_theta": runs[-1].ratio,
+        "runs_se": runs[-1].stderr,
+        "exceedances": runs[-1].b,
     }
 
 
@@ -189,11 +186,7 @@ def cylinder_ei(spec, word, tau, trials, seed):
     mu = symbolic.cylinder_measure(w, spec.digit_weights)
     tau_eff = omega * mu
     event = ExceedanceEvent("cylinder", word=tuple(w.digits))
-    ens = Ensemble(spec, seed, trials, omega)
-    quiet = 0
-    for _, e in ens.mask_chunks(event):
-        quiet += int((~e.any(axis=1)).sum())
-    p = quiet / trials
+    p, _, _ = _survey(Ensemble(spec, seed, trials, omega), event, EscapeOffsets.single(1))
     return ei_from_max(p, tau_eff, _binomial_se(p, trials), "MaxLaw", n=omega, trials=trials)
 
 

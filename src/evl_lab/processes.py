@@ -187,8 +187,8 @@ class DigitStream(_Stream):
         self.base = base
 
     @staticmethod
-    def random(spec, seed, trial=0, channel=rng.CH_ORBIT):
-        src = lambda lo, hi: _digit_block(spec, seed, [trial], lo, hi, channel)[0]
+    def random(spec, seed, trial=0):
+        src = lambda lo, hi: _digit_block(spec, seed, [trial], lo, hi, rng.CH_ORBIT)[0]
         return DigitStream(spec.base, src)
 
     @staticmethod
@@ -217,8 +217,8 @@ class UniformStream(_Stream):
         super().__init__(source, np.float64)
 
     @staticmethod
-    def random(seed, trial=0, channel=rng.CH_ORBIT):
-        return UniformStream(lambda lo, hi: rng.uniforms(seed, channel, [trial], lo, hi)[0])
+    def random(seed, trial=0):
+        return UniformStream(lambda lo, hi: rng.uniforms(seed, rng.CH_ORBIT, [trial], lo, hi)[0])
 
 
 @dataclass
@@ -235,11 +235,11 @@ class ProcessState:
     cursor: int = 0
 
 
-def sample_initial(spec, seed, trial=0, channel=rng.CH_ORBIT):
+def sample_initial(spec, seed, trial=0):
     """State drawn from the invariant/stationary law of ``spec``."""
     if spec.uses_digits:
-        return ProcessState(spec, DigitStream.random(spec, seed, trial, channel), 0)
-    return ProcessState(spec, UniformStream.random(seed, trial, channel), 0)
+        return ProcessState(spec, DigitStream.random(spec, seed, trial), 0)
+    return ProcessState(spec, UniformStream.random(seed, trial), 0)
 
 
 def step(spec, state):
@@ -293,11 +293,11 @@ def exact_point(spec, state, K=PRECISION):
     return Fraction(num, b ** len(digits))
 
 
-def observe_path(spec, observable, seed, n, trial=0, channel=rng.CH_ORBIT):
+def observe_path(spec, observable, seed, n, trial=0):
     """Series (X_0, ..., X_{n-1}) of the observable along one stationary path."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = point_values_range(spec, seed, [trial], 0, n, channel=channel)[0]
+    pts = point_values_range(spec, seed, [trial], 0, n)[0]
     return observable.apply(spec, pts)
 
 
@@ -538,32 +538,30 @@ def _jump_values(b, pos):
     return np.take_along_axis(vals, pos, axis=0).T
 
 
-def dyadic_jump_paths(spec, seed, trials, n_steps, channel=rng.CH_ORBIT, prefix=None):
+def dyadic_jump_paths(spec, seed, trials, n_steps):
     """Orbit points of the countable-branch jump map: (T, n_steps) values.
 
     Each step consumes the leading 0^(k-1)1 bit block; orbit points are the
     bit tails after each 1.  Geometric branch lengths mean ~2 bits per step.
     """
     trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    return _jump_values(*_jump_bits(seed, trials, n_steps, channel, prefix))
+    return _jump_values(*_jump_bits(seed, trials, n_steps, rng.CH_ORBIT, None))
 
 
-def point_values_range(spec, seed, trials, t0, t1, channel=rng.CH_ORBIT, prefix=None):
+def point_values_range(spec, seed, trials, t0, t1, channel=rng.CH_ORBIT):
     """Exposed points at steps [t0, t1) for many trials (one-shot sweep)."""
-    return PathEngine(spec, seed, trials, channel, prefix).points(t0, t1)
+    return PathEngine(spec, seed, trials, channel).points(t0, t1)
 
 
 def point_values_at(spec, seed, trials, steps, channel=rng.CH_ORBIT):
-    """Exposed points at the given steps only; cheap when steps are sparse."""
+    """Exposed points at the given steps only, in increasing step order, from
+    one engine: one-step windows (ar1 scans through the skipped steps), or
+    the jump map's one whole window."""
     steps = sorted(set(int(s) for s in steps))
-    trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    if spec.kind in ("ar1", "dyadic_jump"):
-        pts = point_values_range(spec, seed, trials, 0, max(steps) + 1, channel)
-        return pts[:, steps]
-    out = np.empty((trials.size, len(steps)))
-    for j, s in enumerate(steps):
-        out[:, j] = point_values_range(spec, seed, trials, s, s + 1, channel)[:, 0]
-    return out
+    eng = PathEngine(spec, seed, trials, channel)
+    if spec.kind == "dyadic_jump":
+        return eng.points(0, steps[-1] + 1)[:, steps]
+    return np.stack([eng.points(s, s + 1)[:, 0] for s in steps], axis=1)
 
 
 @dataclass(frozen=True)

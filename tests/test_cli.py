@@ -13,6 +13,7 @@ from evl_lab.cli import (
     run_experiment,
     run_reproduce_paper,
 )
+from evl_lab.processes import Ensemble
 
 
 def test_parse_process_variants():
@@ -189,3 +190,25 @@ def test_dichotomy_requires_word_or_zeta(tmp_path):
     assert len(lines) == 2
     theta = float(lines[1].split(",")[3])
     assert abs(theta - 1.0) < 0.1
+
+
+def test_conditions_sweeps_each_ensemble_twice(tmp_path, monkeypatch):
+    # periodicity_report reads the exceedances, escape_statistics the escapes
+    extras = []
+    sweep = Ensemble.mask_chunks
+
+    def counted(self, event, extra=0):
+        extras.append(extra)
+        return sweep(self, event, extra)
+
+    monkeypatch.setattr(Ensemble, "mask_chunks", counted)
+    rep = run_experiment(
+        {
+            "experiment": "conditions", "process": "ar1:r=2", "observable": "distance:weibull",
+            "offsets": [1], "tau": [1.0], "n": [400], "trials": 2000, "seed": 3,
+            "out": str(tmp_path / "c"),
+        }
+    )
+    assert len(extras) == 2
+    names = [row[0] for row in rep.rows]
+    assert names[-3:] == ["escape_pair_sum", "mixing_gap", "escape_rate"]

@@ -66,7 +66,7 @@ def test_higher_order_escape_recursion():
     offs = EscapeOffsets((1, 3))
     x = np.array([0.99, 0.1, 0.99, 0.98, 0.1, 0.1, 0.1])
     e = x > 0.9
-    q1 = escape_matrix(e[None, :], offs, depth=1)[0]
+    q1 = escape_matrix(e[None, :], EscapeOffsets(offs.offsets[:1]))[0]
     q2 = escape_matrix(e[None, :], offs)[0]
     # q1 at 0 (exceed then drop), at 3; q2 at 0 requires q1 at 0 and not at 3
     assert bool(q1[0]) and bool(q1[3])
@@ -230,19 +230,18 @@ def test_escape_matrix_matches_recursive_definition(data):
     width = data.draw(st.integers(sum(offs) + 1, sum(offs) + 16), label="width")
     bits = data.draw(st.lists(st.booleans(), min_size=rows * width, max_size=rows * width))
     exceed = np.array(bits, dtype=bool).reshape(rows, width)
-    offsets = EscapeOffsets(tuple(offs))
-    for depth in range(len(offs) + 1):
-        got = escape_matrix(exceed, offsets, depth=depth)
+    for depth in range(1, len(offs) + 1):
+        got = escape_matrix(exceed, EscapeOffsets(tuple(offs[:depth])))
         want = [_escapes_by_definition(row, offs[:depth]) for row in exceed]
         assert got.tolist() == want, depth
-    assert np.array_equal(escape_matrix(exceed, offsets), escape_matrix(exceed, offsets, depth=len(offs)))
 
 
 def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
-    """escape_clustering_sum and escape_mixing_gap by plain loops over the
-    dense exceedance masks, one path and one start index at a time."""
+    """escape_clustering_sum, escape_mixing_gap and annulus_rate by plain
+    loops over the dense exceedance masks, one path and one start index at a
+    time."""
     pairs, lags = [], np.zeros(jmax + 1)
-    joint, lone, clean = _MeanAcc(), _MeanAcc(), _MeanAcc()
+    joint, lone, clean, rate = _MeanAcc(), _MeanAcc(), _MeanAcc(), _MeanAcc()
     for _, e in ens.mask_chunks(event, extra=max(jmax, t + ell) + offsets.span):
         w_joint, w_lone, w_clean = [], [], []
         for row in e:
@@ -260,12 +259,13 @@ def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
         joint.add(np.array(w_joint) / n)
         lone.add(np.array(w_lone) / n)
         clean.add(np.array(w_clean) / n)
+        rate.add(w_lone)
     per_path = _MeanAcc()
     per_path.add(pairs)
     cluster = (per_path.s / ens.trials, per_path.stderr, lags / (ens.trials * n))
     gap = abs(joint.mean - lone.mean * clean.mean)
     se = math.sqrt(joint.stderr**2 + (clean.mean * lone.stderr) ** 2 + (lone.mean * clean.stderr) ** 2)
-    return cluster, (gap, se)
+    return cluster, (gap, se), (rate.mean, rate.stderr)
 
 
 @pytest.mark.parametrize(
@@ -288,9 +288,10 @@ def test_escape_pair_statistics_match_brute_force(spec, obs, offs):
     jmax = n // k_n
     # windows ending inside the span, at the right edge, and longer than n
     for t, ell in ((1, jmax), (3, 5), (0, 1), (2, n + 3)):
-        (value, se, lags), gap = _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event)
+        (value, se, lags), gap, rate = _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event)
         assert value > 0 and gap[1] > 0
         got_value, got_se, got_lags = escape_clustering_sum(ens, offsets, n, k_n, levels)
         assert (got_value, got_se) == (value, se)
         assert got_lags.tolist() == lags.tolist()
         assert escape_mixing_gap(ens, offsets, n, t, ell, levels) == gap, (t, ell)
+        assert annulus_rate(ens, offsets, n, levels) == rate

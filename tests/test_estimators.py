@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evl_lab import theory
-from evl_lab.escapes import EscapeOffsets
+from evl_lab.escapes import EscapeOffsets, _RatioAcc
 from evl_lab.estimators import (
     EIEstimate,
     ball_annulus_gap,
@@ -12,14 +12,22 @@ from evl_lab.estimators import (
     ei_from_max,
     ei_rts_atom,
     ei_runs,
+    ei_runs_nested,
     estimate_ei_bundle,
     estimate_escape_law,
     estimate_max_law,
     survey_max_and_escapes,
 )
 from evl_lab.hts_rts import TimeSampleSet
-from evl_lab.observables import ObservableSpec, level_for_tau
+from evl_lab.observables import (
+    ExceedanceEvent,
+    ObservableSpec,
+    exceedance_event,
+    level_for_tau,
+    omega_for_cylinder,
+)
 from evl_lab.processes import Ensemble, ProcessSpec
+from evl_lab.symbolic import SymbolicWord, cylinder_measure
 
 END_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
 BALL0 = ObservableSpec(family="ball_measure", form="gumbel", anchor="0")
@@ -191,3 +199,66 @@ def test_survey_exceedance_count_scale():
     s = survey_max_and_escapes(ProcessSpec.ar1(2), END_OBS, 1, 1.0, 2000, 5000, seed=127)
     # about tau exceedances per path
     assert abs(s["exceedances"] / 5000 - 1.0) <= 0.1
+
+
+def _survey_by_loops(ens, event, offs):
+    """Shares of paths with no exceedance and with no last-order escape in
+    [0, n), and per order the runs accumulator, by plain loops over the dense
+    exceedance masks, one path at a time."""
+    n = ens.length
+    quiet_max = quiet_esc = 0
+    escapes, events = [[] for _ in offs], [[] for _ in offs]
+    for _, e in ens.mask_chunks(event, extra=sum(offs)):
+        for row in e.tolist():
+            quiet_max += not any(row[:n])
+            level = row
+            for k, p in enumerate(offs):
+                child = [level[j] and not level[j + p] for j in range(len(level) - p)]
+                escapes[k].append(sum(child[:n]))
+                events[k].append(sum(level[:n]))
+                level = child
+            quiet_esc += not any(level[:n])
+    runs = [_RatioAcc() for _ in offs]
+    for acc, a, b in zip(runs, escapes, events):
+        acc.add(a, b)
+    return quiet_max / ens.trials, quiet_esc / ens.trials, runs
+
+
+def test_survey_views_match_plain_loops():
+    n, trials, tau, seed = 100, 300, 4.0, 21
+
+    def se(p):
+        return math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
+
+    for spec, obs, offs in (
+        (ProcessSpec.doubling(), BALL0, (1,)),
+        (ProcessSpec.mma13(), END_OBS, (1, 3)),
+    ):
+        offsets = EscapeOffsets(offs)
+        u = level_for_tau(spec, obs, n, tau)
+        ens = Ensemble(spec, seed, trials, n, obs=obs)
+        p_max, p_esc, runs = _survey_by_loops(ens, exceedance_event(spec, obs, u), offs)
+        assert 0 < p_max <= p_esc < 1 and runs[-1].b >= 100
+        assert estimate_max_law(spec, obs, tau, n, trials, seed) == (p_max, se(p_max))
+        assert estimate_escape_law(spec, obs, offsets, tau, n, trials, seed) == (p_esc, se(p_esc))
+        nested = ei_runs_nested(ens, offsets, u)
+        assert [(r.theta, r.stderr) for r in nested] == [(acc.ratio, acc.stderr) for acc in runs]
+        assert survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed) == {
+            "u": u,
+            "p_max": p_max,
+            "se_max": se(p_max),
+            "p_escape": p_esc,
+            "se_escape": se(p_esc),
+            "runs_theta": runs[-1].ratio,
+            "runs_se": runs[-1].stderr,
+            "exceedances": runs[-1].b,
+        }
+    spec = ProcessSpec.bernoulli_doubling(0.3)
+    word = SymbolicWord.parse("0110", 2)
+    omega = omega_for_cylinder(spec, word, tau)
+    ens = Ensemble(spec, seed, trials, omega)
+    p, _, _ = _survey_by_loops(ens, ExceedanceEvent("cylinder", word=tuple(word.digits)), (1,))
+    tau_eff = omega * cylinder_measure(word, spec.digit_weights)
+    want = ei_from_max(p, tau_eff, se(p), "MaxLaw", n=omega, trials=trials)
+    assert 0 < p < 1
+    assert cylinder_ei(spec, "0110", tau, trials, seed) == want
