@@ -13,9 +13,11 @@ reads the exceedances themselves: the sub-period and capture-chain
 conditionals.  ``escape_statistics`` reads the escapes: the escape rate, the
 pair sum behind D'_p and the mixing gap behind D_p, all from one set of
 escape positions per chunk (``annulus_rate``, ``escape_clustering_sum`` and
-``escape_mixing_gap`` are its views).  Escapes are sparse (about theta * tau
-per path), so it reads the escape positions (rows, cols), sorted by row and
-then by column, as the keys row * width + col; a search on those keys finds
+``escape_mixing_gap`` are its views).  Exceedances and escapes are sparse
+(about tau per path), so ``escape_statistics``, ``escape_matrix`` and the
+estimator survey all build escapes on sorted keys (``_escape_keys``): an
+escape is a key whose key p steps on is absent.  ``escape_statistics``
+re-sorts them by row as row * width + col; a search on those keys finds
 every later escape of the same path, and ``bincount`` sums per path and per
 lag.
 """
@@ -66,12 +68,25 @@ class EscapeOffsets:
         return "p=" + ",".join(str(p) for p in self.offsets)
 
 
+def _escape_keys(exceed, offsets):
+    """The exceedances of a (paths, width) matrix and its escapes of orders
+    1..i as sorted time-major keys step * paths + path.  Order-k keys are
+    exact at steps below width - (p_1 + ... + p_k); later ones read past it."""
+    paths = exceed.shape[0]
+    levels = [np.flatnonzero(exceed.T)]
+    for p in offsets.offsets:
+        k = levels[-1]
+        levels.append(k[~np.isin(k + p * paths, k, assume_unique=True)])
+    return levels
+
+
 def escape_matrix(exceed, offsets):
     """Order-i escape booleans from an exceedance matrix (columns shrink by span)."""
-    q = exceed
-    for p in offsets.offsets:
-        q = q[..., :-p] & ~q[..., p:]
-    return q
+    paths, width = exceed.shape
+    q = np.zeros((width - offsets.span, paths), dtype=bool)  # time-major, like the masks
+    keys = _escape_keys(exceed, offsets)[-1]
+    q.flat[keys[keys < q.size]] = True
+    return q.T
 
 
 def escape_event(series, j, offsets, u):
@@ -153,17 +168,6 @@ class _MeanAcc:
             return math.inf
         v = (self.ss - self.s * self.s / self.n) / (self.n - 1)
         return math.sqrt(max(v, 0.0) / self.n)
-
-
-def _escape_positions(q):
-    """Escapes of a (paths, width) matrix as (rows, cols, keys), sorted by row
-    and then by column; the key of an escape is row * width + col."""
-    # column-major scan: q.T is C-contiguous for the engine's time-major masks
-    cols, rows = np.divmod(np.flatnonzero(q.T), q.shape[0])
-    keys = rows * q.shape[1] + cols
-    keys.sort()
-    rows, cols = np.divmod(keys, q.shape[1])
-    return rows, cols, keys
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +277,20 @@ def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
     event = exceedance_event(ensemble.spec, levels.obs, levels.u(n))
     per_path = _MeanAcc()  # escape pairs of each path
     lag_counts = np.zeros(jmax + 1)
-    joint = _MeanAcc()   # per start: escape at s and clean window at s+t
-    lone = _MeanAcc()    # per start: escape at s
-    clean = _MeanAcc()   # per start: no escape in [s, s+ell)
-    rate = _MeanAcc()    # escapes of each path in [0, n)
+    # per-path counts over the starts s in [0, n), as integers: chunk-invariant
+    rate = _MeanAcc()    # escapes at s
+    joint = _MeanAcc()   # escape at s and no escape in [s+t, s+t+ell)
+    clean = _MeanAcc()   # no escape in [s, s+ell)
     for _, e in ensemble.mask_chunks(event, extra=max(jmax, t + ell) + offsets.span):
-        q = escape_matrix(e, offsets)
-        paths = q.shape[0]
-        rows, cols, keys = _escape_positions(q)
+        paths, width = e.shape[0], e.shape[1] - offsets.span
+        # the escapes as keys row * width + col, sorted by row and then by column
+        tm = _escape_keys(e, offsets)[-1]
+        cols, rows = np.divmod(tm[tm < width * paths], paths)
+        keys = np.sort(rows * width + cols)
+        rows, cols = np.divmod(keys, width)
         # escape a at col < n pairs with the escapes at keys (a, a + jmax],
-        # and its window [a+t, a+t+ell) ends in a's row: the width of q is at
-        # least n + max(jmax, t + ell)
+        # and its window [a+t, a+t+ell) ends in a's row: the escapes span at
+        # least n + max(jmax, t + ell) columns
         a = np.flatnonzero(cols < n)
         escapes = np.bincount(rows[a], minlength=paths)
         rate.add(escapes)
@@ -300,33 +307,34 @@ def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
         prev[1:][same] = np.minimum(n - 1, cols[:-1][same])
         lo = np.maximum(np.maximum(0, cols - ell + 1), prev + 1)
         covered = np.maximum(np.minimum(n - 1, cols) - lo + 1, 0)
-        joint.add(np.bincount(rows[a], weights=quiet, minlength=paths) / n)
-        lone.add(escapes / n)
-        clean.add((n - np.bincount(rows, weights=covered, minlength=paths)) / n)
+        joint.add(np.bincount(rows[a], weights=quiet, minlength=paths))
+        clean.add(n - np.bincount(rows, weights=covered, minlength=paths))
     pair_sum = per_path.s / ensemble.trials
     pair_se = per_path.stderr * per_path.n / ensemble.trials
     pairs = (pair_sum, pair_se, lag_counts / (ensemble.trials * n))
     if ell == 0:
         return (rate.mean, rate.stderr), pairs, (0.0, 0.0)
-    gap = abs(joint.mean - lone.mean * clean.mean)
+    # the per-start shares are the per-path counts over n
+    gap = abs(joint.mean - rate.mean * clean.mean / n) / n
     se = math.sqrt(
-        joint.stderr**2 + (clean.mean * lone.stderr) ** 2 + (lone.mean * clean.stderr) ** 2
-    )
+        joint.stderr**2 + (clean.mean * rate.stderr / n) ** 2 + (rate.mean * clean.stderr / n) ** 2
+    ) / n
     return (rate.mean, rate.stderr), pairs, (gap, se)
 
 
 def annulus_rate(ensemble, offsets, n, levels):
-    """(n * P(order-i escape at a fixed index), stderr): the escape-rate law."""
+    """(n * P(order-i escape at a fixed index), stderr): the escape-rate law
+    from one whole ``escape_statistics`` sweep."""
     return escape_statistics(ensemble, offsets, n, levels)[0]
 
 
 def escape_clustering_sum(ensemble, offsets, n, k_n, levels):
     """n * sum_{j=1..n/k_n} P(escape at 0 and at j), with Monte Carlo stderr
-    and the per-lag probabilities (see ``escape_statistics``)."""
+    and the per-lag probabilities: one whole ``escape_statistics`` sweep."""
     return escape_statistics(ensemble, offsets, n, levels, k_n=k_n)[1]
 
 
 def escape_mixing_gap(ensemble, offsets, n, t, ell, levels):
     """(|P(escape at 0 and no escape in [t, t+ell)) - P(escape) P(no-escape
-    window)|, stderr of the joint term) (see ``escape_statistics``)."""
+    window)|, stderr of its terms): one whole ``escape_statistics`` sweep."""
     return escape_statistics(ensemble, offsets, n, levels, t=t, ell=ell)[2]

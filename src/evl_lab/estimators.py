@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hts_rts, symbolic
-from .escapes import EscapeOffsets, escape_matrix, _RatioAcc
+from .escapes import EscapeOffsets, _escape_keys, _RatioAcc
 from .observables import ExceedanceEvent, exceedance_event, level_for_tau, omega_for_cylinder
 from .processes import Ensemble
 
@@ -62,13 +62,13 @@ def _survey(ensemble, event, offsets):
     quiet_max = quiet_esc = 0
     runs = [_RatioAcc() for _ in offsets.offsets]
     for _, e in ensemble.mask_chunks(event, extra=offsets.span):
-        quiet_max += int((~e[:, :n].any(axis=1)).sum())
-        level = e
-        for acc, p in zip(runs, offsets.offsets):
-            child = escape_matrix(level, EscapeOffsets.single(p))
-            acc.add(child[:, :n].sum(axis=1), level[:, :n].sum(axis=1))
-            level = child
-        quiet_esc += int((~level[:, :n].any(axis=1)).sum())
+        paths = e.shape[0]
+        levels = _escape_keys(e, offsets)  # exact at steps below n at every order
+        counts = [np.bincount(k[k < n * paths] % paths, minlength=paths) for k in levels]
+        quiet_max += int((counts[0] == 0).sum())
+        quiet_esc += int((counts[-1] == 0).sum())
+        for acc, b, a in zip(runs, counts, counts[1:]):
+            acc.add(a, b)
     return quiet_max / ensemble.trials, quiet_esc / ensemble.trials, runs
 
 

@@ -548,9 +548,9 @@ def dyadic_jump_paths(spec, seed, trials, n_steps):
     return _jump_values(*_jump_bits(seed, trials, n_steps, rng.CH_ORBIT, None))
 
 
-def point_values_range(spec, seed, trials, t0, t1, channel=rng.CH_ORBIT):
+def point_values_range(spec, seed, trials, t0, t1):
     """Exposed points at steps [t0, t1) for many trials (one-shot sweep)."""
-    return PathEngine(spec, seed, trials, channel).points(t0, t1)
+    return PathEngine(spec, seed, trials).points(t0, t1)
 
 
 def point_values_at(spec, seed, trials, steps, channel=rng.CH_ORBIT):

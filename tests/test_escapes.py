@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evl_lab import processes
 from evl_lab.escapes import (
     EscapeOffsets,
     _MeanAcc,
@@ -15,6 +16,7 @@ from evl_lab.escapes import (
     escape_event,
     escape_matrix,
     escape_mixing_gap,
+    escape_statistics,
     no_escape_window,
     periodicity_report,
 )
@@ -241,7 +243,7 @@ def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
     loops over the dense exceedance masks, one path and one start index at a
     time."""
     pairs, lags = [], np.zeros(jmax + 1)
-    joint, lone, clean, rate = _MeanAcc(), _MeanAcc(), _MeanAcc(), _MeanAcc()
+    joint, clean, rate = _MeanAcc(), _MeanAcc(), _MeanAcc()
     for _, e in ens.mask_chunks(event, extra=max(jmax, t + ell) + offsets.span):
         w_joint, w_lone, w_clean = [], [], []
         for row in e:
@@ -256,15 +258,15 @@ def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
             w_lone.append(sum(q[:n]))
             w_joint.append(sum(q[s] and not any(q[s + t : s + t + ell]) for s in range(n)))
             w_clean.append(sum(not any(q[s : s + ell]) for s in range(n)))
-        joint.add(np.array(w_joint) / n)
-        lone.add(np.array(w_lone) / n)
-        clean.add(np.array(w_clean) / n)
+        joint.add(w_joint)
+        clean.add(w_clean)
         rate.add(w_lone)
     per_path = _MeanAcc()
     per_path.add(pairs)
     cluster = (per_path.s / ens.trials, per_path.stderr, lags / (ens.trials * n))
-    gap = abs(joint.mean - lone.mean * clean.mean)
-    se = math.sqrt(joint.stderr**2 + (clean.mean * lone.stderr) ** 2 + (lone.mean * clean.stderr) ** 2)
+    # shares per start are the per-path counts over n
+    gap = abs(joint.mean - rate.mean * clean.mean / n) / n
+    se = math.sqrt(joint.stderr**2 + (clean.mean * rate.stderr / n) ** 2 + (rate.mean * clean.stderr / n) ** 2) / n
     return cluster, (gap, se), (rate.mean, rate.stderr)
 
 
@@ -295,3 +297,21 @@ def test_escape_pair_statistics_match_brute_force(spec, obs, offs):
         assert got_lags.tolist() == lags.tolist()
         assert escape_mixing_gap(ens, offsets, n, t, ell, levels) == gap, (t, ell)
         assert annulus_rate(ens, offsets, n, levels) == rate
+
+
+def test_escape_statistics_independent_of_chunk_size(monkeypatch):
+    """All three escape statistics sum integer per-path counts, so splitting
+    the trials into more chunks leaves every float unchanged."""
+    spec = ProcessSpec.mma13()
+    levels = LevelSchedule(spec, MMA_OBS, tau=6.0)
+    n = 60
+    ens = Ensemble(spec, 6, 700, n, obs=MMA_OBS)
+    offsets = EscapeOffsets((1, 3))
+    event = exceedance_event(spec, MMA_OBS, levels.u(n))
+    extra = max(n // 8, 3 + 7) + offsets.span  # the sweep width of the calls below
+    assert len(list(ens.mask_chunks(event, extra=extra))) == 1
+    whole = escape_statistics(ens, offsets, n, levels, k_n=8, t=3, ell=7)
+    monkeypatch.setattr(processes, "CHUNK_BUDGET", 1)  # 256-trial chunks
+    assert len(list(ens.mask_chunks(event, extra=extra))) == 3
+    split = escape_statistics(ens, offsets, n, levels, k_n=8, t=3, ell=7)
+    assert repr(split) == repr(whole)
