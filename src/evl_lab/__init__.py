@@ -27,9 +27,8 @@ from .observables import (
 from .escapes import (
     ConditionReport,
     EscapeOffsets,
-    escape_clustering_sum,
     escape_event,
-    escape_mixing_gap,
+    escape_statistics,
     no_escape_window,
     periodicity_report,
 )

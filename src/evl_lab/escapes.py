@@ -12,8 +12,7 @@ Two sweeps of the exceedance masks serve all of them.  ``periodicity_report``
 reads the exceedances themselves: the sub-period and capture-chain
 conditionals.  ``escape_statistics`` reads the escapes: the escape rate, the
 pair sum behind D'_p and the mixing gap behind D_p, all from one set of
-escape positions per chunk (``annulus_rate``, ``escape_clustering_sum`` and
-``escape_mixing_gap`` are its views).  Exceedances and escapes are sparse
+escape positions per chunk.  Exceedances and escapes are sparse
 (about tau per path), so ``escape_statistics``, ``escape_matrix`` and the
 estimator survey all build escapes on sorted keys (``_escape_keys``): an
 escape is a key whose key p steps on is absent.  ``escape_statistics``
@@ -30,6 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .observables import exceedance_event
+
+#: continuations (exceedances whose capture chain reaches length i) below
+#: which the default cutoff of ``periodicity_report`` drops the row of length
+#: i: its ratio would rest on a handful of paths, relative stderr above 1/3
+MIN_CONTINUATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -204,12 +208,16 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
     Fills the sub-period conditional probabilities P(X_j>u | X_0>u) for
     0 < j < p, the continuation probability at lag p, the capture-chain
     ratios P(X_p,...,X_ip > u | X_0>u) / (1-theta)^i, and the n-scaled
-    partial sums of the chain probabilities.
+    partial sums of the chain probabilities.  The default ``ratio_cutoff``
+    sweeps chains up to ceil(log n / |log(1 - theta)|) (10 outside (0, 1))
+    and reports them up to the last length with ``MIN_CONTINUATIONS``
+    continuations; an explicit cutoff reports every length up to it.
     """
     offsets = EscapeOffsets.of(offsets)
     p = offsets.period
     u = levels.u(n)
-    if ratio_cutoff is None:
+    default_cutoff = ratio_cutoff is None
+    if default_cutoff:
         ratio_cutoff = max(1, math.ceil(math.log(n) / abs(math.log1p(-theta)))) if 0 < theta < 1 else 10
     event = exceedance_event(ensemble.spec, levels.obs, u)
     extra = max(p * ratio_cutoff, p)
@@ -226,6 +234,8 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
         for i in range(1, ratio_cutoff + 1):
             run &= e[:, i * p : n + i * p]
             chain[i].add(run.sum(axis=1), base_rows)
+    if default_cutoff:  # continuation counts fall with the chain length
+        ratio_cutoff = sum(c.a >= MIN_CONTINUATIONS for c in chain[1:])
     rep = ConditionReport(n=n, offsets=offsets, exceedances=n_exc)
     rep.sub_period = [(j, sub[j].ratio, sub[j].stderr) for j in range(1, p)]
     rep.continuation = (chain[1].ratio, chain[1].stderr)
@@ -320,21 +330,3 @@ def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
         joint.stderr**2 + (clean.mean * rate.stderr / n) ** 2 + (rate.mean * clean.stderr / n) ** 2
     ) / n
     return (rate.mean, rate.stderr), pairs, (gap, se)
-
-
-def annulus_rate(ensemble, offsets, n, levels):
-    """(n * P(order-i escape at a fixed index), stderr): the escape-rate law
-    from one whole ``escape_statistics`` sweep."""
-    return escape_statistics(ensemble, offsets, n, levels)[0]
-
-
-def escape_clustering_sum(ensemble, offsets, n, k_n, levels):
-    """n * sum_{j=1..n/k_n} P(escape at 0 and at j), with Monte Carlo stderr
-    and the per-lag probabilities: one whole ``escape_statistics`` sweep."""
-    return escape_statistics(ensemble, offsets, n, levels, k_n=k_n)[1]
-
-
-def escape_mixing_gap(ensemble, offsets, n, t, ell, levels):
-    """(|P(escape at 0 and no escape in [t, t+ell)) - P(escape) P(no-escape
-    window)|, stderr of its terms): one whole ``escape_statistics`` sweep."""
-    return escape_statistics(ensemble, offsets, n, levels, t=t, ell=ell)[2]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .processes import ProcessSpec, point_values_at
-from . import rng, symbolic
+from .processes import ProcessSpec
+from . import symbolic
 
 G_FORMS = ("gumbel", "frechet", "weibull")
 FAMILIES = ("distance", "ball_measure", "cylinder")
@@ -298,17 +298,6 @@ def level_for_tau(spec, obs, n, tau):
     # distance family: radius with mu(ball) = p, then u = g(radius)
     radius = ball_radius_for_measure(spec, obs, p)
     return float(obs.g(radius))
-
-
-def empirical_level_for_tau(spec, obs, n, tau, seed, samples=10**6):
-    """Quantile fallback: u_n from the empirical marginal of X_0."""
-    pts = point_values_at(spec, seed, np.arange(samples), [0], channel=rng.CH_AUX)[:, 0]
-    xs = np.sort(obs.apply(spec, pts))
-    q = 1.0 - tau / n
-    pos = q * samples - 0.5
-    i = int(np.clip(np.floor(pos), 0, samples - 2))
-    frac = pos - i
-    return float(xs[i] * (1.0 - frac) + xs[i + 1] * frac)
 
 
 @dataclass

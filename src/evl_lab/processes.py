@@ -538,27 +538,17 @@ def _jump_values(b, pos):
     return np.take_along_axis(vals, pos, axis=0).T
 
 
-def dyadic_jump_paths(spec, seed, trials, n_steps):
-    """Orbit points of the countable-branch jump map: (T, n_steps) values.
-
-    Each step consumes the leading 0^(k-1)1 bit block; orbit points are the
-    bit tails after each 1.  Geometric branch lengths mean ~2 bits per step.
-    """
-    trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    return _jump_values(*_jump_bits(seed, trials, n_steps, rng.CH_ORBIT, None))
-
-
 def point_values_range(spec, seed, trials, t0, t1):
     """Exposed points at steps [t0, t1) for many trials (one-shot sweep)."""
     return PathEngine(spec, seed, trials).points(t0, t1)
 
 
-def point_values_at(spec, seed, trials, steps, channel=rng.CH_ORBIT):
+def point_values_at(spec, seed, trials, steps):
     """Exposed points at the given steps only, in increasing step order, from
     one engine: one-step windows (ar1 scans through the skipped steps), or
     the jump map's one whole window."""
     steps = sorted(set(int(s) for s in steps))
-    eng = PathEngine(spec, seed, trials, channel)
+    eng = PathEngine(spec, seed, trials)
     if spec.kind == "dyadic_jump":
         return eng.points(0, steps[-1] + 1)[:, steps]
     return np.stack([eng.points(s, s + 1)[:, 0] for s in steps], axis=1)

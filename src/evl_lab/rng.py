@@ -1,10 +1,17 @@
 """Counter-based random words: every variate is a pure function of (seed, stream, position).
 
-The generator is Philox-2x64 with 10 rounds.  A stream is identified by a
-64-bit counter word combining a channel tag (top byte) with a trial index, so
-independent trials, independent channels within one experiment, and arbitrary
-position ranges can all be generated out of order, in chunks, or in parallel
-with bit-identical results.
+The generator is numpy's compiled Philox-4x64-10 (``np.random.Philox``; Salmon,
+Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+Word w of trial t on a channel is word ``w & 3`` of the Philox block with key
+(seed mod 2**64, 0) and counter (t + 1, w >> 2, channel, 0).  numpy increments
+counter word 0 before each block, so one generator set to counter
+(t, b, channel, 0) returns block b of trials t, t+1, ... in one call: one
+position block of a run of consecutive trials.  Trial sets are sorted and
+split into such runs wherever consecutive ids lie more than ``RUN_GAP`` apart
+(and into runs of bounded width); each run's hull is generated and its ids'
+columns gathered.  Independent trials, channels and position ranges can
+therefore be generated out of order, in chunks or in parallel with
+bit-identical results.
 
 Every draw has the public shape (trials, positions) but is built time-major:
 the array is the ``.T`` view of a C-contiguous (positions, trials) buffer, so
@@ -18,103 +25,62 @@ import math
 
 import numpy as np
 
-_M = np.uint64(0xD2B74407B1CE6E93)  # Philox 2x64 multiplier
-_W = np.uint64(0x9E3779B97F4A7C15)  # Weyl key increment
-_MASK32 = np.uint64(0xFFFFFFFF)
-_ROUNDS = 10
-
-# Channel tags (top byte of the stream counter).  Operations that must be
-# independent of each other under the same user seed use distinct channels.
+# Channel tags (counter word 2).  Operations that must be independent of each
+# other under the same user seed use distinct channels.
 CH_ORBIT = 0      # main digit / innovation stream of a path
 CH_INIT = 1       # conditional-start entropy (hitting/return experiments)
 CH_HTS = 2        # stationary starts for hitting-time sampling
-CH_AUX = 3        # auxiliary draws (empirical quantile levels)
 
+#: trial ids further apart than this start a new run: one generator reset and
+#: call (about 6 µs) costs about as much as one block for 150-250 trials, and
+#: 256 was the fastest of 64-1024 on thinned trial sets
+RUN_GAP = 256
 
 _CHUNK = 1 << 22  # elements per chunk of a draw; bounds its transient buffers
-_KERNEL_BLOCK = 1 << 14  # elements per Philox pass: its six buffers stay in L2 cache
 
 
-def _philox_flat(x0, x1, key):
-    """In-place Philox-2x64-10 on contiguous uint64 arrays (preallocated scratch)."""
-    ml = _M & _MASK32
-    mh = _M >> np.uint64(32)
-    c32 = np.uint64(32)
-    lo = np.empty_like(x0)
-    a = np.empty_like(x0)
-    b = np.empty_like(x0)
-    t = np.empty_like(x0)
-    k = np.uint64(key)
-    with np.errstate(over="ignore"):
-        for _ in range(_ROUNDS):
-            np.bitwise_and(x0, _MASK32, out=a)   # a = lo32(x0)
-            np.right_shift(x0, c32, out=b)       # b = hi32(x0)
-            np.multiply(x0, _M, out=lo)          # lo64(M * x0)
-            np.multiply(a, ml, out=t)
-            np.right_shift(t, c32, out=t)
-            np.multiply(a, mh, out=a)
-            np.add(a, t, out=a)                  # a = carry column 1
-            np.multiply(b, ml, out=t)
-            np.bitwise_and(a, _MASK32, out=x0)   # x0 free: reuse as scratch
-            np.add(t, x0, out=t)                 # t = carry column 2
-            np.right_shift(a, c32, out=a)
-            np.right_shift(t, c32, out=t)
-            np.multiply(b, mh, out=b)
-            np.add(b, a, out=b)
-            np.add(b, t, out=b)                  # b = hi64(M * x0)
-            np.bitwise_xor(b, k, out=b)
-            np.bitwise_xor(b, x1, out=x0)        # new x0
-            x1, lo = lo, x1                      # new x1 = lo (buffer swap)
-            k = k + _W
-    return x0, x1
-
-
-def philox2x64(c0, c1, key):
-    """Philox-2x64-10 block: two uint64 outputs per (counter0, counter1, key)."""
-    x0b, x1b = np.broadcast_arrays(
-        np.asarray(c0, dtype=np.uint64), np.asarray(c1, dtype=np.uint64)
-    )
-    shape = x0b.shape
-    o0 = np.empty(shape, dtype=np.uint64).reshape(-1)
-    o1 = np.empty(shape, dtype=np.uint64).reshape(-1)
-    f0, f1 = x0b.reshape(-1), x1b.reshape(-1)
-    n = f0.size
-    for s in range(0, max(n, 1), _KERNEL_BLOCK):
-        e = min(s + _KERNEL_BLOCK, n)
-        r0, r1 = _philox_flat(f0[s:e].copy(), f1[s:e].copy(), key)
-        o0[s:e] = r0
-        o1[s:e] = r1
-    return o0.reshape(shape), o1.reshape(shape)
-
-
-def _stream_counter(channel, trials):
-    trials = np.asarray(trials, dtype=np.uint64)
-    if trials.size and int(trials.max(initial=0)) >= 1 << 56:
-        raise ValueError("trial index must fit in 56 bits")
-    return (np.uint64(channel) << np.uint64(56)) | trials
+def _runs(ids):
+    """(start, end) index ranges of the runs of sorted unique ids: split at
+    gaps wider than ``RUN_GAP``, and so that no run spans more than
+    ``_CHUNK // 4`` ids (one block of a run is generated whole)."""
+    bounds = np.r_[0, np.flatnonzero(np.diff(ids) > RUN_GAP) + 1, ids.size]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        while s < e:
+            cut = s + int(np.searchsorted(ids[s:e], ids[s] + _CHUNK // 4))
+            yield s, cut
+            s = cut
 
 
 def raw_words(seed, channel, trials, lo, hi):
     """uint64 words at positions [lo, hi) for each trial, shape (len(trials), hi-lo).
 
-    Word w of a stream is lane (w & 1) of the Philox block with counter
-    (stream, w >> 1); the mapping is positional, so overlapping ranges agree.
-    The words are built time-major, in chunks of blocks so transient buffers
-    stay bounded.
+    The mapping is positional (see the module docstring), so overlapping
+    ranges and overlapping trial sets agree.
     """
     trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
+    if trials.size and int(trials.max()) >= 1 << 56:
+        raise ValueError("trial index must fit in 56 bits")
     if hi <= lo:
         return np.empty((trials.size, 0), dtype=np.uint64)
-    b0, b1 = lo >> 1, (hi + 1) >> 1
-    nb = b1 - b0
-    blocks = np.arange(b0, b1, dtype=np.uint64)[:, None]
-    counters = _stream_counter(channel, trials)[None, :]
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    words = np.empty((nb, 2, trials.size), dtype=np.uint64)
-    bc = max(1, _CHUNK // max(trials.size, 1))
-    for s in range(0, nb, bc):
-        words[s : s + bc, 0], words[s : s + bc, 1] = philox2x64(counters, blocks[s : s + bc], key)
-    return words.reshape(2 * nb, trials.size)[lo - 2 * b0 : hi - 2 * b0].T
+    ids, inv = np.unique(trials, return_inverse=True)
+    b0, b1 = lo >> 2, (hi + 3) >> 2
+    words = np.empty((4 * (b1 - b0), ids.size), dtype=np.uint64)
+    gen = np.random.Philox(key=np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    state = gen.state
+    counter = state["state"]["counter"]
+    for s, e in _runs(ids):
+        first = int(ids[s])
+        span = int(ids[e - 1]) - first + 1
+        cols = None if span == e - s else (ids[s:e] - ids[s]).astype(np.intp)
+        for b in range(b0, b1):
+            counter[:] = (first, b, channel, 0)
+            gen.state = state
+            block = gen.random_raw(4 * span).reshape(span, 4)
+            words[4 * (b - b0) : 4 * (b - b0 + 1), s:e] = (block if cols is None else block[cols]).T
+    words = words[lo - 4 * b0 : hi - 4 * b0]
+    if not np.array_equal(ids, trials):
+        words = np.take(words, inv, axis=1)
+    return words.T
 
 
 def _lanes(seed, channel, trials, w0, w1, lane):

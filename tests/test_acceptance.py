@@ -263,7 +263,7 @@ def test_criterion_8_ar1_condition_diagnostics():
     sums = {}
     for m, trials in ((1000, 100000), (10000, 100000)):
         e2 = Ensemble(spec, 981, trials, m, obs=END)
-        v, se, _ = escapes.escape_clustering_sum(e2, 1, m, escapes.default_block_count(m), levels)
+        v, se, _ = escapes.escape_statistics(e2, 1, m, levels)[1]
         sums[m] = v
     sum_ok = sums[10000] < 0.05 and sums[10000] <= sums[1000]
     ok = ratio_ok and sum_ok
@@ -282,9 +282,8 @@ def test_criterion_8_mma13_degradation():
     levels = LevelSchedule(spec, END, tau=tau)
     n = 10000
     ens = Ensemble(spec, 982, 50000, n, obs=END)
-    k_n = escapes.default_block_count(n)
-    v1, se1, _ = escapes.escape_clustering_sum(ens, 1, n, k_n, levels)
-    v2, _, _ = escapes.escape_clustering_sum(ens, ev.EscapeOffsets((1, 3)), n, k_n, levels)
+    v1, se1, _ = escapes.escape_statistics(ens, 1, n, levels)[1]
+    v2, _, _ = escapes.escape_statistics(ens, ev.EscapeOffsets((1, 3)), n, levels)[1]
     ok = abs(v1 - tau / 3.0) <= 0.03 and v2 < 0.05
     assert _report(
         "criterion-8",

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from evl_lab import processes
 from evl_lab.escapes import (
+    MIN_CONTINUATIONS,
     EscapeOffsets,
     _MeanAcc,
-    annulus_rate,
     default_block_count,
     default_gap,
-    escape_clustering_sum,
     escape_event,
     escape_matrix,
-    escape_mixing_gap,
     escape_statistics,
     no_escape_window,
     periodicity_report,
@@ -113,6 +111,26 @@ def test_doubling_continuation_probability():
     assert abs(p - 0.5) <= 0.02
 
 
+def test_default_ratio_cutoff_drops_unsupported_rows():
+    # ar1(2), n=1e4, T=5000: the formula cutoff 14 outruns the ensemble
+    spec = ProcessSpec.ar1(2)
+    levels = LevelSchedule(spec, AR1_OBS, tau=1.0)
+    n = 10000
+    ens = Ensemble(spec, 7, 5000, n, obs=AR1_OBS)
+    rows = len(periodicity_report(ens, 1, 0.5, levels, n).run_ratios)
+    assert len(periodicity_report(ens, 1, 0.5, levels, n, ratio_cutoff=10).run_ratios) == 10
+    # continuations of each chain length, counted on the masks
+    event = exceedance_event(spec, AR1_OBS, levels.u(n))
+    counts = np.zeros(rows + 2, dtype=np.int64)
+    for _, e in ens.mask_chunks(event, extra=rows + 1):
+        run = e[:, :n].copy()
+        for i in range(1, rows + 2):
+            run &= e[:, i : n + i]
+            counts[i] += run.sum()
+    assert 0 < rows < 14
+    assert counts[rows] >= MIN_CONTINUATIONS > counts[rows + 1]
+
+
 def test_annulus_rate_law():
     # n P(escape at a fixed index) -> theta tau for each built-in
     cases = [
@@ -124,7 +142,7 @@ def test_annulus_rate_law():
     for spec, obs, p, theta in cases:
         levels = LevelSchedule(spec, obs, tau=tau)
         ens = Ensemble(spec, 37, 20000, 3000, obs=obs)
-        rate, se = annulus_rate(ens, p, 3000, levels)
+        rate, se = escape_statistics(ens, p, 3000, levels)[0]
         assert abs(rate - theta * tau) <= 3 * se + 0.01, spec.label
 
 
@@ -134,17 +152,15 @@ def test_mma13_order2_rate_and_degradation():
     levels = LevelSchedule(spec, MMA_OBS, tau=tau)
     n = 3000
     ens = Ensemble(spec, 41, 30000, n, obs=MMA_OBS)
-    rate2, se2 = annulus_rate(ens, EscapeOffsets((1, 3)), n, levels)
+    (rate2, se2), (v2, _, _), _ = escape_statistics(ens, EscapeOffsets((1, 3)), n, levels)
     assert abs(rate2 - tau / 3.0) <= 3 * se2 + 0.01
     # order-1 escape pairs do NOT vanish: the sum detects the lag-3 structure
-    k_n = default_block_count(n)
-    v1, se1, lags = escape_clustering_sum(ens, 1, n, k_n, levels)
+    v1, se1, lags = escape_statistics(ens, 1, n, levels)[1]
     assert v1 > 0.2
     assert abs(v1 - tau / 3.0) <= 3 * se1 + 0.03
     # the lag-3 term carries it
     assert n * lags[3] > 0.2
     # order-2 escape pairs vanish
-    v2, _, _ = escape_clustering_sum(ens, EscapeOffsets((1, 3)), n, k_n, levels)
     assert v2 < 0.05
 
 
@@ -157,7 +173,7 @@ def test_mma2_joint_escape_closed_form():
     u = levels.u(n)
     a = u  # P(Y <= u)
     ens = Ensemble(spec, 43, 60000, n, obs=MMA_OBS)
-    _, _, lags = escape_clustering_sum(ens, 2, n, n // 25, levels)
+    _, _, lags = escape_statistics(ens, 2, n, levels, k_n=n // 25)[1]
     expect = (1 - a) ** 2 * a**4
     for j in range(1, len(lags)):
         se = math.sqrt(expect / (60000 * n))
@@ -174,7 +190,7 @@ def test_ar1_clustering_sum_decreases():
     vals = {}
     for n, trials in ((1000, 30000), (10000, 30000)):
         ens = Ensemble(spec, 47, trials, n, obs=AR1_OBS)
-        v, se, _ = escape_clustering_sum(ens, 1, n, default_block_count(n), levels)
+        v, se, _ = escape_statistics(ens, 1, n, levels)[1]
         vals[n] = v
     assert vals[10000] < 0.05
     assert vals[10000] <= vals[1000] + 0.01
@@ -184,7 +200,7 @@ def test_mixing_gap_degenerate_window():
     spec = ProcessSpec.ar1(2)
     levels = LevelSchedule(spec, AR1_OBS, tau=1.0)
     ens = Ensemble(spec, 53, 1000, 500, obs=AR1_OBS)
-    g, se = escape_mixing_gap(ens, 1, 500, 10, 0, levels)
+    g, se = escape_statistics(ens, 1, 500, levels, t=10, ell=0)[2]
     assert g == 0.0 and se == 0.0
 
 
@@ -193,7 +209,7 @@ def test_mixing_gap_mma2_independent_beyond_window():
     levels = LevelSchedule(spec, MMA_OBS, tau=1.0)
     n = 1000
     ens = Ensemble(spec, 59, 40000, n, obs=MMA_OBS)
-    g, se = escape_mixing_gap(ens, 2, n, 5, n // default_block_count(n), levels)
+    g, se = escape_statistics(ens, 2, n, levels, t=5, ell=n // default_block_count(n))[2]
     assert g <= 3 * se + 1e-4
 
 
@@ -202,7 +218,7 @@ def test_mixing_gap_ar1_below_noise():
     levels = LevelSchedule(spec, AR1_OBS, tau=1.0)
     n = 2000
     ens = Ensemble(spec, 61, 30000, n, obs=AR1_OBS)
-    g, se = escape_mixing_gap(ens, 1, n, 40, n // default_block_count(n), levels)
+    g, se = escape_statistics(ens, 1, n, levels, t=40, ell=n // default_block_count(n))[2]
     assert g <= 3 * se + 1e-4
 
 
@@ -239,8 +255,8 @@ def test_escape_matrix_matches_recursive_definition(data):
 
 
 def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
-    """escape_clustering_sum, escape_mixing_gap and annulus_rate by plain
-    loops over the dense exceedance masks, one path and one start index at a
+    """The pair sum, mixing gap and escape rate of ``escape_statistics`` by
+    plain loops over the dense exceedance masks, one path and one start index at a
     time."""
     pairs, lags = [], np.zeros(jmax + 1)
     joint, clean, rate = _MeanAcc(), _MeanAcc(), _MeanAcc()
@@ -292,11 +308,13 @@ def test_escape_pair_statistics_match_brute_force(spec, obs, offs):
     for t, ell in ((1, jmax), (3, 5), (0, 1), (2, n + 3)):
         (value, se, lags), gap, rate = _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event)
         assert value > 0 and gap[1] > 0
-        got_value, got_se, got_lags = escape_clustering_sum(ens, offsets, n, k_n, levels)
+        got_rate, (got_value, got_se, got_lags), got_gap = escape_statistics(
+            ens, offsets, n, levels, k_n=k_n, t=t, ell=ell
+        )
         assert (got_value, got_se) == (value, se)
         assert got_lags.tolist() == lags.tolist()
-        assert escape_mixing_gap(ens, offsets, n, t, ell, levels) == gap, (t, ell)
-        assert annulus_rate(ens, offsets, n, levels) == rate
+        assert got_gap == gap, (t, ell)
+        assert got_rate == rate
 
 
 def test_escape_statistics_independent_of_chunk_size(monkeypatch):

@@ -8,7 +8,6 @@ from evl_lab.observables import (
     ObservableSpec,
     ball_measure,
     bernoulli_cdf,
-    empirical_level_for_tau,
     exceedance_event,
     level_for_tau,
     marginal_cdf,
@@ -177,15 +176,6 @@ def test_level_consistency_mean_exceedances():
             counts = np.concatenate([m[:, :n].sum(axis=1) for _, m in ens.mask_chunks(ev)])
             se = counts.std(ddof=1) / math.sqrt(trials)
             assert abs(counts.mean() - tau) <= 3 * se + 0.01, (spec.label, n)
-
-
-def test_empirical_level_matches_analytic():
-    u_emp = empirical_level_for_tau(DOUB, BALL_G1, 1000, 1.0, seed=4, samples=200000)
-    u_ana = level_for_tau(DOUB, BALL_G1, 1000, 1.0)
-    # tail is e^-u: compare tail probabilities within 3 binomial se
-    p = 1e-3
-    se = math.sqrt(p / 200000)
-    assert abs(math.exp(-u_emp) - p) <= 3 * se
 
 
 def test_marginal_cdfs_normalised():

@@ -13,7 +13,6 @@ from evl_lab.processes import (
     PathEngine,
     ProcessSpec,
     ProcessState,
-    dyadic_jump_paths,
     evaluate_point,
     exact_point,
     observe_path,
@@ -180,7 +179,7 @@ def test_engine_matches_scalar_stepping():
 
 def test_dyadic_engine_matches_scalar():
     spec = ProcessSpec.dyadic_jump()
-    pts = dyadic_jump_paths(spec, 13, [0, 1], 40)
+    pts = point_values_range(spec, 13, [0, 1], 0, 40)
     for trial in range(2):
         st = sample_initial(spec, 13, trial=trial)
         for t in range(40):

@@ -20,6 +20,61 @@ def test_streams_do_not_collide():
     assert not np.array_equal(a, rng.raw_words(8, 0, [3], 0, 64)[0])  # seed
 
 
+ALL_ONES = 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "key, counter, expected",
+    [
+        # Random123 philox4x64-10 known answers; numpy increments the counter
+        # before each block, so each is read with the counter one below it
+        ((0, 0), (ALL_ONES,) * 4,
+         (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+        ((ALL_ONES,) * 2, (ALL_ONES - 1,) + (ALL_ONES,) * 3,
+         (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+    ],
+)
+def test_numpy_philox_known_answers(key, counter, expected):
+    gen = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64))
+    got = gen.random_raw(4)
+    assert [int(x) for x in got] == list(expected)
+
+
+@pytest.mark.parametrize(
+    "seed, channel, trial, block", [(0, 0, 0, 0), (2024, 1, 17, 3), (-1, 2, (1 << 56) - 1, 250)]
+)
+def test_word_layout(seed, channel, trial, block):
+    got = rng.raw_words(seed, channel, [trial], 4 * block, 4 * block + 4)[0]
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    gen = np.random.Philox(key=key, counter=np.array([trial, block, channel, 0], dtype=np.uint64))
+    assert np.array_equal(got, gen.random_raw(4))
+
+
+def test_gathered_trials_match_per_trial_draws():
+    g = rng.RUN_GAP
+    # unsorted and repeated ids; gaps just inside and just past the run split
+    ids = [5 + 2 * g, 5, 1 << 40, 6, 5 + g, 5, 6 + 2 * g + g, 3 + (1 << 40)]
+    w = rng.raw_words(99, 1, ids, 3, 30)
+    assert w.shape == (len(ids), 27) and w.T.flags.c_contiguous
+    for row, t in zip(w, ids):
+        assert np.array_equal(row, rng.raw_words(99, 1, [t], 3, 30)[0])
+
+
+def test_long_sparse_run_is_cut():
+    # gaps within RUN_GAP, spanning more ids than one generator call holds;
+    # rows ids.size // 3 and the next lie on either side of the first cut
+    ids = np.arange(0, 3 * (rng._CHUNK // 4), 97)
+    w = rng.raw_words(5, 0, ids, 0, 4)
+    for i in (0, 1, ids.size // 3, ids.size // 3 + 1, ids.size - 1):
+        assert np.array_equal(w[i], rng.raw_words(5, 0, [ids[i]], 0, 4)[0])
+
+
+def test_trial_id_beyond_56_bits_is_rejected():
+    rng.raw_words(1, 0, [(1 << 56) - 1], 0, 4)
+    with pytest.raises(ValueError, match="56 bits"):
+        rng.raw_words(1, 0, [0, 1 << 56], 0, 4)
+
+
 def test_uniforms_pass_ks():
     u = rng.uniforms(11, 0, np.arange(100), 0, 2000).ravel()
     assert 0.0 <= u.min() and u.max() < 1.0
@@ -62,45 +117,45 @@ def test_kolmogorov_quantile_simulation_oracle():
 
 
 # sha256 of each generator's output over KAT_WINDOWS (concatenated row-major
-# (trials, hi-lo) bytes), pinned when the words were still built trial-major:
-# the time-major layout must reproduce every value.
+# (trials, hi-lo) bytes), pinned on the numpy Philox-4x64 stream: any change
+# of layout, lane split or digit unpacking changes a digest.
 KAT_TRIALS = [0, 3, 17, 1 << 40]
 KAT_WINDOWS = [(0, 1), (1, 2), (5, 70), (63, 130), (131, 260), (999, 1003)]
 KAT = {
     "raw_words": (
         lambda lo, hi: rng.raw_words(2024, 0, KAT_TRIALS, lo, hi),
         np.uint64,
-        "a641cc92f49581f702c9cbc894fc4082be9c29e7683e0f0c98a9daa3c208ba54",
+        "62ff9f8cabdf4694889fc41cacb2f294083b8aa3a3937dd8f7ca634d0ac18470",
     ),
     "bits": (
         lambda lo, hi: rng.bits(2024, 1, KAT_TRIALS, lo, hi),
         np.uint8,
-        "1eeb968c1baa15dcc76a25429e4c1794a3df3ce5cc283ddd54bf3a91eb87465f",
+        "041e05b8968097b3004f6aff5fa6c92c3400fdd7d966edf4a962c423f29db852",
     ),
     "uniform_digits_m3": (
         lambda lo, hi: rng.uniform_digits(2024, 0, KAT_TRIALS, lo, hi, 3),
         np.uint8,
-        "d7662180dd5bda44256898b53f48f91071f8d6e11bd0b3065cee70002d09b12a",
+        "60573f7a048259bf74dd0ba098d3dc1aa17da85f25a998a7600ecd9135d94f29",
     ),
     "uniform_digits_m5": (
         lambda lo, hi: rng.uniform_digits(2024, 2, KAT_TRIALS, lo, hi, 5),
         np.uint8,
-        "a86a61f21613a8b61b973bb2f4d3388963d0421c1ea0cac8681aac3fbf93929e",
+        "a01ca22d20d495f5f672934623dbf429836900e7925c83bb05b241b2b03b1c96",
     ),
     "digits_bernoulli": (
         lambda lo, hi: rng.digits(2024, 0, KAT_TRIALS, lo, hi, np.cumsum([0.3, 0.7])),
         np.uint8,
-        "38dd8a517ab79c3a2c1f99777e7a7262599f876b339eaf40d7700f56b0b572df",
+        "03d86f5e43767df6dba1dd8d6f36eda291d71a321dbd31801b1acaac44c29e11",
     ),
     "digits_m4": (
         lambda lo, hi: rng.digits(2024, 0, KAT_TRIALS, lo, hi, np.cumsum([0.1, 0.2, 0.3, 0.4])),
         np.uint8,
-        "12071e9cfc1b4133970e5c23d7b2865954e38624bd1080e65a4f87eac4ca40d1",
+        "6bb6dd9be4c02bbf87cede0fdef1da72e3ed8c97d92d6c1606b7fe85b9db7e6d",
     ),
     "uniforms": (
         lambda lo, hi: rng.uniforms(2024, 3, KAT_TRIALS, lo, hi),
         np.float64,
-        "1c335e7866c9da3213084b8dadba6b89b94f9629bb6c763c908f243963ae0a8b",
+        "48f725c5ec678872b3e699c7d2ed22ae0612617c929a65eb9dd0c5b6b4c8d93a",
     ),
 }
 
