@@ -85,6 +85,13 @@ def parse_process(value):
     raise ConfigError(f"process: unknown kind {name!r}")
 
 
+def _convert(key, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
 def parse_observable(value, zeta):
     if isinstance(value, ObservableSpec):
         return value
@@ -133,10 +140,12 @@ class ExperimentConfig:
         spec = parse_process(d.get("process", "doubling"))
         obs = parse_observable(d.get("observable", {}), zeta)
         offs = d.get("offsets", [1])
-        offsets = EscapeOffsets(tuple(int(p) for p in (offs if isinstance(offs, (list, tuple)) else [offs])))
-        tau = [float(t) for t in d.get("tau", [1.0])]
-        n = [int(x) for x in d.get("n", [10000])]
-        trials = int(d.get("trials", 10000))
+        offs = offs if isinstance(offs, (list, tuple)) else [offs]
+        offsets = _convert("offsets", lambda v: EscapeOffsets(tuple(int(p) for p in v)), offs)
+        tau = _convert("tau", lambda v: [float(t) for t in v], d.get("tau", [1.0]))
+        n = _convert("n", lambda v: [int(x) for x in v], d.get("n", [10000]))
+        trials = _convert("trials", int, d.get("trials", 10000))
+        seed = _convert("seed", int, d["seed"])
         if trials < 2:
             raise ConfigError("trials: must be >= 2")
         if any(x < 1 for x in n):
@@ -163,7 +172,7 @@ class ExperimentConfig:
             tau=tau,
             n=n,
             trials=trials,
-            seed=int(d["seed"]),
+            seed=seed,
             out=Path(d.get("out", "evl-results")),
             emit_plot_data=bool(d.get("emit_plot_data", False)),
             extras=extras,
@@ -519,16 +528,16 @@ def main(argv=None):
     for k, v in overrides.items():
         if v is not None:
             d[k] = v
-    for k, conv in (("offsets", int), ("tau", float), ("n", int)):
-        v = getattr(args, k if k != "n" else "n")
-        if v is not None:
-            d[k] = [conv(x) for x in str(v).split(",")]
-
     try:
+        for k, conv in (("offsets", int), ("tau", float), ("n", int)):
+            v = getattr(args, k)
+            if v is not None:
+                d[k] = [_convert(k, conv, x) for x in str(v).split(",")]
         if args.experiment == "reproduce-paper":
             if "seed" not in d:
                 raise ConfigError("seed: required key is missing")
-            run_reproduce_paper(d.get("out", "evl-results"), int(d["seed"]), d.get("profile", "full"))
+            seed = _convert("seed", int, d["seed"])
+            run_reproduce_paper(d.get("out", "evl-results"), seed, d.get("profile", "full"))
             return 0
         run_experiment(d)
         return 0

@@ -8,17 +8,18 @@ summability of capture chains, the clustering of escapes over the first
 n/k_n lags, and the long-range independence gap between an escape and a
 later no-escape window.
 
-Two sweeps of the exceedance masks serve all of them.  ``periodicity_report``
-reads the exceedances themselves: the sub-period and capture-chain
-conditionals.  ``escape_statistics`` reads the escapes: the escape rate, the
-pair sum behind D'_p and the mixing gap behind D_p, all from one set of
-escape positions per chunk.  Exceedances and escapes are sparse
-(about tau per path), so ``escape_statistics``, ``escape_matrix`` and the
-estimator survey all build escapes on sorted keys (``_escape_keys``): an
-escape is a key whose key p steps on is absent.  ``escape_statistics``
-re-sorts them by row as row * width + col; a search on those keys finds
-every later escape of the same path, and ``bincount`` sums per path and per
-lag.
+Two sweeps of the exceedance keys serve all of them.  Exceedances are
+sparse (about tau per path), so the sweeps read them as the sorted
+time-major keys step * paths + path of ``Ensemble.mask_chunks``.
+``periodicity_report`` reads the exceedances themselves: the sub-period and
+capture-chain conditionals count the keys whose key j steps on is present.
+``escape_statistics`` reads the escapes: the escape rate, the pair sum
+behind D'_p and the mixing gap behind D_p, all from one set of escape keys
+per chunk.  ``escape_statistics``, ``escape_matrix`` and the estimator
+survey build escapes on the keys (``_escape_keys``): an escape is a key
+whose key p steps on is absent.  ``escape_statistics`` re-sorts them by row
+as row * width + col; a search on those keys finds every later escape of
+the same path, and ``bincount`` sums per path and per lag.
 """
 
 from __future__ import annotations
@@ -72,12 +73,11 @@ class EscapeOffsets:
         return "p=" + ",".join(str(p) for p in self.offsets)
 
 
-def _escape_keys(exceed, offsets):
-    """The exceedances of a (paths, width) matrix and its escapes of orders
-    1..i as sorted time-major keys step * paths + path.  Order-k keys are
+def _escape_keys(keys, paths, offsets):
+    """Sorted time-major exceedance keys step * paths + path over steps
+    [0, width), and their escapes of orders 1..i as keys.  Order-k keys are
     exact at steps below width - (p_1 + ... + p_k); later ones read past it."""
-    paths = exceed.shape[0]
-    levels = [np.flatnonzero(exceed.T)]
+    levels = [keys]
     for p in offsets.offsets:
         k = levels[-1]
         levels.append(k[~np.isin(k + p * paths, k, assume_unique=True)])
@@ -88,7 +88,7 @@ def escape_matrix(exceed, offsets):
     """Order-i escape booleans from an exceedance matrix (columns shrink by span)."""
     paths, width = exceed.shape
     q = np.zeros((width - offsets.span, paths), dtype=bool)  # time-major, like the masks
-    keys = _escape_keys(exceed, offsets)[-1]
+    keys = _escape_keys(np.flatnonzero(exceed.T), paths, offsets)[-1]
     q.flat[keys[keys < q.size]] = True
     return q.T
 
@@ -224,16 +224,18 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
     sub = [_RatioAcc() for _ in range(p)]      # sub[0] unused
     chain = [_RatioAcc() for _ in range(ratio_cutoff + 1)]
     n_exc = 0
-    for _, e in ensemble.mask_chunks(event, extra=extra):
-        base = e[:, :n]
-        base_rows = base.sum(axis=1)
+    for ids, keys in ensemble.mask_chunks(event, extra=extra):
+        paths = ids.size
+        base = keys[keys < n * paths]  # the exceedances in [0, n)
+        base_rows = np.bincount(base % paths, minlength=paths)
         n_exc += int(base_rows.sum())
         for j in range(1, p):
-            sub[j].add((base & e[:, j : n + j]).sum(axis=1), base_rows)
-        run = base.copy(order="K")  # keep the time-major layout of the mask
-        for i in range(1, ratio_cutoff + 1):
-            run &= e[:, i * p : n + i * p]
-            chain[i].add(run.sum(axis=1), base_rows)
+            hit = base[np.isin(base + j * paths, keys, assume_unique=True)]
+            sub[j].add(np.bincount(hit % paths, minlength=paths), base_rows)
+        run = base
+        for i in range(1, ratio_cutoff + 1):  # chain i: exceedances at +p, ..., +i*p
+            run = run[np.isin(run + i * p * paths, keys, assume_unique=True)]
+            chain[i].add(np.bincount(run % paths, minlength=paths), base_rows)
     if default_cutoff:  # continuation counts fall with the chain length
         ratio_cutoff = sum(c.a >= MIN_CONTINUATIONS for c in chain[1:])
     rep = ConditionReport(n=n, offsets=offsets, exceedances=n_exc)
@@ -291,16 +293,16 @@ def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
     rate = _MeanAcc()    # escapes at s
     joint = _MeanAcc()   # escape at s and no escape in [s+t, s+t+ell)
     clean = _MeanAcc()   # no escape in [s, s+ell)
-    for _, e in ensemble.mask_chunks(event, extra=max(jmax, t + ell) + offsets.span):
-        paths, width = e.shape[0], e.shape[1] - offsets.span
+    width = n + max(jmax, t + ell)  # the steps at which the escapes are exact
+    for ids, exc in ensemble.mask_chunks(event, extra=width - n + offsets.span):
+        paths = ids.size
         # the escapes as keys row * width + col, sorted by row and then by column
-        tm = _escape_keys(e, offsets)[-1]
+        tm = _escape_keys(exc, paths, offsets)[-1]
         cols, rows = np.divmod(tm[tm < width * paths], paths)
         keys = np.sort(rows * width + cols)
         rows, cols = np.divmod(keys, width)
         # escape a at col < n pairs with the escapes at keys (a, a + jmax],
-        # and its window [a+t, a+t+ell) ends in a's row: the escapes span at
-        # least n + max(jmax, t + ell) columns
+        # and its window [a+t, a+t+ell) ends in a's row: both end below width
         a = np.flatnonzero(cols < n)
         escapes = np.bincount(rows[a], minlength=paths)
         rate.add(escapes)

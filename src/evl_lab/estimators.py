@@ -7,7 +7,7 @@ probability at the period, and RtsAtom reads the weight of the at-zero atom
 of the normalized return-time law.
 
 MaxLaw, EscapeLaw and Runs, and the cylinder-mode MaxLaw, all read one sweep
-of the exceedance masks, ``_survey``: per path it notes whether any
+of the exceedance keys of ``Ensemble.mask_chunks``, ``_survey``: per path it notes whether any
 exceedance and any last-order escape occurs in [0, n), and per escape order
 it counts the escapes and the events they condition on.
 """
@@ -61,9 +61,9 @@ def _survey(ensemble, event, offsets):
     n = ensemble.length
     quiet_max = quiet_esc = 0
     runs = [_RatioAcc() for _ in offsets.offsets]
-    for _, e in ensemble.mask_chunks(event, extra=offsets.span):
-        paths = e.shape[0]
-        levels = _escape_keys(e, offsets)  # exact at steps below n at every order
+    for ids, keys in ensemble.mask_chunks(event, extra=offsets.span):
+        paths = ids.size
+        levels = _escape_keys(keys, paths, offsets)  # exact at steps below n at every order
         counts = [np.bincount(k[k < n * paths] % paths, minlength=paths) for k in levels]
         quiet_max += int((counts[0] == 0).sum())
         quiet_esc += int((counts[-1] == 0).sum())
@@ -74,20 +74,20 @@ def _survey(ensemble, event, offsets):
 
 def estimate_max_law(spec, obs, tau, n, trials, seed):
     """(P(max of n steps <= u_n), stderr) over independent stationary paths."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
+    ens = Ensemble(spec, seed, trials, n)
     event = exceedance_event(spec, obs, level_for_tau(spec, obs, n, tau))
-    p, _, _ = _survey(Ensemble(spec, seed, trials, n), event, EscapeOffsets.single(1))
+    p, _, _ = _survey(ens, event, EscapeOffsets.single(1))
     return p, _binomial_se(p, trials)
 
 
 def estimate_escape_law(spec, obs, offsets, tau, n, trials, seed):
     """(P(no order-i escape in [0, n)), stderr); tau = 0 gives exactly 1."""
     offsets = EscapeOffsets.of(offsets)
+    ens = Ensemble(spec, seed, trials, n)
     u = level_for_tau(spec, obs, n, tau)
     if tau == 0.0:
         return 1.0, 0.0
-    _, p, _ = _survey(Ensemble(spec, seed, trials, n), exceedance_event(spec, obs, u), offsets)
+    _, p, _ = _survey(ens, exceedance_event(spec, obs, u), offsets)
     return p, _binomial_se(p, trials)
 
 

@@ -28,7 +28,6 @@ from .processes import (
     PathEngine,
     _chunk_trials,
     _digit_block,
-    _window_end,
     evaluate_point,
 )
 
@@ -119,16 +118,13 @@ def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None
     """Vectorized first-hit steps (>= 1): trial-chunked, windowed alive sweep."""
     steps = np.full(trials, horizon + 1, dtype=np.int64)
     stop = horizon + 1
-    chunk = _chunk_trials(spec, _window_end(spec, 0, stop))
+    chunk = _chunk_trials(spec, stop)
     for lo in range(0, trials, chunk):
         ids = np.arange(lo, min(lo + chunk, trials), dtype=np.uint64)
         sub_prefix = None if prefix is None else prefix[lo : lo + ids.size]
         eng = PathEngine(spec, seed, ids, channel, sub_prefix)
-        t = 0
         alive_rows = np.arange(lo, lo + ids.size)
-        while t < stop and alive_rows.size:
-            t1 = _window_end(spec, t, stop)
-            m = eng.masks(t, t1, target.event).T  # time-major (steps, trials)
+        for t, m in eng.windows(stop, target.event):
             if t == 0:
                 m[0] = False
             # hits listed step-major: unique's first entry per trial is its earliest
@@ -139,7 +135,6 @@ def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None
             keep[rows] = False
             eng.select(keep)
             alive_rows = alive_rows[keep]
-            t = t1
     return steps
 
 

@@ -199,15 +199,8 @@ class DigitStream(_Stream):
 
     @staticmethod
     def with_prefix(base, prefix, tail_stream):
-        p = np.asarray(prefix, dtype=np.uint8)
-
-        def src(lo, hi):
-            out = np.empty(hi - lo, dtype=np.uint8)
-            for k, i in enumerate(range(lo, hi)):
-                out[k] = p[i] if i < p.size else tail_stream[i]
-            return out
-
-        return DigitStream(base, src)
+        p = np.asarray(prefix, dtype=np.uint8)[None]
+        return DigitStream(base, lambda lo, hi: _with_prefix(tail_stream.block(lo, hi)[None], lo, p)[0])
 
 
 class UniformStream(_Stream):
@@ -306,35 +299,33 @@ def observe_path(spec, observable, seed, n, trial=0):
 # ---------------------------------------------------------------------------
 
 
-def _digit_block(spec, seed, trials, lo, hi, channel, prefix=None):
-    """Digits at positions [lo, hi) for many trials, honouring a fixed prefix."""
+def _digit_block(spec, seed, trials, lo, hi, channel):
+    """Digits at positions [lo, hi) for many trials."""
     if not spec.is_uniform:
-        out = rng.digits(seed, channel, trials, lo, hi, np.cumsum(spec.digit_weights))
-    elif spec.base == 2:
-        out = rng.bits(seed, channel, trials, lo, hi)
-    else:
-        out = rng.uniform_digits(seed, channel, trials, lo, hi, spec.base)
+        return rng.digits(seed, channel, trials, lo, hi, np.cumsum(spec.digit_weights))
+    if spec.base == 2:
+        return rng.bits(seed, channel, trials, lo, hi)
+    return rng.uniform_digits(seed, channel, trials, lo, hi, spec.base)
+
+
+def _with_prefix(out, lo, prefix):
+    """Lay a fixed per-trial prefix (trials, k) over draws (trials, width) at
+    positions [lo, lo + width)."""
     if prefix is not None and lo < prefix.shape[1]:
-        k = min(hi, prefix.shape[1])
+        k = min(lo + out.shape[1], prefix.shape[1])
         out[:, : k - lo] = prefix[:, lo:k]
     return out
 
 
-def _uniform_block(spec, seed, trials, lo, hi, channel, prefix=None):
-    out = rng.uniforms(seed, channel, trials, lo, hi)
-    if prefix is not None and lo < prefix.shape[1]:
-        k = min(hi, prefix.shape[1])
-        out[:, : k - lo] = prefix[:, lo:k]
-    return out
-
-
-def _chunk_trials(spec, steps):
-    """Trials per chunk of a sweep that holds ``steps`` steps of each trial.
+def _chunk_trials(spec, stop):
+    """Trials per chunk of a sweep to ``stop``, sized so that one window of
+    each trial fits ``CHUNK_BUDGET``.
 
     Bytes per trial-step: 4 for base-2 digit scans, 12 for other digit
     bases, 36 where the sweep holds float values (series innovations with
     their shifted-max temporaries, the jump map's bit-tail values).
     """
+    steps = stop if spec.kind == "dyadic_jump" else min(TIME_BLOCK, stop)
     if spec.kind in ("dyadic_jump", "mma2", "mma13", "iid_uniform"):
         per_step = 36
     else:
@@ -342,21 +333,17 @@ def _chunk_trials(spec, steps):
     return max(256, CHUNK_BUDGET // (per_step * (steps + 1)))
 
 
-def _window_end(spec, t, stop):
-    """End of the sweep window that starts at step t of an open sweep to
-    ``stop``: fixed time blocks, except the jump map's one whole window."""
-    return stop if spec.kind == "dyadic_jump" else min(t + TIME_BLOCK, stop)
-
-
 class PathEngine:
     """Sweep over an ensemble of paths of one process: the one entry point for
     exceedance masks and exposed points, for every process and event kind.
 
     ``masks``/``points`` take increasing windows [t0, t1); steps skipped
-    between windows are scanned through where state is carried (ar1).  The
-    jump map consumes a variable number of digits per step, so it is swept as
-    one whole window from step 0.  ``select`` compacts the ensemble to the
-    paths where ``keep`` is True, preserving per-path streams.
+    between windows are scanned through where state is carried (ar1).
+    ``windows`` loops over ``TIME_BLOCK`` windows, so a sweep holds one window
+    of each path at any length.  The jump map consumes a variable number of
+    digits per step, so it is the exception: one whole window from step 0,
+    with memory that grows with the length.  ``select`` compacts the ensemble
+    to the paths where ``keep`` is True, preserving per-path streams.
     """
 
     def __init__(self, spec, seed, trials, channel=rng.CH_ORBIT, prefix=None):
@@ -372,6 +359,13 @@ class PathEngine:
         if t0 < self._t:
             raise ValueError("engine windows must be increasing")
 
+    def _digits(self, lo, hi):
+        d = _digit_block(self.spec, self.seed, self.trials, lo, hi, self.channel)
+        return _with_prefix(d, lo, self.prefix)
+
+    def _uniforms(self, lo, hi):
+        return _with_prefix(rng.uniforms(self.seed, self.channel, self.trials, lo, hi), lo, self.prefix)
+
     def select(self, keep):
         self.trials = self.trials[keep]
         if self.prefix is not None:
@@ -381,9 +375,7 @@ class PathEngine:
 
     # -- map kinds: backward scan of the digit tail -------------------------
     def _map_theta_columns(self, t0, t1, consume):
-        d = _digit_block(
-            self.spec, self.seed, self.trials, t0, t1 + PRECISION, self.channel, self.prefix
-        ).T
+        d = self._digits(t0, t1 + PRECISION).T
         inv = 1.0 / self.spec.base
         x = np.zeros(self.trials.size)
         buf = np.empty_like(x)
@@ -400,9 +392,7 @@ class PathEngine:
         r = float(self.spec.r)
         lo = self._t
         if self._carry is None:
-            d0 = _digit_block(
-                self.spec, self.seed, self.trials, 0, PRECISION, self.channel, self.prefix
-            ).T
+            d0 = self._digits(0, PRECISION).T
             x = np.zeros(self.trials.size)
             for j in range(PRECISION):
                 x = (x + d0[j]) / r
@@ -412,15 +402,7 @@ class PathEngine:
             lo = 1
         if lo >= t1:
             return
-        d = _digit_block(
-            self.spec,
-            self.seed,
-            self.trials,
-            lo + PRECISION - 1,
-            t1 + PRECISION - 1,
-            self.channel,
-            self.prefix,
-        ).T
+        d = self._digits(lo + PRECISION - 1, t1 + PRECISION - 1).T
         x = self._carry
         buf = np.empty_like(x)
         for k, t in enumerate(range(lo, t1)):
@@ -441,8 +423,8 @@ class PathEngine:
         if spec.kind == "dyadic_jump":
             return _jump_values(*self._jump_window(t0, t1))
         if spec.kind == "iid_uniform":
-            return _uniform_block(spec, self.seed, self.trials, t0, t1, self.channel, self.prefix)
-        u = _uniform_block(spec, self.seed, self.trials, t0, t1 + 3, self.channel, self.prefix)
+            return self._uniforms(t0, t1)
+        u = self._uniforms(t0, t1 + 3)
         n = t1 - t0
         out = np.maximum(u[:, 1 : n + 1], u[:, 3 : n + 3])
         if spec.kind == "mma13":
@@ -456,9 +438,7 @@ class PathEngine:
         if self.spec.kind == "dyadic_jump":
             d, pos = self._jump_window(t0, t1)
         else:
-            d = _digit_block(
-                self.spec, self.seed, self.trials, t0, t1 + word.size - 1, self.channel, self.prefix
-            ).T
+            d = self._digits(t0, t1 + word.size - 1).T
             pos = None
         match = np.ones((d.shape[0] - word.size + 1, self.trials.size), dtype=bool)
         for i, digit in enumerate(word):
@@ -501,11 +481,19 @@ class PathEngine:
         """Raw digits at [t0, t1+lookahead); the sweep cursor advances to t1
         (digit positions are stateless, overlap is fine)."""
         self._check_window(t0)
-        d = _digit_block(
-            self.spec, self.seed, self.trials, t0, t1 + lookahead, self.channel, self.prefix
-        )
+        d = self._digits(t0, t1 + lookahead)
         self._t = t1
         return d
+
+    def windows(self, stop, event):
+        """Yield (t, time-major exceedance mask of steps [t, t1)) for the
+        windows covering [0, stop): ``TIME_BLOCK`` blocks, or the jump map's
+        one whole window.  Stops once ``select`` has dropped every path."""
+        block = stop if self.spec.kind == "dyadic_jump" else TIME_BLOCK
+        for t in range(0, stop, block):
+            if not self.trials.size:
+                return
+            yield t, self.masks(t, min(t + block, stop), event).T
 
 
 def _jump_bits(seed, trials, n_steps, channel, prefix):
@@ -514,10 +502,7 @@ def _jump_bits(seed, trials, n_steps, channel, prefix):
     the 1 that closes each consumed 0^(k-1)1 block."""
     need = int(2 * n_steps + 8 * np.sqrt(n_steps) + PRECISION + 64)
     while True:
-        b = rng.bits(seed, channel, trials, 0, need)
-        if prefix is not None:
-            k = min(need, prefix.shape[1])
-            b[:, :k] = prefix[:, :k]
+        b = _with_prefix(rng.bits(seed, channel, trials, 0, need), 0, prefix)
         if (b.sum(axis=1) - b[:, -PRECISION:].sum(axis=1)).min() >= n_steps:
             break
         need *= 2  # astronomically rare top-up, keeps positional determinism
@@ -568,10 +553,17 @@ class Ensemble:
     length: int
     obs: object = None
 
+    def __post_init__(self):
+        if self.trials < 2:
+            raise ValueError("need at least 2 trials")
+
     def mask_chunks(self, event, extra=0):
-        """Yield (trial_index_array, bool matrix (ct, length+extra)) chunks."""
+        """Yield (trial ids, sorted keys step * ids.size + i of the exceedances
+        of path ids[i] in [0, length + extra)) per trial chunk, built one
+        engine window at a time: memory is flat in the length (jump map aside)."""
         L = self.length + extra
         step = _chunk_trials(self.spec, L)
         for lo in range(0, self.trials, step):
             ids = np.arange(lo, min(lo + step, self.trials), dtype=np.uint64)
-            yield ids, PathEngine(self.spec, self.seed, ids).masks(0, L, event)
+            windows = PathEngine(self.spec, self.seed, ids).windows(L, event)
+            yield ids, np.concatenate([np.flatnonzero(m) + t * ids.size for t, m in windows])

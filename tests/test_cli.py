@@ -27,7 +27,7 @@ def test_parse_process_variants():
         parse_process({"weights": [0.5, 0.5]})  # no kind
 
 
-def test_config_validation_names_offending_key():
+def test_config_validation_names_offending_key(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig.from_dict({"experiment": "estimate-ei"})
     with pytest.raises(ConfigError, match="experiment"):
@@ -39,6 +39,20 @@ def test_config_validation_names_offending_key():
     for key in ("trials_scale", "n_scale"):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({"experiment": "estimate-ei", "seed": 1, key: 2})
+    bad = [("offsets", 0), ("offsets", [1, -3]), ("offsets", "x"), ("tau", ["x"]), ("tau", 1.0),
+           ("n", ["x"]), ("trials", "x"), ("trials", None), ("seed", "x")]
+    for key, value in bad:
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig.from_dict({"experiment": "estimate-ei", "seed": 1, key: value})
+    # on the command line they exit 2 and write no results
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"trials": "x", "seed": 1}')
+    for argv in (["--offsets", "0", "--seed", "1"], ["--offsets", "x", "--seed", "1"], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert main(["estimate-ei", *argv, "--out", str(out)]) == 2, argv
+        assert not out.exists()
+    cfg.write_text('{"seed": "x"}')
+    assert main(["reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
 def _ei_config(out, trials=4000, n=500):

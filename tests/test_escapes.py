@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evl_lab import processes
+from evl_lab.estimators import _survey
 from evl_lab.escapes import (
     MIN_CONTINUATIONS,
     EscapeOffsets,
@@ -18,8 +19,15 @@ from evl_lab.escapes import (
     no_escape_window,
     periodicity_report,
 )
-from evl_lab.observables import LevelSchedule, ObservableSpec, exceedance_event, level_for_tau
-from evl_lab.processes import Ensemble, ProcessSpec
+from evl_lab.observables import (
+    ExceedanceEvent,
+    LevelSchedule,
+    ObservableSpec,
+    exceedance_event,
+    level_for_tau,
+)
+from evl_lab.processes import KINDS, MAP_KINDS, Ensemble, ProcessSpec
+from tests.conftest import dense_mask_chunks
 
 AR1_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
 MMA_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
@@ -122,7 +130,7 @@ def test_default_ratio_cutoff_drops_unsupported_rows():
     # continuations of each chain length, counted on the masks
     event = exceedance_event(spec, AR1_OBS, levels.u(n))
     counts = np.zeros(rows + 2, dtype=np.int64)
-    for _, e in ens.mask_chunks(event, extra=rows + 1):
+    for _, e in dense_mask_chunks(ens, event, extra=rows + 1):
         run = e[:, :n].copy()
         for i in range(1, rows + 2):
             run &= e[:, i : n + i]
@@ -260,7 +268,7 @@ def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
     time."""
     pairs, lags = [], np.zeros(jmax + 1)
     joint, clean, rate = _MeanAcc(), _MeanAcc(), _MeanAcc()
-    for _, e in ens.mask_chunks(event, extra=max(jmax, t + ell) + offsets.span):
+    for _, e in dense_mask_chunks(ens, event, extra=max(jmax, t + ell) + offsets.span):
         w_joint, w_lone, w_clean = [], [], []
         for row in e:
             q = _escapes_by_definition(row, offsets.offsets)
@@ -333,3 +341,63 @@ def test_escape_statistics_independent_of_chunk_size(monkeypatch):
     assert len(list(ens.mask_chunks(event, extra=extra))) == 3
     split = escape_statistics(ens, offsets, n, levels, k_n=8, t=3, ell=7)
     assert repr(split) == repr(whole)
+
+
+BALL0 = ObservableSpec(family="ball_measure", form="gumbel", anchor="0")
+
+
+def _survey_repr(ens, event, offsets):
+    p_max, p_esc, runs = _survey(ens, event, offsets)
+    return repr((p_max, p_esc, [vars(acc) for acc in runs]))
+
+
+@pytest.mark.parametrize(
+    "spec, obs, offs",
+    [
+        (ProcessSpec.ar1(2), AR1_OBS, (1,)),
+        (ProcessSpec.mma13(), MMA_OBS, (1, 3)),
+        (ProcessSpec.doubling(), BALL0, (1,)),
+        (ProcessSpec.bernoulli_doubling(0.3), None, (1, 2)),
+    ],
+    ids=["ar1_2", "mma13", "doubling_ball", "cylinder"],
+)
+def test_statistic_sweeps_independent_of_time_window(spec, obs, offs, monkeypatch):
+    """The sweeps read exceedance keys built one engine window at a time and
+    sum integer counts, so shorter windows leave every float unchanged; ar1
+    carries its state across the windows."""
+    n, trials = 300, 400
+    offsets = EscapeOffsets(offs)
+    ens = Ensemble(spec, 19, trials, n, obs=obs)
+    if obs is None:
+        event = ExceedanceEvent("cylinder", word=(0, 1, 1, 0))
+
+        def sweeps():
+            return _survey_repr(ens, event, offsets)
+
+    else:
+        levels = LevelSchedule(spec, obs, tau=6.0)
+        event = exceedance_event(spec, obs, levels.u(n))
+
+        def sweeps():
+            stats = escape_statistics(ens, offsets, n, levels, k_n=8, t=3, ell=7)
+            rows = list(periodicity_report(ens, offsets, 0.5, levels, n, ratio_cutoff=4).rows())
+            return _survey_repr(ens, event, offsets), repr(stats), repr(rows)
+
+    whole = sweeps()
+    for block in (7, 64):
+        monkeypatch.setattr(processes, "TIME_BLOCK", block)
+        assert sweeps() == whole, block
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mask_chunk_keys_match_one_shot_masks(kind, monkeypatch):
+    spec = ProcessSpec(kind)
+    obs = BALL0 if kind in MAP_KINDS else MMA_OBS
+    n, extra = 150, 5
+    event = exceedance_event(spec, obs, level_for_tau(spec, obs, n, 6.0))
+    ens = Ensemble(spec, 23, 50, n)
+    (_, dense), = dense_mask_chunks(ens, event, extra=extra)
+    monkeypatch.setattr(processes, "TIME_BLOCK", 7)
+    (ids, keys), = ens.mask_chunks(event, extra=extra)
+    assert dense.shape == (ids.size, n + extra) and dense.any()
+    assert np.array_equal(keys, np.flatnonzero(dense.T))

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evl_lab import theory
-from evl_lab.escapes import EscapeOffsets, _RatioAcc
+from evl_lab.escapes import EscapeOffsets, _RatioAcc, escape_statistics, periodicity_report
 from evl_lab.estimators import (
     EIEstimate,
     ball_annulus_gap,
@@ -21,13 +22,15 @@ from evl_lab.estimators import (
 from evl_lab.hts_rts import TimeSampleSet
 from evl_lab.observables import (
     ExceedanceEvent,
+    LevelSchedule,
     ObservableSpec,
     exceedance_event,
     level_for_tau,
     omega_for_cylinder,
 )
-from evl_lab.processes import Ensemble, ProcessSpec
+from evl_lab.processes import TIME_BLOCK, Ensemble, ProcessSpec
 from evl_lab.symbolic import SymbolicWord, cylinder_measure
+from tests.conftest import dense_mask_chunks
 
 END_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
 BALL0 = ObservableSpec(family="ball_measure", form="gumbel", anchor="0")
@@ -46,6 +49,43 @@ def test_ei_from_max_examples():
 def test_clamping_flags_out_of_range():
     e = EIEstimate.clamp(1.2, 0.01, "MaxLaw")
     assert e.theta == 1.0 and e.clamped
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_fewer_than_two_trials_is_a_named_error(trials):
+    spec, n, offs = ProcessSpec.ar1(2), 100, EscapeOffsets((1,))
+    levels = LevelSchedule(spec, END_OBS, tau=1.0)
+    calls = [
+        lambda: estimate_max_law(spec, END_OBS, 1.0, n, trials, 1),
+        lambda: estimate_escape_law(spec, END_OBS, offs, 1.0, n, trials, 1),
+        lambda: estimate_escape_law(spec, END_OBS, offs, 0.0, n, trials, 1),
+        lambda: survey_max_and_escapes(spec, END_OBS, offs, 1.0, n, trials, 1),
+        lambda: ball_annulus_gap(spec, END_OBS, offs, 1.0, n, trials, 1),
+        lambda: estimate_ei_bundle(spec, END_OBS, offs, 1.0, n, trials, 1),
+        lambda: cylinder_ei(ProcessSpec.doubling(), "01", 1.0, trials, 1),
+        lambda: periodicity_report(Ensemble(spec, 1, trials, n, obs=END_OBS), offs, 0.5, levels, n),
+        lambda: escape_statistics(Ensemble(spec, 1, trials, n, obs=END_OBS), offs, n, levels),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need at least 2 trials"):
+            call()
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec.mma13(), ProcessSpec.ar1(2)], ids=["mma13", "ar1_2"])
+def test_max_law_memory_flat_in_n(spec):
+    """A sweep holds one TIME_BLOCK window of each path at a time, so the
+    peak allocation barely moves from 2 to 32 windows of horizon."""
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            estimate_max_law(spec, END_OBS, 1.0, n, 256, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * TIME_BLOCK), peak(32 * TIME_BLOCK)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_max_law_doubling():
@@ -178,7 +218,7 @@ def test_max_hitting_duality_bookkeeping():
     u = level_for_tau(spec, BALL0, n, 1.0)
     ev = exceedance_event(spec, BALL0, u)
     ens = Ensemble(spec, 87, trials, n)
-    chunks = [m for _, m in ens.mask_chunks(ev)]
+    chunks = [m for _, m in dense_mask_chunks(ens, ev)]
     E = np.concatenate(chunks)[:, :n]
     quiet = ~E.any(axis=1)
     # the exceedance set {X_0 > u_n} as a hitting target of the same measure
@@ -208,7 +248,7 @@ def _survey_by_loops(ens, event, offs):
     n = ens.length
     quiet_max = quiet_esc = 0
     escapes, events = [[] for _ in offs], [[] for _ in offs]
-    for _, e in ens.mask_chunks(event, extra=sum(offs)):
+    for _, e in dense_mask_chunks(ens, event, extra=sum(offs)):
         for row in e.tolist():
             quiet_max += not any(row[:n])
             level = row

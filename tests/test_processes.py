@@ -248,8 +248,8 @@ def test_ensemble_mask_determinism_across_runs():
     u = observables.level_for_tau(spec, obs, 500, 1.0)
     ev = observables.exceedance_event(spec, obs, u)
     ens = Ensemble(spec, 5, 3000, 500)
-    a = np.concatenate([m for _, m in ens.mask_chunks(ev)])
-    b = np.concatenate([m for _, m in ens.mask_chunks(ev)])
+    a = np.concatenate([k for _, k in ens.mask_chunks(ev)])
+    b = np.concatenate([k for _, k in ens.mask_chunks(ev)])
     assert np.array_equal(a, b)
 
 
