@@ -208,7 +208,10 @@ def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
 
 
 def _rts_prefix(spec, target, trials, seed):
-    """Per-trial stream prefix realizing a start inside the target."""
+    """Per-trial stream prefix realizing a start inside the target (None for
+    a target of measure 1: the starts are unconditional)."""
+    if target.measure >= 1.0:
+        return None
     if target.kind == "cylinder":
         word = np.asarray(target.event.word, dtype=np.uint8)
         return np.tile(word, (trials, 1))

@@ -197,8 +197,9 @@ class ExceedanceEvent:
 
     kind "circle": wrapped open interval on the unit circle (m_ary and the
     chebyshev doubling coordinate); "interval": open interval (dyadic_jump
-    exposed points); "gt": open half line (series kinds); "cylinder": digit
-    prefix match.
+    exposed points); "gt": open half line (series kinds), and for every kind
+    the empty event at u = +inf and the whole space at u = -inf;
+    "cylinder": digit prefix match.
     """
 
     kind: str
@@ -230,10 +231,20 @@ class ExceedanceEvent:
         return self.kind == "cylinder"
 
 
+#: the event that holds everywhere (a ball covering the state space)
+WHOLE_SPACE = ExceedanceEvent("gt", u=-math.inf)
+
+
 def ball_event(spec, anchor_point, radius):
-    """Native-coordinate realization of the open metric ball around an anchor."""
+    """Native-coordinate realization of the open metric ball around an anchor.
+
+    A ball that covers the whole state space is the whole-space event
+    ``gt(-inf)``: a wrapped circle arc cannot express it, since lo == hi
+    reads as the empty arc."""
     z = anchor_point
     if spec.kind == "m_ary":
+        if radius >= 0.5:  # the circle metric never exceeds 1/2
+            return WHOLE_SPACE
         return ExceedanceEvent("circle", lo=(z - radius) % 1.0, hi=(z + radius) % 1.0)
     if spec.kind == "dyadic_jump":
         return ExceedanceEvent("interval", lo=z - radius, hi=z + radius)
@@ -241,6 +252,8 @@ def ball_event(spec, anchor_point, radius):
         # x-ball (z-radius, z+radius) pulled back through x = -cos(2 pi theta):
         # theta in (t_lo, t_hi) on [0, 1/2], mirrored at 1 - theta.
         a, b = max(z - radius, -1.0), min(z + radius, 1.0)
+        if a == -1.0 and b == 1.0:
+            return WHOLE_SPACE
         t_lo = math.acos(-a) / (2.0 * math.pi)
         t_hi = math.acos(-b) / (2.0 * math.pi)
         t_lo, t_hi = min(t_lo, t_hi), max(t_lo, t_hi)
@@ -278,9 +291,6 @@ def tail_probability(spec, obs, u):
         return 0.0
     if obs.family == "ball_measure":
         return min(obs.g_inverse(u), 1.0)  # ball-measure variable is Uniform(0,1)
-    ev = exceedance_event(spec, obs, u)
-    if ev.kind == "gt":
-        return float(marginal_tail(spec, ev.u))
     return float(ball_measure(spec, obs, obs.g_inverse(u)))
 
 

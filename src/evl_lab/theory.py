@@ -107,7 +107,12 @@ def theoretical_cdf(kind, theta):
 
 
 def rts_quantile(theta, q):
-    """Inverse CDF of the return-time law (atom at 0 plus theta-exponential)."""
+    """Inverse CDF of the return-time law (atom at 0 plus theta-exponential)
+    at q in [0, 1); theta = 0 puts all mass in the atom."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    if not 0.0 <= q < 1.0:
+        raise ValueError("q must lie in [0, 1)")
     if q < 1.0 - theta:
         return 0.0
     return -math.log(1.0 - (q - (1.0 - theta)) / theta) / theta

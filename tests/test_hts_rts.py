@@ -7,6 +7,7 @@ from evl_lab import theory
 from evl_lab.hts_rts import (
     TargetSet,
     TimeSampleSet,
+    _rts_prefix,
     check_integral_relation,
     hitting_time,
     ks_distance,
@@ -256,3 +257,18 @@ def test_iid_start_law(ks, monkeypatch):
     # a zero uniform draw maps to the top of the target, not to its open end u
     monkeypatch.setattr(H.rng, "uniforms", lambda seed, ch, ids, lo, hi: np.zeros((ids.size, hi - lo)))
     assert (H._rts_prefix(spec, tgt, 4, seed=5)[:, 0] == 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "spec, anchor, delta",
+    [(DOUB, "0", 0.5), (DOUB, "0", 0.7), (ProcessSpec.chebyshev(), "0", 2.0), (ProcessSpec.ar1(2), None, 1.5)],
+    ids=lambda v: v.label if isinstance(v, ProcessSpec) else None,
+)
+def test_whole_space_target_returns_at_step_one(spec, anchor, delta):
+    # a ball covering the space has measure 1: starts are unconditional and
+    # every path is back in the target at step 1
+    tgt = TargetSet.ball(spec, anchor, delta)
+    assert tgt.measure == 1.0
+    assert _rts_prefix(spec, tgt, 8, 5) is None
+    rts = sample_rts(spec, tgt, 200, 5)
+    assert not rts.censored.any() and np.all(rts.times == 1.0)

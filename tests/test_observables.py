@@ -14,7 +14,7 @@ from evl_lab.observables import (
     omega_for_cylinder,
     tail_probability,
 )
-from evl_lab.processes import Ensemble, ProcessSpec, point_values_at
+from evl_lab.processes import Ensemble, PathEngine, ProcessSpec, point_values_at
 from tests.conftest import ks_against
 
 CHEB = ProcessSpec.chebyshev()
@@ -185,3 +185,32 @@ def test_marginal_cdfs_normalised():
         lo, hi = spec.state_space
         assert marginal_cdf(spec, lo) == pytest.approx(0.0, abs=1e-12)
         assert marginal_cdf(spec, hi) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, anchor, radii",
+    [
+        (DOUB, "0", [0.1, 0.3, 0.45, 0.5, 0.7, 1.0]),
+        (ProcessSpec.bernoulli_doubling(0.3), "01", [0.1, 0.3, 0.5, 0.8]),
+        (ProcessSpec.m_ary(3), "1", [0.2, 0.5, 0.9]),
+        (CHEB, "0", [0.3, 1.0, 1.9, 2.0, 3.0]),
+        (CHEB, "01", [1.5, 2.0]),
+        (ProcessSpec.dyadic_jump(), "1", [0.3, 0.6, 1.2]),
+        (ProcessSpec.ar1(2), None, [0.3, 1.0, 1.5]),
+        (ProcessSpec.mma2(), None, [0.3, 1.0, 1.5]),
+        (ProcessSpec.iid_uniform(), None, [0.3, 1.5]),
+    ],
+    ids=lambda v: v.label if isinstance(v, ProcessSpec) else None,
+)
+def test_ball_event_mask_share_matches_tail_up_to_whole_space(spec, anchor, radii):
+    # the engine mask of every ball agrees with its measure, also for balls
+    # that cover the whole space (a wrapped arc with lo == hi is empty), and
+    # the level at tau = n is the whole space
+    trials = np.arange(20000, dtype=np.uint64)
+    dist = ObservableSpec(family="distance", form="weibull", anchor=anchor, alpha=1.0, d=1.0)
+    ball = ObservableSpec(family="ball_measure", form="gumbel", anchor=anchor)
+    cases = [(dist, 1.0 - r) for r in radii] + [(ball, level_for_tau(spec, ball, 10, 10.0))]
+    for obs, u in cases:
+        share = PathEngine(spec, 3, trials).masks(0, 1, exceedance_event(spec, obs, u)).mean()
+        assert abs(share - tail_probability(spec, obs, u)) <= 0.02, (obs.family, u, share)
+    assert tail_probability(spec, ball, cases[-1][1]) == 1.0

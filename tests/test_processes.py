@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evl_lab import observables, rng
+from evl_lab import observables, processes, rng
 from evl_lab.processes import (
+    PRECISION,
     DigitStream,
     Ensemble,
     PathEngine,
@@ -323,27 +324,27 @@ ENGINE_KAT_EVENTS = {
     "gt": observables.ExceedanceEvent("gt", u=0.6),
 }
 ENGINE_KAT = {
-    ('m_ary(m=2,uniform)', 'points'): "6f0a1cdf90b044f539b11ff621823096107dbc928e60764ccf5582f8e7cb32f3",
-    ('m_ary(m=2,uniform)', 'circle'): "bc5a69b1bfd7a897fc6938081eeacb6ca492c1c5bd3f987f176edde6210ece30",
-    ('m_ary(m=2,uniform)', 'gt'): "094152bce61bd0c06d9c5940e7c162181f2edce09cea78ea7deb26ffb0129ae9",
-    ('m_ary(m=2,weights=0.3,0.7)', 'points'): "dee916672cfde54aaeb777a617f59e0fd6c64f18f00a03a0280ee545f21f4ac4",
-    ('m_ary(m=2,weights=0.3,0.7)', 'circle'): "eeafe495343a0b111c9634adc20b913c63e8d4bc5eb357d4b263d9a14db848b0",
-    ('m_ary(m=2,weights=0.3,0.7)', 'gt'): "fa6540f62fc513c8a4cd041ba0d6da998513b3527af73b642b574aa00e57a71d",
-    ('chebyshev', 'points'): "308cd4b2129bee4fd26beda107f407dfbfeacfb81f4f68b11e1052aa8ea7eaa9",
-    ('chebyshev', 'circle'): "bc5a69b1bfd7a897fc6938081eeacb6ca492c1c5bd3f987f176edde6210ece30",
-    ('chebyshev', 'gt'): "094152bce61bd0c06d9c5940e7c162181f2edce09cea78ea7deb26ffb0129ae9",
-    ('m_ary(m=3,uniform)', 'points'): "3944bf715504e2894108c4c51240dd4dab15e1174701e29b6e5f54a05cdb5597",
-    ('m_ary(m=3,uniform)', 'circle'): "3bf9824c98308aed4cd0b2c713992e7929d3109be6d3be646976cebb7c3babfb",
-    ('m_ary(m=3,uniform)', 'gt'): "ccebe7390f7b39d56c7a8684d7f7d46c78f4a7a27538be5ae5799e6876266c72",
-    ('ar1(r=2)', 'points'): "1aa36d978c828cfc569bd737ed7cbfc701244aa24a9a6754ca47fb1a6acb2cfd",
-    ('ar1(r=2)', 'circle'): "972a6bae847b8d3c4d4a68c560b8a1c92cd539e1813a313d73d471828a4ea013",
-    ('ar1(r=2)', 'gt'): "37838c94ed28370adcb45d9cf1b888afa50b4f5247e5dc48b495d283d01f261d",
-    ('ar1(r=3)', 'points'): "5eaa542f6e16dc04d822b1abb81d16ccf29a419b97837db227645b8bef4bfa4e",
-    ('ar1(r=3)', 'circle'): "b38350aa3e48c8429b14a7d4f3ea6d0d40d92634329e32d0f8c62d9c50341d8c",
-    ('ar1(r=3)', 'gt'): "3f581de56bfcf902f4b945dfdf3b45edbc77be99f4a9875b318de39af7435673",
-    ('ar1(r=5)', 'points'): "38b11a852d418b5ffcbbce512682be855cd102ded7c5591dbd933e3200db5ec5",
-    ('ar1(r=5)', 'circle'): "5636b52b2761241e996391e4048cf71e0d886f976eef5315c142fe5d84c29de4",
-    ('ar1(r=5)', 'gt'): "0058415d1e98c2ac2a3632c43b40b154832724f87419f24c09f965f4a4b3a1ce",
+    ("m_ary(m=2,uniform)", "points"): "6f0a1cdf90b044f539b11ff621823096107dbc928e60764ccf5582f8e7cb32f3",
+    ("m_ary(m=2,uniform)", "circle"): "bc5a69b1bfd7a897fc6938081eeacb6ca492c1c5bd3f987f176edde6210ece30",
+    ("m_ary(m=2,uniform)", "gt"): "094152bce61bd0c06d9c5940e7c162181f2edce09cea78ea7deb26ffb0129ae9",
+    ("m_ary(m=2,weights=0.3,0.7)", "points"): "dee916672cfde54aaeb777a617f59e0fd6c64f18f00a03a0280ee545f21f4ac4",
+    ("m_ary(m=2,weights=0.3,0.7)", "circle"): "eeafe495343a0b111c9634adc20b913c63e8d4bc5eb357d4b263d9a14db848b0",
+    ("m_ary(m=2,weights=0.3,0.7)", "gt"): "fa6540f62fc513c8a4cd041ba0d6da998513b3527af73b642b574aa00e57a71d",
+    ("chebyshev", "points"): "308cd4b2129bee4fd26beda107f407dfbfeacfb81f4f68b11e1052aa8ea7eaa9",
+    ("chebyshev", "circle"): "bc5a69b1bfd7a897fc6938081eeacb6ca492c1c5bd3f987f176edde6210ece30",
+    ("chebyshev", "gt"): "094152bce61bd0c06d9c5940e7c162181f2edce09cea78ea7deb26ffb0129ae9",
+    ("m_ary(m=3,uniform)", "points"): "3944bf715504e2894108c4c51240dd4dab15e1174701e29b6e5f54a05cdb5597",
+    ("m_ary(m=3,uniform)", "circle"): "3bf9824c98308aed4cd0b2c713992e7929d3109be6d3be646976cebb7c3babfb",
+    ("m_ary(m=3,uniform)", "gt"): "ccebe7390f7b39d56c7a8684d7f7d46c78f4a7a27538be5ae5799e6876266c72",
+    ("ar1(r=2)", "points"): "1aa36d978c828cfc569bd737ed7cbfc701244aa24a9a6754ca47fb1a6acb2cfd",
+    ("ar1(r=2)", "circle"): "972a6bae847b8d3c4d4a68c560b8a1c92cd539e1813a313d73d471828a4ea013",
+    ("ar1(r=2)", "gt"): "37838c94ed28370adcb45d9cf1b888afa50b4f5247e5dc48b495d283d01f261d",
+    ("ar1(r=3)", "points"): "5eaa542f6e16dc04d822b1abb81d16ccf29a419b97837db227645b8bef4bfa4e",
+    ("ar1(r=3)", "circle"): "b38350aa3e48c8429b14a7d4f3ea6d0d40d92634329e32d0f8c62d9c50341d8c",
+    ("ar1(r=3)", "gt"): "3f581de56bfcf902f4b945dfdf3b45edbc77be99f4a9875b318de39af7435673",
+    ("ar1(r=5)", "points"): "38b11a852d418b5ffcbbce512682be855cd102ded7c5591dbd933e3200db5ec5",
+    ("ar1(r=5)", "circle"): "5636b52b2761241e996391e4048cf71e0d886f976eef5315c142fe5d84c29de4",
+    ("ar1(r=5)", "gt"): "0058415d1e98c2ac2a3632c43b40b154832724f87419f24c09f965f4a4b3a1ce",
 }
 
 
@@ -368,3 +369,50 @@ def _engine_kat(spec, quantity, seed=2024):
 def test_engine_known_answer_digests(spec, quantity):
     # chebyshev points are -cos(2 pi theta), so their digest also reads numpy's cos
     assert _engine_kat(spec, quantity) == ENGINE_KAT[spec.label, quantity]
+
+
+def _per_step_values(spec, digits, windows):
+    """Plain per-step recursion over trial-major digits: each map window
+    scans back from 0 through its PRECISION lookahead digits, ar1 carries
+    X_t = (X_{t-1} + d_{t+63}) / r from X_0 built out of digits [0, 64)."""
+    d = digits.astype(np.float64).T
+    inv = 1.0 / spec.base
+    out = {}
+    if spec.kind == "ar1":
+        x = np.zeros(d.shape[1])
+        for j in range(PRECISION):
+            x = (x + d[j]) / spec.r
+        out[0] = x
+        for t in range(1, windows[-1][1]):
+            x = (x + d[t + PRECISION - 1]) * inv
+            out[t] = x
+    else:
+        for t0, t1 in windows:
+            x = np.zeros(d.shape[1])
+            for p in range(t1 + PRECISION - 1, t0 - 1, -1):
+                x = (d[p] + x) * inv
+                out[p] = x
+    return [np.stack([out[t] for t in range(t0, t1)], axis=1) for t0, t1 in windows]
+
+
+@pytest.mark.parametrize("spec", ENGINE_KAT_SPECS, ids=lambda s: s.label)
+def test_scan_independent_of_scan_block(spec, monkeypatch):
+    # digits [0, 100) fixed, [100, 400) zero: the scanned values fall to about
+    # base**-300 there; the windows skip steps, which ar1 scans through with
+    # its carried value
+    trials = [0, 1, 2, 7, 40]
+    prefix = np.zeros((len(trials), 400), dtype=np.uint8)
+    prefix[:, :100] = np.arange(len(trials) * 100).reshape(len(trials), 100) * 7 % spec.base
+    windows = [(0, 50), (90, 430), (440, 470)]
+    digits = PathEngine(spec, 5, trials, prefix=prefix).digit_matrix(0, 470, lookahead=PRECISION)
+    ref = _per_step_values(spec, digits, windows)
+    ev = observables.ExceedanceEvent("circle", lo=0.8, hi=0.15)
+    for block in (1, 7, processes.SCAN_BLOCK):
+        monkeypatch.setattr(processes, "SCAN_BLOCK", block)
+        pts, masks = PathEngine(spec, 5, trials, prefix=prefix), PathEngine(spec, 5, trials, prefix=prefix)
+        for (t0, t1), want in zip(windows, ref):
+            got = pts.points(t0, t1)
+            exposed = -np.cos(2.0 * np.pi * want) if spec.kind == "chebyshev" else want
+            assert got.tobytes() == exposed.tobytes(), (block, t0)
+            assert masks.masks(t0, t1, ev).tobytes() == ev.mask_native(want).tobytes(), (block, t0)
+    assert 0.0 < ref[1].min() < float(spec.base) ** -250  # tiny values were scanned

@@ -90,6 +90,17 @@ def test_hitting_law_integrates_return_survival():
             assert abs(float(G(t)) - integral) <= 1e-10
 
 
+def test_rts_quantile_named_errors():
+    for theta, q in [(0.6, 1.0), (0.0, 1.0), (0.6, -0.1), (0.6, math.nan)]:
+        with pytest.raises(ValueError, match="q must lie in"):
+            rts_quantile(theta, q)
+    for theta in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            rts_quantile(theta, 0.5)
+    assert rts_quantile(0.0, 0.0) == rts_quantile(0.0, 0.999) == 0.0  # all mass in the atom
+    assert rts_quantile(1.0, 0.0) == 0.0
+
+
 def test_rts_quantile_round_trip():
     Gt = theoretical_cdf("rts", 0.6)
     for q in (0.1, 0.39, 0.41, 0.7, 0.95):
