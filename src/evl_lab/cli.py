@@ -88,8 +88,23 @@ def parse_process(value):
 def _convert(key, convert, value):
     try:
         return convert(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{key}: {e}") from e
+
+
+def _integer(value):
+    """``int(value)``, but a non-integral number is an error, not truncated."""
+    i = int(value)
+    if not isinstance(value, str) and i != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return i
+
+
+def _positive(value):
+    x = float(value)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"must be finite and > 0, got {value!r}")
+    return x
 
 
 def parse_observable(value, zeta):
@@ -141,17 +156,23 @@ class ExperimentConfig:
         obs = parse_observable(d.get("observable", {}), zeta)
         offs = d.get("offsets", [1])
         offs = offs if isinstance(offs, (list, tuple)) else [offs]
-        offsets = _convert("offsets", lambda v: EscapeOffsets(tuple(int(p) for p in v)), offs)
+        offsets = _convert("offsets", lambda v: EscapeOffsets(tuple(_integer(p) for p in v)), offs)
         tau = _convert("tau", lambda v: [float(t) for t in v], d.get("tau", [1.0]))
-        n = _convert("n", lambda v: [int(x) for x in v], d.get("n", [10000]))
-        trials = _convert("trials", int, d.get("trials", 10000))
-        seed = _convert("seed", int, d["seed"])
+        n = _convert("n", lambda v: [_integer(x) for x in v], d.get("n", [10000]))
+        trials = _convert("trials", _integer, d.get("trials", 10000))
+        seed = _convert("seed", _integer, d["seed"])
+        extras = {k: d[k] for k in ("word", "profile") if k in d}
+        for key, convert in (("delta", _positive), ("horizon_factor", _integer), ("cylinder_n", _integer)):
+            if key in d:
+                extras[key] = _convert(key, convert, d[key])
         if trials < 2:
             raise ConfigError("trials: must be >= 2")
         if any(x < 1 for x in n):
             raise ConfigError("n: entries must be >= 1")
-        if any(t < 0 for t in tau):
-            raise ConfigError("tau: entries must be >= 0")
+        if not all(0.0 <= t < math.inf for t in tau):
+            raise ConfigError("tau: entries must be finite and >= 0")
+        if extras.get("cylinder_n", 1) < 1:
+            raise ConfigError("cylinder_n: must be >= 1")
         known = {
             "experiment", "process", "observable", "zeta", "offsets", "tau", "n",
             "trials", "seed", "out", "emit_plot_data", "delta", "horizon_factor",
@@ -160,7 +181,6 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        extras = {k: d[k] for k in ("delta", "horizon_factor", "cylinder_n", "word", "profile") if k in d}
         raw = dict(d)
         raw.setdefault("process", spec.label)
         return ExperimentConfig(
@@ -249,8 +269,8 @@ def _run_hts_rts(cfg, mode):
             "mean_normalized", "censored_frac", "n_samples", "seed",
         ]
     )
-    delta = float(cfg.extras.get("delta", 2.0**-10))
-    hf = int(cfg.extras.get("horizon_factor", 20))
+    delta = cfg.extras.get("delta", 2.0**-10)
+    hf = cfg.extras.get("horizon_factor", 20)
     target = hts_rts.TargetSet.ball(cfg.spec, cfg.zeta, delta)
     th = _analytic_theta(cfg)
     sampler = hts_rts.sample_hts if mode == "hts" else hts_rts.sample_rts
@@ -318,7 +338,7 @@ def _run_dichotomy(cfg):
     rep = ExperimentReport(
         header=["word", "cylinder_n", "tau", "theta_hat", "stderr", "theta_theory", "trials", "seed"]
     )
-    k = int(cfg.extras.get("cylinder_n", 10))
+    k = cfg.extras.get("cylinder_n", 10)
     word = cfg.extras.get("word", cfg.zeta or "champernowne")
     if word == "champernowne":
         w = symbolic.champernowne_bits(k)
@@ -536,7 +556,7 @@ def main(argv=None):
         if args.experiment == "reproduce-paper":
             if "seed" not in d:
                 raise ConfigError("seed: required key is missing")
-            seed = _convert("seed", int, d["seed"])
+            seed = _convert("seed", _integer, d["seed"])
             run_reproduce_paper(d.get("out", "evl-results"), seed, d.get("profile", "full"))
             return 0
         run_experiment(d)

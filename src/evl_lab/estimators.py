@@ -138,7 +138,10 @@ def ei_rts_atom(samples):
 
     theta = 1 - mass(atom); the continuous part contributes
     theta * (1 - exp(-theta * eps)) inside [0, eps], eps = ATOM_EPS, removed
-    by one fixed-point pass (bias below theta * eps).
+    by one fixed-point pass (bias below theta * eps).  Only the uncensored
+    times up to ATOM_EPS are read, over all ``times.size`` trials, so a
+    sample censored at the horizon ATOM_EPS gives the same estimate as a
+    longer one.
     """
     times = np.asarray(samples.times, dtype=np.float64)
     if times.size == 0:
@@ -193,7 +196,9 @@ def cylinder_ei(spec, word, tau, trials, seed):
 def estimate_ei_bundle(spec, obs, offsets, tau, n, trials, seed, rts_measure=2.0**-10):
     """All four estimators on one configuration; MaxLaw, EscapeLaw and Runs
     share a single simulated ensemble, RtsAtom samples its own returns at a
-    target of measure ``rts_measure``."""
+    target of measure ``rts_measure``, swept only to the normalized horizon
+    ATOM_EPS (ceil(ATOM_EPS / mu) steps), the part of the return-time law it
+    reads."""
     s = survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed)
     out = [
         ei_from_max(s["p_max"], tau, s["se_max"], "MaxLaw", n=n, trials=trials),
@@ -201,6 +206,5 @@ def estimate_ei_bundle(spec, obs, offsets, tau, n, trials, seed, rts_measure=2.0
         EIEstimate.clamp(s["runs_theta"], s["runs_se"], "Runs", n=n, tau=tau, trials=trials),
     ]
     target = hts_rts.TargetSet.ball_of_measure(spec, obs, rts_measure)
-    rts = hts_rts.sample_rts(spec, target, trials, seed + 1)
-    out.append(ei_rts_atom(rts))
+    out.append(ei_rts_atom(hts_rts._return_times(spec, target, trials, seed + 1, ATOM_EPS)))
     return out

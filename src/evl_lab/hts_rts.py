@@ -138,15 +138,20 @@ def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None
     return steps
 
 
+def _time_samples(steps, horizon, mode, measure):
+    """Normalized times of first-hit steps, censored past ``horizon`` steps."""
+    censored = steps > horizon
+    times = np.where(censored, horizon, steps).astype(np.float64) * measure
+    return TimeSampleSet(times, censored, mode, horizon * measure, measure)
+
+
 def sample_hts(spec, target, trials, seed, horizon_factor=20):
     """Normalized first hitting times from stationary starts."""
     if horizon_factor < 10:
         raise ValueError("horizon_factor must be >= 10 (truncation bias)")
     horizon = int(math.ceil(horizon_factor / target.measure))
     steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_HTS)
-    censored = steps > horizon
-    times = np.where(censored, horizon, steps).astype(np.float64) * target.measure
-    return TimeSampleSet(times, censored, "hts", horizon * target.measure, target.measure)
+    return _time_samples(steps, horizon, "hts", target.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +257,21 @@ def sample_rts(spec, target, trials, seed, horizon_factor=20):
     """Normalized return times: starts drawn from mu conditioned on the target."""
     if horizon_factor < 10:
         raise ValueError("horizon_factor must be >= 10 (truncation bias)")
-    horizon = int(math.ceil(horizon_factor / target.measure))
+    return _return_times(spec, target, trials, seed, horizon_factor)
+
+
+def _return_times(spec, target, trials, seed, horizon):
+    """Return times censored at the normalized ``horizon``, without the
+    truncation-bias check of ``sample_rts``: a caller that reads only the
+    times up to ``horizon`` (the RtsAtom estimator) sweeps no further.
+
+    A return at step j <= ceil(horizon / mu) has the time j * mu, as in any
+    longer sample (a map kind's mask can differ only where a value lies
+    within an ulp of the target's edge, see processes)."""
+    steps_h = int(math.ceil(horizon / target.measure))
     prefix = _rts_prefix(spec, target, trials, seed)
-    steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_ORBIT, prefix=prefix)
-    censored = steps > horizon
-    times = np.where(censored, horizon, steps).astype(np.float64) * target.measure
-    return TimeSampleSet(times, censored, "rts", horizon * target.measure, target.measure)
+    steps = _first_hits_engine(spec, target, trials, seed, steps_h, rng.CH_ORBIT, prefix=prefix)
+    return _time_samples(steps, steps_h, "rts", target.measure)
 
 
 # ---------------------------------------------------------------------------

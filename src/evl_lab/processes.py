@@ -7,9 +7,15 @@ exposed as x = -cos(2*pi*theta).  The AR(1) model is the same shift structure
 read in reverse: each step prepends one base-r digit.  Moving-maximum models
 keep a short window of i.i.d. innovations.
 
-Every path is a pure function of (seed, trial index, step index) through the
-counter-based generator in :mod:`evl_lab.rng`, so trial-chunked, blocked and
-serial executions produce bit-identical results.
+Every path's digits and innovations are a pure function of (seed, trial
+index, position) through the counter-based generator in :mod:`evl_lab.rng`,
+so the series values, the AR(1) values (carried forward from step 0) and the
+cylinder masks are bit-identical under any trial chunking and windowing, and
+sweeps over the same windows are bit-identical under any trial chunking.  A
+map point, though, is a backward scan from the end of its window: points of
+one step from windows that end at different steps agree only to a few ulps,
+so their exceedance masks agree unless a value lies within an ulp of an
+event edge.
 
 Sweeps are time-major.  The generator builds every draw as the ``.T`` view of
 a (positions, trials) buffer.  The digit scans (backward for the maps, forward

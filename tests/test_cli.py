@@ -55,6 +55,33 @@ def test_config_validation_names_offending_key(tmp_path):
     assert main(["reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
+def test_config_rejects_fractional_integers_and_bad_delta(tmp_path):
+    # integer keys are not truncated, delta must be a positive finite radius
+    # and tau finite
+    base = {"experiment": "rts", "seed": 1}
+    bad = [("trials", 2000.5), ("n", [500.5]), ("seed", 7.5), ("offsets", [1.5]),
+           ("horizon_factor", 12.7), ("horizon_factor", "x"), ("horizon_factor", float("inf")),
+           ("cylinder_n", 10.5), ("cylinder_n", 0), ("trials", float("nan")),
+           ("delta", "abc"), ("delta", -0.01), ("delta", 0.0), ("delta", float("nan")),
+           ("delta", float("inf")), ("tau", [float("nan")]), ("tau", [float("inf")])]
+    for key, value in bad:
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig.from_dict({**base, key: value})
+    cfg = ExperimentConfig.from_dict(
+        {**base, "trials": 2000.0, "n": [500.0], "horizon_factor": 12.0, "delta": "0.001"}
+    )
+    assert (cfg.trials, cfg.n, cfg.extras["horizon_factor"], cfg.extras["delta"]) == (2000, [500], 12, 0.001)
+    # on the command line they exit 2 and write no results
+    for key, value in (("horizon_factor", 12.7), ("delta", -0.01), ("trials", 2000.5)):
+        out = tmp_path / key
+        cfg_file = tmp_path / f"{key}.json"
+        cfg_file.write_text(json.dumps({"seed": 1, "trials": 100, "out": str(out), key: value}))
+        assert main(["rts", "--config", str(cfg_file)]) == 2, key
+        assert not out.exists()
+    cfg_file.write_text('{"seed": 7.5}')
+    assert main(["reproduce-paper", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+
+
 def _ei_config(out, trials=4000, n=500):
     return {
         "experiment": "estimate-ei",

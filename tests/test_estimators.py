@@ -7,6 +7,7 @@ import pytest
 from evl_lab import theory
 from evl_lab.escapes import EscapeOffsets, _RatioAcc, escape_statistics, periodicity_report
 from evl_lab.estimators import (
+    ATOM_EPS,
     EIEstimate,
     ball_annulus_gap,
     cylinder_ei,
@@ -19,7 +20,7 @@ from evl_lab.estimators import (
     estimate_max_law,
     survey_max_and_escapes,
 )
-from evl_lab.hts_rts import TimeSampleSet
+from evl_lab.hts_rts import TargetSet, TimeSampleSet, _return_times, sample_rts
 from evl_lab.observables import (
     ExceedanceEvent,
     LevelSchedule,
@@ -170,6 +171,48 @@ def test_bundle_cross_estimator_agreement_true_three_quarters():
     ests = estimate_ei_bundle(spec, obs, 1, 1.0, 1500, 12000, seed=115, rts_measure=2.0**-8)
     for e in ests:
         assert abs(e.theta - 0.75) <= 3 * e.stderr + 0.02, (e.method, e.theta)
+
+
+@pytest.mark.parametrize(
+    "spec, anchor",
+    [
+        (ProcessSpec.doubling(), "0"),
+        (ProcessSpec.bernoulli_doubling(0.3), "01"),
+        (ProcessSpec.chebyshev(), "0"),
+        (ProcessSpec.ar1(3), None),
+        (ProcessSpec.mma2(), None),
+        (ProcessSpec.dyadic_jump(), "01"),
+    ],
+    ids=lambda x: getattr(x, "label", x),
+)
+def test_bundle_rts_atom_equals_full_horizon_estimate(spec, anchor):
+    # the bundle sweeps returns only to ATOM_EPS; the full-horizon sample
+    # gives the same atom, so the same floats
+    obs = ObservableSpec(family="distance", form="weibull", anchor=anchor)
+    trials, seed = 3000, 23
+    got = estimate_ei_bundle(spec, obs, 1, 1.0, 300, trials, seed)[3]
+    target = TargetSet.ball_of_measure(spec, obs, 2.0**-10)
+    want = ei_rts_atom(sample_rts(spec, target, trials, seed + 1))
+    assert got.method == "RtsAtom"
+    assert (got.theta, got.stderr) == (want.theta, want.stderr)
+
+
+def test_rts_atom_counts_returns_at_the_atom_edge():
+    # mu = ATOM_EPS / 32 exactly, so a return at step 32 has normalized time
+    # ATOM_EPS: it lies in the atom and inside the short sweep's horizon
+    spec = ProcessSpec.doubling()
+    target = TargetSet.ball(spec, "0", ATOM_EPS / 64)
+    assert ATOM_EPS / target.measure == 32.0
+    short = _return_times(spec, target, 4000, 3, ATOM_EPS)
+    full = sample_rts(spec, target, 4000, 3)
+    assert short.horizon == ATOM_EPS
+    edge = (full.times == ATOM_EPS) & ~full.censored
+    assert edge.any()
+    assert not short.censored[edge].any()
+    unc = ~short.censored
+    assert np.array_equal(short.times[unc], full.times[unc])
+    assert np.array_equal(unc, (full.times <= ATOM_EPS) & ~full.censored)
+    assert ei_rts_atom(short) == ei_rts_atom(full)
 
 
 def test_bundle_iid_control_all_methods_near_one():

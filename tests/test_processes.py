@@ -206,6 +206,24 @@ def test_engine_windows_are_positional():
         eng.masks(10, 20, ev)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [ProcessSpec.doubling(), ProcessSpec.bernoulli_doubling(0.3), ProcessSpec.m_ary(3),
+     ProcessSpec.chebyshev(), ProcessSpec.ar1(2), ProcessSpec.ar1(3)],
+    ids=lambda s: s.label,
+)
+def test_points_across_window_ends(spec):
+    # a map point is a backward scan from its window's end, so its last bit
+    # may move with that end; ar1 values are carried forward from step 0
+    ids = np.arange(3000, dtype=np.uint64)
+    short = PathEngine(spec, 11, ids).points(0, 11)
+    long = PathEngine(spec, 11, ids).points(0, processes.TIME_BLOCK)[:, :11]
+    if spec.kind == "ar1":
+        assert short.tobytes() == long.tobytes()
+    else:
+        assert np.abs(short - long).max() <= 4 * np.finfo(np.float64).eps
+
+
 def test_observe_path_reproducible():
     spec = ProcessSpec.chebyshev()
     obs = observables.ObservableSpec(family="distance", form="weibull", anchor="0")
