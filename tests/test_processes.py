@@ -340,7 +340,11 @@ ENGINE_KAT_RUNS = [
 ENGINE_KAT_EVENTS = {
     "circle": observables.ExceedanceEvent("circle", lo=0.8, hi=0.15),
     "gt": observables.ExceedanceEvent("gt", u=0.6),
+    "interval": observables.ExceedanceEvent("interval", lo=0.3, hi=0.55),
+    "cylinder": observables.ExceedanceEvent("cylinder", word=(0, 1, 1)),
 }
+# the jump map's runs: the same trials and prefix, in whole windows from step 0
+JUMP_KAT_RUNS = [(ENGINE_KAT_RUNS[0][0], 0, [(0, 141)]), (ENGINE_KAT_RUNS[1][0], 20, [(0, 90)])]
 ENGINE_KAT = {
     ("m_ary(m=2,uniform)", "points"): "6f0a1cdf90b044f539b11ff621823096107dbc928e60764ccf5582f8e7cb32f3",
     ("m_ary(m=2,uniform)", "circle"): "bc5a69b1bfd7a897fc6938081eeacb6ca492c1c5bd3f987f176edde6210ece30",
@@ -365,10 +369,16 @@ ENGINE_KAT = {
     ("ar1(r=5)", "gt"): "0058415d1e98c2ac2a3632c43b40b154832724f87419f24c09f965f4a4b3a1ce",
 }
 
+JUMP_KAT = {
+    "points": "3b92e0f4186b3a72ecdb6ddf60d9de4c306bb5cb1dec2a15737c2629417a09ac",
+    "interval": "46523a91f97d3c19a9f4e8f6fb19f5a793df7f8160e65d4fa6a8232c698335aa",
+    "cylinder": "7eb2d3c67f20a563363e3c3fa0b725936450810feaaf9e907f01da36fd90e8ed",
+}
 
-def _engine_kat(spec, quantity, seed=2024):
+
+def _engine_kat(spec, quantity, runs=ENGINE_KAT_RUNS, seed=2024):
     h = hashlib.sha256()
-    for trials, k, windows in ENGINE_KAT_RUNS:
+    for trials, k, windows in runs:
         prefix = None
         if k:
             prefix = (np.arange(len(trials) * k).reshape(len(trials), k) * 7 % spec.base).astype(np.uint8)
@@ -387,6 +397,11 @@ def _engine_kat(spec, quantity, seed=2024):
 def test_engine_known_answer_digests(spec, quantity):
     # chebyshev points are -cos(2 pi theta), so their digest also reads numpy's cos
     assert _engine_kat(spec, quantity) == ENGINE_KAT[spec.label, quantity]
+
+
+@pytest.mark.parametrize("quantity", ["points", "interval", "cylinder"])
+def test_jump_known_answer_digests(quantity):
+    assert _engine_kat(ProcessSpec.dyadic_jump(), quantity, JUMP_KAT_RUNS) == JUMP_KAT[quantity]
 
 
 def _per_step_values(spec, digits, windows):
