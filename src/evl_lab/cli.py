@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, escapes, estimators, hts_rts, symbolic, theory
 from .observables import LevelSchedule, ObservableSpec, tail_probability
-from .processes import Ensemble, ProcessSpec, point_values_at
+from .processes import MAP_KINDS, Ensemble, ProcessSpec, point_values_at
 from .escapes import EscapeOffsets
 
 EXPERIMENTS = (
@@ -173,6 +173,10 @@ class ExperimentConfig:
             raise ConfigError("tau: entries must be finite and >= 0")
         if extras.get("cylinder_n", 1) < 1:
             raise ConfigError("cylinder_n: must be >= 1")
+        if extras.get("horizon_factor", 10) < 10:
+            raise ConfigError("horizon_factor: must be >= 10 (truncation bias)")
+        if kind in ("hts", "rts") and spec.kind in MAP_KINDS and zeta is None:
+            raise ConfigError("zeta: map kinds need a word anchor")
         known = {
             "experiment", "process", "observable", "zeta", "offsets", "tau", "n",
             "trials", "seed", "out", "emit_plot_data", "delta", "horizon_factor",
@@ -216,10 +220,8 @@ def _fmt(x):
 
 
 def _analytic_theta(cfg):
-    try:
-        if cfg.spec.kind in ("m_ary", "dyadic_jump", "chebyshev"):
-            return theory.analytic_ei(cfg.spec, cfg.zeta).theta
-        return theory.analytic_ei(cfg.spec).theta
+    try:  # series kinds ignore the anchor
+        return theory.analytic_ei(cfg.spec, cfg.zeta).theta
     except (ValueError, TypeError):
         return math.nan
 

@@ -24,6 +24,7 @@ from .observables import (
     bernoulli_cdf,
 )
 from .processes import (
+    MAP_KINDS,
     PRECISION,
     PathEngine,
     _chunk_trials,
@@ -94,10 +95,6 @@ class TimeSampleSet:
     mode: str                    # "hts" | "rts"
     horizon: float               # normalized censoring horizon
     target_measure: float
-
-    def tsv_rows(self):
-        for t, c in zip(self.times, self.censored):
-            yield f"{float(t)!r}\t{int(c)}"
 
 
 def hitting_time(spec, target, state, horizon):
@@ -221,9 +218,7 @@ def _rts_prefix(spec, target, trials, seed):
         word = np.asarray(target.event.word, dtype=np.uint8)
         return np.tile(word, (trials, 1))
     ev = target.event
-    if spec.kind in ("m_ary", "chebyshev"):
-        return _interval_digit_prefix(spec, ev.lo, ev.hi, trials, seed)
-    if spec.kind == "dyadic_jump":
+    if spec.kind in MAP_KINDS:  # circle arcs lie in [0, 1), jump-map intervals are clipped to it
         return _interval_digit_prefix(spec, max(ev.lo, 0.0), min(ev.hi, 1.0), trials, seed)
     if spec.kind == "ar1":
         # X_0 uniform conditioned on (u, 1]; engine stores its most

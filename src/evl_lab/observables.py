@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .processes import ProcessSpec
+from .processes import MAP_KINDS, ProcessSpec
 from . import symbolic
 
 G_FORMS = ("gumbel", "frechet", "weibull")
@@ -73,7 +73,7 @@ class ObservableSpec:
     def anchor_point(self, spec):
         """Exposed-space anchor point; None-anchored series sit at the endpoint."""
         if self.anchor is None:
-            if spec.kind in ("m_ary", "dyadic_jump", "chebyshev"):
+            if spec.kind in MAP_KINDS:
                 raise ValueError("map kinds need a word anchor")
             return 1.0
         word = symbolic.SymbolicWord.parse(self.anchor, spec.base)

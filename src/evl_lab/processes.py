@@ -15,7 +15,9 @@ sweeps over the same windows are bit-identical under any trial chunking.  A
 map point, though, is a backward scan from the end of its window: points of
 one step from windows that end at different steps agree only to a few ulps,
 so their exceedance masks agree unless a value lies within an ulp of an
-event edge.
+event edge.  The jump map consumes a variable number of bits per step: it
+carries each path's bit position from window to window, so its points, too,
+are a pure function of (seed, trial index, step) up to that last bit.
 
 Sweeps are time-major.  The generator builds every draw as the ``.T`` view of
 a (positions, trials) buffer.  The digit scans (backward for the maps, forward
@@ -28,10 +30,12 @@ buffers.  Their public shape stays ``(trials, steps)``: the engine returns the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 
@@ -55,6 +59,13 @@ WEIGHT_TOL = 1e-12
 
 #: memory budget of one trial chunk of a sweep
 CHUNK_BUDGET = 192 << 20
+
+#: doublings of a jump-map bit draw that runs short before ``JumpDrawError``
+JUMP_TOPUPS = 8
+
+
+class JumpDrawError(RuntimeError):
+    """A jump-map path has too few 1 bits in its topped-up draw."""
 
 
 @dataclass(frozen=True)
@@ -156,13 +167,7 @@ class ProcessSpec:
 
     @property
     def uses_digits(self):
-        return self.kind in ("m_ary", "dyadic_jump", "chebyshev", "ar1")
-
-    @property
-    def state_space(self):
-        return {"m_ary": (0.0, 1.0), "dyadic_jump": (0.0, 1.0), "chebyshev": (-1.0, 1.0)}.get(
-            self.kind, (0.0, 1.0)
-        )
+        return self.kind in MAP_KINDS or self.kind == "ar1"
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +339,14 @@ def _chunk_trials(spec, stop):
     each trial fits ``CHUNK_BUDGET``.
 
     Bytes per trial-step: 4 for base-2 digit scans, 12 for other digit
-    bases, 36 where the sweep holds float values (series innovations with
-    their shifted-max temporaries, the jump map's bit-tail values).
+    bases, 36 for the jump map's bits, 1 positions and scale factors and for
+    the series kinds' float innovations with their shifted-max temporaries.
     """
-    steps = stop if spec.kind == "dyadic_jump" else min(TIME_BLOCK, stop)
     if spec.kind in ("dyadic_jump", "mma2", "mma13", "iid_uniform"):
         per_step = 36
     else:
         per_step = 4 if spec.base == 2 else 12
-    return max(256, CHUNK_BUDGET // (per_step * (steps + 1)))
+    return max(256, CHUNK_BUDGET // (per_step * (min(TIME_BLOCK, stop) + 1)))
 
 
 class PathEngine:
@@ -350,15 +354,14 @@ class PathEngine:
     exceedance masks and exposed points, for every process and event kind.
 
     ``masks``/``points`` take increasing windows [t0, t1); steps skipped
-    between windows are scanned through where state is carried (ar1).  The
-    digit kinds scan ``SCAN_BLOCK`` steps at a time (see ``_scan``) and
-    call ``mask_native`` once per block; results do not depend on the
-    block length.
+    between windows are stepped through where state is carried (ar1's value,
+    the jump map's bit cursor).  The digit kinds scan ``SCAN_BLOCK`` steps at
+    a time (see ``_scan``) and call ``mask_native`` once per block; results
+    do not depend on the block length.
     ``windows`` loops over ``TIME_BLOCK`` windows, so a sweep holds one window
-    of each path at any length.  The jump map consumes a variable number of
-    digits per step, so it is the exception: one whole window from step 0,
-    with memory that grows with the length.  ``select`` compacts the ensemble
-    to the paths where ``keep`` is True, preserving per-path streams.
+    of each path at any length.  ``select`` compacts the ensemble, carried
+    state included, to the paths where ``keep`` is True, preserving per-path
+    streams.
     """
 
     def __init__(self, spec, seed, trials, channel=rng.CH_ORBIT, prefix=None):
@@ -368,7 +371,7 @@ class PathEngine:
         self.channel = channel
         self.prefix = prefix
         self._t = 0
-        self._carry = None  # ar1 value at step self._t - 1
+        self._carry = None  # ar1: the value at step self._t - 1; jump map: the bit cursor of step self._t
 
     def _check_window(self, t0):
         if t0 < self._t:
@@ -389,19 +392,19 @@ class PathEngine:
             self._carry = self._carry[keep]
 
     # -- digit kinds: blocked scans ------------------------------------------
-    def _scan(self, d, x, lo, consume):
-        """Carried recursion x_j = (x_{j-1} + d_j) / base over the rows j of
-        the time-major digits ``d``, in order, from the carry ``x``; hands
+    def _scan(self, d, scale, x, lo, consume):
+        """Carried recursion x_j = (x_{j-1} + d_j) * scale[j] over the rows j
+        of the time-major digits ``d``, in order, from the carry ``x``; hands
         ``consume(j - lo, values of rows [j, j + L))`` for the rows j >= lo,
         up to ``SCAN_BLOCK`` rows at a time.  Returns the last value.
 
         The block's digits are cast to floats in one call, then each row
-        takes one in-place add and one multiply by 1/base, as in a plain
+        takes one in-place add and one in-place multiply, as in a plain
         per-step scan, so the values do not depend on the block length.
         (In-place ops on a row just written are about twice as fast as a
-        mixed uint8/float add into a fresh row.)
+        mixed uint8/float add into a fresh row.)  A constant base passes its
+        factor as a list of Python floats, the cheapest row-by-row lookup.
         """
-        inv = 1.0 / self.spec.base
         block = np.empty((min(SCAN_BLOCK, d.shape[0]), x.size))
         z = list(block)  # row views, indexed once
         for a in range(0, d.shape[0], len(z)):
@@ -409,7 +412,7 @@ class PathEngine:
             np.copyto(block[: len(rows)], rows)
             for j in range(len(rows)):
                 np.add(z[j], x, z[j])
-                np.multiply(z[j], inv, z[j])
+                np.multiply(z[j], scale[a + j], z[j])
                 x = z[j]
             x = x.copy()  # the next block's cast overwrites this row
             if a + len(rows) > lo:
@@ -417,13 +420,21 @@ class PathEngine:
                 consume(a + k - lo, block[k : len(rows)])
         return x
 
-    def _map_theta_columns(self, t0, t1, consume):
-        # x_t = (d_t + x_{t+1}) / base, scanned backward from 0 through the
-        # PRECISION lookahead digits: scan row PRECISION + j is step t1 - 1 - j.
-        n = t1 - t0
-        d = self._digits(t0, t1 + PRECISION).T[::-1]
-        x = np.zeros(self.trials.size)
-        self._scan(d, x, PRECISION, lambda j, v: consume(n - j - len(v), v[::-1]))
+    def _map_columns(self, t0, t1, consume):
+        # x_t = (d_t + x_{t+1}) / base, or for the jump map, where step t
+        # consumes the block 0^(k-1)1 at bits [q_t, q_{t+1}),
+        # x_t = (1 + x_{t+1}) * 2^-(q_{t+1} - q_t): scanned backward from 0
+        # through PRECISION lookahead digits (jump map: steps), the floats of
+        # a digitwise scan.  Scan row PRECISION + j is step t1 - 1 - j.
+        if self.spec.kind == "dyadic_jump":
+            q = self._jump_window(t0, t1)[1][t0 - self._t :][::-1]
+            scale = np.ldexp(1.0, q[1:] - q[:-1])
+            d = np.broadcast_to(np.uint8(1), scale.shape)
+        else:
+            d = self._digits(t0, t1 + PRECISION).T[::-1]
+            scale = [1.0 / self.spec.base] * len(d)
+        n, x = t1 - t0, np.zeros(self.trials.size)
+        self._scan(d, scale, x, PRECISION, lambda j, v: consume(n - j - len(v), v[::-1]))
 
     def _ar1_columns(self, t0, t1, consume):
         # X_t = (X_{t-1} + d_{t+63}) / r; X_0 built from digits [0, 64) with
@@ -443,24 +454,43 @@ class PathEngine:
         if lo >= t1:
             return
         d = self._digits(lo + PRECISION - 1, t1 + PRECISION - 1).T
-        self._carry = self._scan(d, self._carry, t0 - lo, consume)
+        self._carry = self._scan(d, [1.0 / r] * len(d), self._carry, t0 - lo, consume)
+
+    def _jump_window(self, t0, t1):
+        """Each path's bits from its cursor on, ``(trials, width)``, and the
+        bit positions from it of the points at steps self._t, ..., t1 +
+        PRECISION, time-major; carries the cursor of step t1.
+
+        The next point is one past the first 1 at or after a point.  The draw
+        spans the smallest to the largest cursor plus 2 bits per 1 wanted and
+        an 8-sigma margin, doubled at most ``JUMP_TOPUPS`` times if short."""
+        trials = self.trials.size
+        c = np.zeros(trials, dtype=np.int64) if self._carry is None else self._carry
+        k = t1 - self._t + PRECISION  # 1s wanted after each cursor
+        width = 2 * k + int(8 * math.sqrt(2 * k))
+        for _ in range(JUMP_TOPUPS + 1):
+            d = self._digits(int(c.min()), int(c.max()) + width)
+            bits = sliding_window_view(d, width, axis=1)[np.arange(trials), c - c.min()]
+            ones = np.flatnonzero(bits.view(bool))  # path i: [i * width, (i + 1) * width); fastest on bools
+            first = np.searchsorted(ones, np.arange(trials + 1) * width)
+            if np.diff(first).min() >= k:
+                break
+            width *= 2
+        else:
+            raise JumpDrawError(f"fewer than {k} 1 bits in the {width // 2} bits after a cursor")
+        q = np.zeros((k + 1, trials), dtype=np.int32)
+        np.subtract(sliding_window_view(ones, k)[first[:-1]].T, np.arange(trials) * width - 1, out=q[1:])
+        self._carry = c + q[t1 - self._t]
+        return bits, q
 
     def _columns(self, t0, t1, consume):
         """Scan values of the digit kinds at steps [t0, t1), handed to
         ``consume(t - t0, time-major block of steps [t, t + L))``."""
-        columns = self._ar1_columns if self.spec.kind == "ar1" else self._map_theta_columns
-        columns(t0, t1, consume)
-
-    def _jump_window(self, t0, t1):
-        if t0 != 0:
-            raise ValueError("jump-map sweeps cover one whole window from step 0")
-        return _jump_bits(self.seed, self.trials, t1, self.channel, self.prefix)
+        (self._ar1_columns if self.spec.kind == "ar1" else self._map_columns)(t0, t1, consume)
 
     def _values(self, t0, t1):
-        """Float values of the series kinds and the jump map at steps [t0, t1)."""
+        """Float values of the series kinds at steps [t0, t1)."""
         spec = self.spec
-        if spec.kind == "dyadic_jump":
-            return _jump_values(*self._jump_window(t0, t1))
         if spec.kind == "iid_uniform":
             return self._uniforms(t0, t1)
         u = self._uniforms(t0, t1 + 3)
@@ -474,8 +504,10 @@ class PathEngine:
         """Time-major word matches at each step's orbit point: digit t, or
         for the jump map the bit after each consumed 0^(k-1)1 block."""
         word = np.asarray(word, dtype=np.uint8)
-        if self.spec.kind == "dyadic_jump":
-            d, pos = self._jump_window(t0, t1)
+        if self.spec.kind == "dyadic_jump":  # words of up to PRECISION digits
+            t = self._t
+            bits, q = self._jump_window(t0, t1)
+            d, pos = bits.T, q[t0 - t : t1 - t]
         else:
             d = self._digits(t0, t1 + word.size - 1).T
             pos = None
@@ -492,7 +524,7 @@ class PathEngine:
             out = self._cylinder_rows(t0, t1, event.word)
         else:
             out = np.empty((t1 - t0, self.trials.size), dtype=bool)  # time-major
-            if self.spec.kind in ("m_ary", "chebyshev", "ar1"):
+            if self.spec.uses_digits:
                 self._columns(t0, t1, lambda t, v: event.mask_native(v, out=out[t : t + len(v)]))
             else:
                 event.mask_native(self._values(t0, t1), out=out.T)
@@ -502,7 +534,7 @@ class PathEngine:
     def points(self, t0, t1):
         """Exposed process points at steps [t0, t1) (x-space for chebyshev)."""
         self._check_window(t0)
-        if self.spec.kind in ("m_ary", "chebyshev", "ar1"):
+        if self.spec.uses_digits:
             out = np.empty((t1 - t0, self.trials.size))  # time-major
             self._columns(t0, t1, lambda t, v: np.copyto(out[t : t + len(v)], v))
             if self.spec.kind == "chebyshev":
@@ -523,40 +555,12 @@ class PathEngine:
 
     def windows(self, stop, event):
         """Yield (t, time-major exceedance mask of steps [t, t1)) for the
-        windows covering [0, stop): ``TIME_BLOCK`` blocks, or the jump map's
-        one whole window.  Stops once ``select`` has dropped every path."""
-        block = stop if self.spec.kind == "dyadic_jump" else TIME_BLOCK
-        for t in range(0, stop, block):
+        ``TIME_BLOCK`` windows covering [0, stop).  Stops once ``select`` has
+        dropped every path."""
+        for t in range(0, stop, TIME_BLOCK):
             if not self.trials.size:
                 return
-            yield t, self.masks(t, min(t + block, stop), event).T
-
-
-def _jump_bits(seed, trials, n_steps, channel, prefix):
-    """Bits of jump-map paths, time-major (positions, trials), and the bit
-    position of each step's orbit point, (steps, trials): 0, then one past
-    the 1 that closes each consumed 0^(k-1)1 block."""
-    need = int(2 * n_steps + 8 * np.sqrt(n_steps) + PRECISION + 64)
-    while True:
-        b = _with_prefix(rng.bits(seed, channel, trials, 0, need), 0, prefix)
-        if (b.sum(axis=1) - b[:, -PRECISION:].sum(axis=1)).min() >= n_steps:
-            break
-        need *= 2  # astronomically rare top-up, keeps positional determinism
-    rows = np.ascontiguousarray(b[:, : need - PRECISION])  # trial-major, for the per-path search
-    pos = np.zeros((trials.size, n_steps), dtype=np.int32)
-    for i in range(trials.size):
-        pos[i, 1:] = np.flatnonzero(rows[i])[: n_steps - 1] + 1
-    return b.T, pos.T
-
-
-def _jump_values(b, pos):
-    """Orbit points at the step positions: the bit tails, by a backward scan."""
-    vals = np.empty(b.shape)
-    x = np.zeros(b.shape[1])
-    for t in range(b.shape[0] - 1, -1, -1):
-        x = (b[t] + x) * 0.5
-        vals[t] = x
-    return np.take_along_axis(vals, pos, axis=0).T
+            yield t, self.masks(t, min(t + TIME_BLOCK, stop), event).T
 
 
 def point_values_range(spec, seed, trials, t0, t1):
@@ -566,12 +570,10 @@ def point_values_range(spec, seed, trials, t0, t1):
 
 def point_values_at(spec, seed, trials, steps):
     """Exposed points at the given steps only, in increasing step order, from
-    one engine: one-step windows (ar1 scans through the skipped steps), or
-    the jump map's one whole window."""
+    one engine: one-step windows (ar1 and the jump map step through the
+    skipped steps)."""
     steps = sorted(set(int(s) for s in steps))
     eng = PathEngine(spec, seed, trials)
-    if spec.kind == "dyadic_jump":
-        return eng.points(0, steps[-1] + 1)[:, steps]
     return np.stack([eng.points(s, s + 1)[:, 0] for s in steps], axis=1)
 
 
@@ -596,7 +598,7 @@ class Ensemble:
     def mask_chunks(self, event, extra=0):
         """Yield (trial ids, sorted keys step * ids.size + i of the exceedances
         of path ids[i] in [0, length + extra)) per trial chunk, built one
-        engine window at a time: memory is flat in the length (jump map aside)."""
+        engine window at a time: memory is flat in the length."""
         L = self.length + extra
         step = _chunk_trials(self.spec, L)
         for lo in range(0, self.trials, step):

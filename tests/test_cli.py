@@ -58,7 +58,7 @@ def test_config_validation_names_offending_key(tmp_path):
 def test_config_rejects_fractional_integers_and_bad_delta(tmp_path):
     # integer keys are not truncated, delta must be a positive finite radius
     # and tau finite
-    base = {"experiment": "rts", "seed": 1}
+    base = {"experiment": "rts", "seed": 1, "zeta": "0"}
     bad = [("trials", 2000.5), ("n", [500.5]), ("seed", 7.5), ("offsets", [1.5]),
            ("horizon_factor", 12.7), ("horizon_factor", "x"), ("horizon_factor", float("inf")),
            ("cylinder_n", 10.5), ("cylinder_n", 0), ("trials", float("nan")),
@@ -80,6 +80,22 @@ def test_config_rejects_fractional_integers_and_bad_delta(tmp_path):
         assert not out.exists()
     cfg_file.write_text('{"seed": 7.5}')
     assert main(["reproduce-paper", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_hts_rts_config_errors_exit_before_running(tmp_path):
+    # a horizon below the truncation-bias bound and a map kind without a word
+    # anchor are named config errors: exit 2, no output directory
+    for mode in ("hts", "rts"):
+        for key, extra in (("horizon_factor", {"zeta": "0", "horizon_factor": 5}), ("zeta", {})):
+            with pytest.raises(ConfigError, match=f"^{key}: "):
+                ExperimentConfig.from_dict({"experiment": mode, "seed": 1, **extra})
+            out = tmp_path / f"{mode}-{key}"
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"seed": 1, "trials": 100, "out": str(out), **extra}))
+            assert main([mode, "--config", str(cfg_file)]) == 2, (mode, key)
+            assert not out.exists()
+    # series kinds sit at the endpoint anchor without a zeta
+    assert ExperimentConfig.from_dict({"experiment": "rts", "seed": 1, "process": "ar1:r=2"}).zeta is None
 
 
 def _ei_config(out, trials=4000, n=500):

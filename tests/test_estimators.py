@@ -72,15 +72,23 @@ def test_fewer_than_two_trials_is_a_named_error(trials):
             call()
 
 
-@pytest.mark.parametrize("spec", [ProcessSpec.mma13(), ProcessSpec.ar1(2)], ids=["mma13", "ar1_2"])
-def test_max_law_memory_flat_in_n(spec):
+@pytest.mark.parametrize(
+    "spec, obs",
+    [
+        (ProcessSpec.mma13(), END_OBS),
+        (ProcessSpec.ar1(2), END_OBS),
+        (ProcessSpec.dyadic_jump(), ObservableSpec(family="ball_measure", form="gumbel", anchor="01")),
+    ],
+    ids=["mma13", "ar1_2", "dyadic_jump"],
+)
+def test_max_law_memory_flat_in_n(spec, obs):
     """A sweep holds one TIME_BLOCK window of each path at a time, so the
     peak allocation barely moves from 2 to 32 windows of horizon."""
 
     def peak(n):
         tracemalloc.start()
         try:
-            estimate_max_law(spec, END_OBS, 1.0, n, 256, seed=5)
+            estimate_max_law(spec, obs, 1.0, n, 256, seed=5)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,7 +14,7 @@ from evl_lab.hts_rts import (
     sample_hts,
     sample_rts,
 )
-from evl_lab.processes import DigitStream, ProcessSpec, ProcessState, sample_initial
+from evl_lab.processes import TIME_BLOCK, DigitStream, ProcessSpec, ProcessState, sample_initial
 from evl_lab.symbolic import champernowne_bits
 
 DOUB = ProcessSpec.doubling()
@@ -185,12 +185,6 @@ def test_integral_relation_grid_out_of_range():
         check_integral_relation(s, s, np.array([5.0]))
 
 
-def test_tsv_rows_format():
-    s = TimeSampleSet(np.array([0.5, 2.0]), np.array([False, True]), "hts", 2.0, 1e-3)
-    rows = list(s.tsv_rows())
-    assert rows[0] == "0.5\t0" and rows[1] == "2.0\t1"
-
-
 def test_moving_max_start_law(ks):
     # starts conditioned on X_0 > u: window maximum M on its tail law, the
     # other window slots uniform below M, the free slots Uniform(0, 1)
@@ -229,6 +223,9 @@ def test_first_hits_engine_matches_scalar_cylinder_and_jump():
         (DOUB, TargetSet.cylinder(DOUB, "0110"), 300),
         (jump, TargetSet.ball(jump, "01", 2.0**-5), 300),
         (jump, TargetSet.cylinder(jump, "0110"), 300),
+        # hits in later windows: the alive paths carry their bit cursors
+        (jump, TargetSet.ball(jump, "01", 2.0**-12), 3 * TIME_BLOCK),
+        (jump, TargetSet.cylinder(jump, "01101011010"), 3 * TIME_BLOCK),
     ):
         steps = _first_hits_engine(spec, tgt, 8, 57, horizon, rng.CH_ORBIT)
         assert (steps <= horizon).sum() >= 4

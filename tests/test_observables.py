@@ -181,8 +181,8 @@ def test_level_consistency_mean_exceedances():
 
 
 def test_marginal_cdfs_normalised():
-    for spec in (DOUB, CHEB, ProcessSpec.mma2(), ProcessSpec.mma13()):
-        lo, hi = spec.state_space
+    for spec, (lo, hi) in ((DOUB, (0.0, 1.0)), (CHEB, (-1.0, 1.0)), (ProcessSpec.mma2(), (0.0, 1.0)),
+                           (ProcessSpec.mma13(), (0.0, 1.0))):
         assert marginal_cdf(spec, lo) == pytest.approx(0.0, abs=1e-12)
         assert marginal_cdf(spec, hi) == pytest.approx(1.0, abs=1e-12)
 

@@ -169,8 +169,6 @@ def test_ar1_digit_model_matches_exact_recursion():
 
 def test_engine_matches_scalar_stepping():
     for spec in ALL_SPECS:
-        if spec.kind == "dyadic_jump":
-            continue
         pts = point_values_range(spec, 31, [0, 1, 2], 0, 60)
         for trial in range(3):
             st = sample_initial(spec, 31, trial=trial)
@@ -179,37 +177,17 @@ def test_engine_matches_scalar_stepping():
                 st = step(spec, st)
 
 
-def test_dyadic_engine_matches_scalar():
-    spec = ProcessSpec.dyadic_jump()
-    pts = point_values_range(spec, 13, [0, 1], 0, 40)
-    for trial in range(2):
-        st = sample_initial(spec, 13, trial=trial)
-        for t in range(40):
-            assert evaluate_point(spec, st) == pytest.approx(pts[trial, t], abs=1e-12)
-            st = step(spec, st)
-
-
 def test_engine_windows_are_positional():
     # a window starting past step 0 equals the tail of the full sweep
     for spec in ALL_SPECS:
-        if spec.kind == "dyadic_jump":
-            continue
         full = point_values_range(spec, 19, [0, 1, 2], 0, 60)
         assert np.array_equal(point_values_range(spec, 19, [0, 1, 2], 40, 60), full[:, 40:])
-    jump = ProcessSpec.dyadic_jump()
-    ev = observables.ExceedanceEvent("interval", lo=0.2, hi=0.3)
-    with pytest.raises(ValueError):
-        PathEngine(jump, 19, [0, 1]).masks(5, 10, ev)
-    eng = PathEngine(jump, 19, [0, 1])
-    eng.masks(0, 10, ev)
-    with pytest.raises(ValueError):
-        eng.masks(10, 20, ev)
 
 
 @pytest.mark.parametrize(
     "spec",
     [ProcessSpec.doubling(), ProcessSpec.bernoulli_doubling(0.3), ProcessSpec.m_ary(3),
-     ProcessSpec.chebyshev(), ProcessSpec.ar1(2), ProcessSpec.ar1(3)],
+     ProcessSpec.dyadic_jump(), ProcessSpec.chebyshev(), ProcessSpec.ar1(2), ProcessSpec.ar1(3)],
     ids=lambda s: s.label,
 )
 def test_points_across_window_ends(spec):
@@ -222,6 +200,25 @@ def test_points_across_window_ends(spec):
         assert short.tobytes() == long.tobytes()
     else:
         assert np.abs(short - long).max() <= 4 * np.finfo(np.float64).eps
+
+
+def test_jump_draw_tops_up_past_a_zero_prefix():
+    # 400 zero bits: the first window's first draw holds too few 1s, so it
+    # is doubled until it does; the points still match lazy stepping
+    spec = ProcessSpec.dyadic_jump()
+    prefix = np.zeros((2, 400), dtype=np.uint8)
+    eng = PathEngine(spec, 41, [0, 1], prefix=prefix)
+    pts = np.hstack([eng.points(0, 11), eng.points(11, 30)])
+    assert pts[:, 0].max() < 2.0**-400
+    for trial in range(2):
+        tail = DigitStream.random(spec, 41, trial)
+        st = ProcessState(spec, DigitStream.with_prefix(2, prefix[trial], tail), 0)
+        for t in range(30):
+            assert evaluate_point(spec, st, K=600) == pytest.approx(pts[trial, t], rel=1e-12, abs=0)
+            st = step(spec, st)
+    # past JUMP_TOPUPS doublings a draw that still runs short is a named error
+    with pytest.raises(processes.JumpDrawError):
+        PathEngine(spec, 41, [0], prefix=np.zeros((1, 60000), dtype=np.uint8)).points(0, 1)
 
 
 def test_observe_path_reproducible():
@@ -297,7 +294,7 @@ def _cuts(data, n):
 @given(data=st.data())
 def test_engine_masks_window_and_chunk_invariant(spec, data):
     # trial chunks swept over increasing windows (some skipped) reproduce
-    # one one-shot sweep; the jump map sweeps one whole window per chunk
+    # one one-shot sweep
     n = data.draw(st.integers(1, 150))
     trials = data.draw(st.integers(1, 12))
     seed = data.draw(st.integers(0, 2**32))
@@ -308,7 +305,7 @@ def test_engine_masks_window_and_chunk_invariant(spec, data):
     trial_cuts = _cuts(data, trials)
     for a, b in zip(trial_cuts, trial_cuts[1:]):
         eng = PathEngine(spec, seed, ids[a:b])
-        steps = [0, n] if spec.kind == "dyadic_jump" else _cuts(data, n)
+        steps = _cuts(data, n)
         for t0, t1 in zip(steps, steps[1:]):
             if t0 > 0 and data.draw(st.booleans()):
                 continue  # skipped window: the engine scans through it
