@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -254,6 +255,27 @@ def test_iid_start_law(ks, monkeypatch):
     # a zero uniform draw maps to the top of the target, not to its open end u
     monkeypatch.setattr(H.rng, "uniforms", lambda seed, ch, ids, lo, hi: np.zeros((ids.size, hi - lo)))
     assert (H._rts_prefix(spec, tgt, 4, seed=5)[:, 0] == 1.0).all()
+
+
+# sha256 of the series kinds' return-time starts at 1,000 trials, seed 2024,
+# inside the endpoint ball of measure 2**-7
+RTS_PREFIX_KAT = {
+    "iid_uniform": "e04a7facd10312f1f0eb4e9c33577ec8c024ce1f2896956658671a9404b9e014",
+    "mma2": "c542d1024b982b0db108ab7e9da65161c076fbf9848b9b2d70e2a1f31bca4518",
+    "mma13": "144096dccd76c13953266960afd6bdfbcae4cad7efa2336538975b05b1a44aa8",
+}
+
+
+@pytest.mark.parametrize(
+    "spec", [ProcessSpec.iid_uniform(), ProcessSpec.mma2(), ProcessSpec.mma13()], ids=lambda s: s.label
+)
+def test_series_rts_prefix_known_answer_digest(spec):
+    from evl_lab.observables import ObservableSpec
+
+    end = ObservableSpec(family="distance", form="weibull", anchor=None)
+    prefix = _rts_prefix(spec, TargetSet.ball_of_measure(spec, end, 2.0**-7), 1000, 2024)
+    assert prefix.shape == (1000, 1 if spec.kind == "iid_uniform" else 4)
+    assert hashlib.sha256(prefix.tobytes()).hexdigest() == RTS_PREFIX_KAT[spec.label]
 
 
 @pytest.mark.parametrize(

@@ -373,12 +373,25 @@ JUMP_KAT = {
 }
 
 
+# the series kinds' runs are ENGINE_KAT_RUNS, under a float prefix of innovations
+SERIES_KAT_SPECS = [ProcessSpec.iid_uniform(), ProcessSpec.mma2(), ProcessSpec.mma13()]
+SERIES_KAT = {
+    ("iid_uniform", "points"): "e9f569db2bef3c4acdc08b12df7b951218a88259017a7f1075e45a14303f4b20",
+    ("iid_uniform", "gt"): "6324b16bb5ee7ea0410f9a2e2d75a0b38a39576eb2e23fe965ed3eb563b8f69d",
+    ("mma2", "points"): "37b4998967e063b13b8fdbba770e75f4cb7b6064b0f2129cacb8e8348e15ae95",
+    ("mma2", "gt"): "5bac64bad3511df6b72355ab242b7b1d9b9fee8c8bac23ca05685882ac420817",
+    ("mma13", "points"): "3934a3bd1c4230993a6d981b7697ea5a5d9a8565e4d2d18a95bc5972084aefea",
+    ("mma13", "gt"): "c38db81990f20e83bd988b978a4e902010c7979d8c80221662eb70b40f80611a",
+}
+
+
 def _engine_kat(spec, quantity, runs=ENGINE_KAT_RUNS, seed=2024):
     h = hashlib.sha256()
     for trials, k, windows in runs:
         prefix = None
         if k:
-            prefix = (np.arange(len(trials) * k).reshape(len(trials), k) * 7 % spec.base).astype(np.uint8)
+            cells = np.arange(len(trials) * k).reshape(len(trials), k)
+            prefix = (cells * 7 % spec.base).astype(np.uint8) if spec.uses_digits else cells * 0.37 % 1.0
         eng = PathEngine(spec, seed, trials, prefix=prefix)
         for t0, t1 in windows:
             if quantity == "points":
@@ -394,6 +407,12 @@ def _engine_kat(spec, quantity, runs=ENGINE_KAT_RUNS, seed=2024):
 def test_engine_known_answer_digests(spec, quantity):
     # chebyshev points are -cos(2 pi theta), so their digest also reads numpy's cos
     assert _engine_kat(spec, quantity) == ENGINE_KAT[spec.label, quantity]
+
+
+@pytest.mark.parametrize("quantity", ["points", "gt"])
+@pytest.mark.parametrize("spec", SERIES_KAT_SPECS, ids=lambda s: s.label)
+def test_series_known_answer_digests(spec, quantity):
+    assert _engine_kat(spec, quantity) == SERIES_KAT[spec.label, quantity]
 
 
 @pytest.mark.parametrize("quantity", ["points", "interval", "cylinder"])
