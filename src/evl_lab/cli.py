@@ -285,14 +285,7 @@ def _run_hts_rts(cfg, mode):
         cont = np.sort(samples.times[(samples.times > eps) & unc])
         base = theory.theoretical_cdf("hts", th if not math.isnan(th) else 1.0)
         f0 = float(base(eps))
-        fx = (np.asarray(base(cont)) - f0) / (1.0 - f0)
-        k = cont.size
-        ks = float(
-            max(
-                np.abs(np.arange(1, k + 1) / k - fx).max(),
-                np.abs(np.arange(0, k) / k - fx).max(),
-            )
-        )
+        ks = float(hts_rts.ks_sup((np.asarray(base(cont)) - f0) / (1.0 - f0), cont.size))
     else:
         atom = math.nan
         ks = hts_rts.ks_distance(samples, cdf)
@@ -533,22 +526,8 @@ def main(argv=None):
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 2
     d["experiment"] = args.experiment
-    overrides = {
-        "process": args.process,
-        "observable": args.observable,
-        "zeta": args.zeta,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-        "emit_plot_data": args.emit_plot_data,
-        "delta": args.delta,
-        "horizon_factor": args.horizon_factor,
-        "cylinder_n": args.cylinder_n,
-        "word": args.word,
-        "profile": args.profile,
-    }
-    for k, v in overrides.items():
-        if v is not None:
+    for k, v in vars(args).items():
+        if v is not None and k not in ("experiment", "config", "offsets", "tau", "n"):
             d[k] = v
     try:
         for k, conv in (("offsets", int), ("tau", float), ("n", int)):

@@ -3,8 +3,8 @@
 Hitting counts from step 1, so the Kac normalisation E[r | start in U] =
 1/mu(U) holds exactly.  Return starts are drawn from the invariant measure
 conditioned on the target, exactly: by digit construction for cylinder and
-interval targets of the symbolic kinds, and through the law of the window
-maximum for the moving-maximum models.
+arc targets of the symbolic kinds, and through the law of the window maximum
+for the moving-maximum models, the i.i.d. control being the one-slot case.
 """
 
 from __future__ import annotations
@@ -115,12 +115,8 @@ def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None
     """Vectorized first-hit steps (>= 1): trial-chunked, windowed alive sweep."""
     steps = np.full(trials, horizon + 1, dtype=np.int64)
     stop = horizon + 1
-    chunk = _chunk_trials(spec, stop)
-    for lo in range(0, trials, chunk):
-        ids = np.arange(lo, min(lo + chunk, trials), dtype=np.uint64)
-        sub_prefix = None if prefix is None else prefix[lo : lo + ids.size]
-        eng = PathEngine(spec, seed, ids, channel, sub_prefix)
-        alive_rows = np.arange(lo, lo + ids.size)
+    for alive_rows in _chunk_trials(spec, trials, stop):
+        eng = PathEngine(spec, seed, alive_rows, channel, None if prefix is None else prefix[alive_rows])
         for t, m in eng.windows(stop, target.event):
             if t == 0:
                 m[0] = False
@@ -218,29 +214,24 @@ def _rts_prefix(spec, target, trials, seed):
         word = np.asarray(target.event.word, dtype=np.uint8)
         return np.tile(word, (trials, 1))
     ev = target.event
-    if spec.kind in MAP_KINDS:  # circle arcs lie in [0, 1), jump-map intervals are clipped to it
+    if spec.kind in MAP_KINDS:  # m_ary and chebyshev arcs lie in [0, 1), jump-map arcs are clipped to it
         return _interval_digit_prefix(spec, max(ev.lo, 0.0), min(ev.hi, 1.0), trials, seed)
     if spec.kind == "ar1":
         # X_0 uniform conditioned on (u, 1]; engine stores its most
         # significant digit at position 63, so the descent is reversed.
         msb_first = _interval_digit_prefix(spec, ev.u, 1.0, trials, seed, depth=PRECISION)
         return msb_first[:, ::-1].copy()
-    if spec.kind == "iid_uniform":
-        r = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 1)[:, 0]
-        u0 = ev.u + (1.0 - r) * (1.0 - ev.u)  # 1 - r in (0, 1]: u0 > u
-        if not ev.mask_native(u0).all():
-            raise ConditionalStartError("an i.i.d. start lies outside the target")
-        return u0[:, None]
     # moving-maximum kinds: X_0 is the maximum M of the k window slots, so
     # given M > u it has the tail law (x^k - u^k) / (1 - u^k) on (u, 1]; M
     # sits in a uniformly chosen slot, the other slots of the window are
     # uniform below it, and the slots outside the window stay Uniform(0, 1).
-    slots = np.array([1, 3] if spec.kind == "mma2" else [0, 1, 3])
+    # For the i.i.d. control (k = 1) the powers are exact: M = u + (1 - r)(1 - u).
+    slots = np.array(spec.slots)
     k = slots.size
-    r = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 6)
+    r = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 3 + spec.slots[-1])
     uk = max(ev.u, 0.0) ** k
     top = (uk + (1.0 - r[:, 0]) * (1.0 - uk)) ** (1.0 / k)  # 1 - r in (0, 1]: top > u
-    prefix = r[:, 2:6].copy()
+    prefix = r[:, 2:].copy()
     prefix[:, slots] *= top[:, None]
     prefix[np.arange(trials), slots[(r[:, 1] * k).astype(np.int64)]] = top
     if not ev.mask_native(prefix[:, slots].max(axis=1)).all():
@@ -274,19 +265,22 @@ def _return_times(spec, target, trials, seed, horizon):
 # ---------------------------------------------------------------------------
 
 
+def ks_sup(fx, n):
+    """sup |empirical CDF - F| over the jumps of the empirical CDF of n
+    samples, given F at its sorted first ``len(fx)`` samples."""
+    fx = np.asarray(fx, dtype=np.float64)
+    return max(np.abs(np.arange(1, fx.size + 1) / n - fx).max(), np.abs(np.arange(0, fx.size) / n - fx).max())
+
+
 def ks_distance(samples, cdf):
     """sup_t |empirical CDF - cdf(t)| up to the censoring horizon."""
     t = np.asarray(samples.times, dtype=np.float64)
     unc = ~np.asarray(samples.censored, dtype=bool)
     if not unc.any():
         raise ValueError("no uncensored samples")
-    n = t.size
     x = np.sort(t[unc])
-    fx = np.asarray(cdf(x), dtype=np.float64)
-    hi = np.arange(1, x.size + 1) / n
-    lo = np.arange(0, x.size) / n
-    d = max(np.abs(hi - fx).max(), np.abs(lo - fx).max())
-    return float(max(d, abs(x.size / n - float(cdf(samples.horizon)))))
+    d = ks_sup(cdf(x), t.size)
+    return float(max(d, abs(x.size / t.size - float(cdf(samples.horizon)))))
 
 
 def empirical_cdf(samples):

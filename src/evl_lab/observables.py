@@ -175,11 +175,8 @@ def marginal_cdf(spec, x):
         return bernoulli_cdf(x, spec.digit_weights)
     if spec.kind == "chebyshev":
         return 0.5 + np.arcsin(np.clip(x, -1.0, 1.0)) / math.pi
-    if spec.kind == "mma2":
-        return np.clip(x, 0.0, 1.0) ** 2
-    if spec.kind == "mma13":
-        return np.clip(x, 0.0, 1.0) ** 3
-    return np.clip(x, 0.0, 1.0)  # dyadic_jump, ar1, iid_uniform: uniform
+    # a moving maximum of k uniform slots has CDF x^k; dyadic_jump and ar1 are uniform
+    return np.clip(x, 0.0, 1.0) ** max(len(spec.slots), 1)
 
 
 def marginal_tail(spec, u):
@@ -195,11 +192,12 @@ def marginal_tail(spec, u):
 class ExceedanceEvent:
     """Exceedance set {X_0 > u} in the engine's native sweep coordinate.
 
-    kind "circle": wrapped open interval on the unit circle (m_ary and the
-    chebyshev doubling coordinate); "interval": open interval (dyadic_jump
-    exposed points); "gt": open half line (series kinds), and for every kind
-    the empty event at u = +inf and the whole space at u = -inf;
-    "cylinder": digit prefix match.
+    kind "circle": open arc (lo, hi) of the unit circle, wrapped through 0
+    when lo > hi (m_ary, the chebyshev doubling coordinate, and the
+    dyadic_jump exposed points, whose arcs have lo <= hi and never wrap);
+    "gt": open half line (series kinds), and for every kind the empty event
+    at u = +inf and the whole space at u = -inf; "cylinder": digit prefix
+    match.
     """
 
     kind: str
@@ -212,10 +210,6 @@ class ExceedanceEvent:
         v = values
         if self.kind == "gt":
             return np.greater(v, self.u, out=out)
-        if self.kind == "interval":
-            res = np.less(v, self.hi, out=out)
-            res &= v > self.lo
-            return res
         if self.kind == "circle":
             if self.lo <= self.hi:
                 res = np.less(v, self.hi, out=out)
@@ -247,7 +241,7 @@ def ball_event(spec, anchor_point, radius):
             return WHOLE_SPACE
         return ExceedanceEvent("circle", lo=(z - radius) % 1.0, hi=(z + radius) % 1.0)
     if spec.kind == "dyadic_jump":
-        return ExceedanceEvent("interval", lo=z - radius, hi=z + radius)
+        return ExceedanceEvent("circle", lo=z - radius, hi=z + radius)
     if spec.kind == "chebyshev":
         # x-ball (z-radius, z+radius) pulled back through x = -cos(2 pi theta):
         # theta in (t_lo, t_hi) on [0, 1/2], mirrored at 1 - theta.

@@ -4,8 +4,9 @@ Interval maps are simulated symbolically on digit streams (naive floating-point
 iteration of an expanding map destroys randomness after ~53 steps); the
 quadratic map runs on its conjugate doubling coordinate theta with the point
 exposed as x = -cos(2*pi*theta).  The AR(1) model is the same shift structure
-read in reverse: each step prepends one base-r digit.  Moving-maximum models
-keep a short window of i.i.d. innovations.
+read in reverse: each step prepends one base-r digit.  The moving-maximum
+models read X_t = max of the i.i.d. uniform innovations Y_{t+s} at the fixed
+slots s of ``ProcessSpec.slots``; the i.i.d. control is the one-slot case.
 
 Every path's digits and innovations are a pure function of (seed, trial
 index, position) through the counter-based generator in :mod:`evl_lab.rng`,
@@ -62,6 +63,9 @@ CHUNK_BUDGET = 192 << 20
 
 #: doublings of a jump-map bit draw that runs short before ``JumpDrawError``
 JUMP_TOPUPS = 8
+
+#: innovation slots of the moving-maximum kinds: X_t = max(Y_{t+s} for s in slots)
+SLOTS = {"iid_uniform": (0,), "mma2": (1, 3), "mma13": (0, 1, 3)}
 
 
 class JumpDrawError(RuntimeError):
@@ -166,8 +170,15 @@ class ProcessSpec:
         return bool(np.all(np.abs(w - 1.0 / w.size) <= WEIGHT_TOL))
 
     @property
+    def slots(self):
+        """Innovation slots of a moving-maximum kind (X_t is the maximum of
+        Y_{t+s} over them, so its extremal index is 1 / len(slots)); () for
+        the digit kinds."""
+        return SLOTS.get(self.kind, ())
+
+    @property
     def uses_digits(self):
-        return self.kind in MAP_KINDS or self.kind == "ar1"
+        return not self.slots
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +266,11 @@ def sample_initial(spec, seed, trial=0):
 def step(spec, state):
     """Advance one time step (pure: returns a new state on the same stream)."""
     if spec.kind == "dyadic_jump":
-        c = state.cursor
-        while state.stream[c] != 1:
-            c += 1
-        return replace(state, cursor=c + 1)
+        bound = PRECISION << JUMP_TOPUPS
+        for c in range(state.cursor, state.cursor + bound):
+            if state.stream[c] == 1:
+                return replace(state, cursor=c + 1)
+        raise JumpDrawError(f"no 1 bit in the {bound} bits from position {state.cursor}")
     return replace(state, cursor=state.cursor + 1)
 
 
@@ -280,11 +292,7 @@ def evaluate_point(spec, state, K=PRECISION):
     if spec.kind == "ar1":
         msb_first = state.stream.block(c, c + 64)[::-1]
         return _digit_value(msb_first, spec.r, K)
-    if spec.kind == "mma2":
-        return float(max(state.stream[c + 1], state.stream[c + 3]))
-    if spec.kind == "mma13":
-        return float(max(state.stream[c], state.stream[c + 1], state.stream[c + 3]))
-    return float(state.stream[state.cursor])
+    return float(max(state.stream[c + s] for s in spec.slots))
 
 
 def exact_point(spec, state, K=PRECISION):
@@ -334,19 +342,21 @@ def _with_prefix(out, lo, prefix):
     return out
 
 
-def _chunk_trials(spec, stop):
-    """Trials per chunk of a sweep to ``stop``, sized so that one window of
-    each trial fits ``CHUNK_BUDGET``.
+def _chunk_trials(spec, trials, stop):
+    """Yield the trial ids 0, ..., trials - 1 of a sweep to ``stop`` in
+    chunks sized so that one window of each trial fits ``CHUNK_BUDGET``.
 
     Bytes per trial-step: 4 for base-2 digit scans, 12 for other digit
     bases, 36 for the jump map's bits, 1 positions and scale factors and for
-    the series kinds' float innovations with their shifted-max temporaries.
+    the moving maxima's float innovations with their slot-max temporaries.
     """
-    if spec.kind in ("dyadic_jump", "mma2", "mma13", "iid_uniform"):
+    if spec.kind == "dyadic_jump" or spec.slots:
         per_step = 36
     else:
         per_step = 4 if spec.base == 2 else 12
-    return max(256, CHUNK_BUDGET // (per_step * (min(TIME_BLOCK, stop) + 1)))
+    step = max(256, CHUNK_BUDGET // (per_step * (min(TIME_BLOCK, stop) + 1)))
+    for lo in range(0, trials, step):
+        yield np.arange(lo, min(lo + step, trials), dtype=np.uint64)
 
 
 class PathEngine:
@@ -484,21 +494,20 @@ class PathEngine:
         return bits, q
 
     def _columns(self, t0, t1, consume):
-        """Scan values of the digit kinds at steps [t0, t1), handed to
-        ``consume(t - t0, time-major block of steps [t, t + L))``."""
-        (self._ar1_columns if self.spec.kind == "ar1" else self._map_columns)(t0, t1, consume)
-
-    def _values(self, t0, t1):
-        """Float values of the series kinds at steps [t0, t1)."""
-        spec = self.spec
-        if spec.kind == "iid_uniform":
-            return self._uniforms(t0, t1)
-        u = self._uniforms(t0, t1 + 3)
-        n = t1 - t0
-        out = np.maximum(u[:, 1 : n + 1], u[:, 3 : n + 3])
-        if spec.kind == "mma13":
-            np.maximum(out, u[:, :n], out=out)
-        return out
+        """Values at steps [t0, t1), handed to ``consume(t - t0, time-major
+        block of steps [t, t + L))``: the digit scans' blocks, or one block of
+        the moving maxima X_t = max(Y_{t+s} for s in slots)."""
+        if self.spec.kind == "ar1":
+            return self._ar1_columns(t0, t1, consume)
+        slots = self.spec.slots
+        if not slots:
+            return self._map_columns(t0, t1, consume)
+        u = self._uniforms(t0, t1 + slots[-1]).T
+        y = [u[s : s + t1 - t0] for s in slots]
+        x = y[0] if len(y) == 1 else np.maximum(y[0], y[1])
+        for z in y[2:]:
+            np.maximum(x, z, out=x)  # max is exact: the slot order does not matter
+        consume(0, x)
 
     def _cylinder_rows(self, t0, t1, word):
         """Time-major word matches at each step's orbit point: digit t, or
@@ -524,34 +533,24 @@ class PathEngine:
             out = self._cylinder_rows(t0, t1, event.word)
         else:
             out = np.empty((t1 - t0, self.trials.size), dtype=bool)  # time-major
-            if self.spec.uses_digits:
-                self._columns(t0, t1, lambda t, v: event.mask_native(v, out=out[t : t + len(v)]))
-            else:
-                event.mask_native(self._values(t0, t1), out=out.T)
+            self._columns(t0, t1, lambda t, v: event.mask_native(v, out=out[t : t + len(v)]))
         self._t = t1
         return out.T
 
     def points(self, t0, t1):
         """Exposed process points at steps [t0, t1) (x-space for chebyshev)."""
         self._check_window(t0)
-        if self.spec.uses_digits:
-            out = np.empty((t1 - t0, self.trials.size))  # time-major
-            self._columns(t0, t1, lambda t, v: np.copyto(out[t : t + len(v)], v))
-            if self.spec.kind == "chebyshev":
-                out = -np.cos(2.0 * np.pi * out)
-            out = out.T
-        else:
-            out = self._values(t0, t1)
+        out = np.empty((t1 - t0, self.trials.size))  # time-major
+        self._columns(t0, t1, lambda t, v: np.copyto(out[t : t + len(v)], v))
+        if self.spec.kind == "chebyshev":
+            out = -np.cos(2.0 * np.pi * out)
         self._t = t1
-        return out
+        return out.T
 
-    def digit_matrix(self, t0, t1, lookahead=0):
-        """Raw digits at [t0, t1+lookahead); the sweep cursor advances to t1
-        (digit positions are stateless, overlap is fine)."""
-        self._check_window(t0)
-        d = self._digits(t0, t1 + lookahead)
-        self._t = t1
-        return d
+    def digit_matrix(self, t0, t1):
+        """Raw digits at positions [t0, t1), ``(trials, t1 - t0)``: a pure
+        read that neither checks nor moves the sweep's window or carry."""
+        return self._digits(t0, t1)
 
     def windows(self, stop, event):
         """Yield (t, time-major exceedance mask of steps [t, t1)) for the
@@ -600,8 +599,6 @@ class Ensemble:
         of path ids[i] in [0, length + extra)) per trial chunk, built one
         engine window at a time: memory is flat in the length."""
         L = self.length + extra
-        step = _chunk_trials(self.spec, L)
-        for lo in range(0, self.trials, step):
-            ids = np.arange(lo, min(lo + step, self.trials), dtype=np.uint64)
+        for ids in _chunk_trials(self.spec, self.trials, L):
             windows = PathEngine(self.spec, self.seed, ids).windows(L, event)
             yield ids, np.concatenate([np.flatnonzero(m) + t * ids.size for t, m in windows])

@@ -48,18 +48,11 @@ class SymbolicWord:
 
     def value(self):
         """Exact value of 0.(digits) as a Fraction (terminating expansion)."""
-        num = 0
-        for d in self.digits:
-            num = num * self.base + d
-        return Fraction(num, self.base ** len(self.digits))
+        return Fraction(int(str(self), self.base), self.base ** len(self.digits))
 
     def periodic_value(self):
         """Exact value of the point with expansion word^infinity."""
-        p = len(self.digits)
-        num = 0
-        for d in self.digits:
-            num = num * self.base + d
-        v = Fraction(num, self.base**p - 1)
+        v = Fraction(int(str(self), self.base), self.base ** len(self.digits) - 1)
         return v % 1  # the all-max word gives 1, identified with 0 on the circle
 
     def primitive_root(self):
@@ -104,12 +97,8 @@ def min_weak_period(word, n=None):
     smallest j such that the n-cylinder contains the j-periodic point.
     j = n always qualifies (vacuous overlap).
     """
-    d = word.digits if n is None else word.digits[: n if n is not None else None]
-    n = len(d)
-    for j in range(1, n):
-        if all(d[k] == d[k + j] for k in range(n - j)):
-            return j
-    return n
+    d = word.digits[:n]
+    return _first_return(d, len(d))[0]
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,22 @@ def test_jump_draw_tops_up_past_a_zero_prefix():
         for t in range(30):
             assert evaluate_point(spec, st, K=600) == pytest.approx(pts[trial, t], rel=1e-12, abs=0)
             st = step(spec, st)
-    # past JUMP_TOPUPS doublings a draw that still runs short is a named error
+    # past JUMP_TOPUPS doublings a draw that still runs short is a named error,
+    # and so is a lazy step that finds no 1 bit
     with pytest.raises(processes.JumpDrawError):
         PathEngine(spec, 41, [0], prefix=np.zeros((1, 60000), dtype=np.uint8)).points(0, 1)
+    with pytest.raises(processes.JumpDrawError):
+        step(spec, ProcessState(spec, DigitStream.periodic(2, [0]), 0))
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec.ar1(2), ProcessSpec.dyadic_jump()], ids=lambda s: s.label)
+def test_digit_matrix_leaves_the_sweep_carry_alone(spec):
+    # a raw digit read between two windows neither moves nor skips the
+    # carried state: the later window equals one sweep's steps
+    eng = PathEngine(spec, 3, [0, 1])
+    eng.points(0, 5)
+    assert eng.digit_matrix(5, 8).tobytes() == PathEngine(spec, 3, [0, 1])._digits(5, 8).tobytes()
+    assert eng.points(8, 10).tobytes() == PathEngine(spec, 3, [0, 1]).points(0, 10)[:, 8:].tobytes()
 
 
 def test_observe_path_reproducible():
@@ -279,7 +292,7 @@ def _random_event(spec, data):
         return observables.ExceedanceEvent("circle", lo=lo, hi=(lo + 0.2) % 1.0)
     if spec.kind == "dyadic_jump":
         lo = data.draw(st.floats(0.0, 0.8))
-        return observables.ExceedanceEvent("interval", lo=lo, hi=lo + 0.2)
+        return observables.ExceedanceEvent("circle", lo=lo, hi=lo + 0.2)
     return observables.ExceedanceEvent("gt", u=data.draw(st.floats(0.3, 0.95)))
 
 
@@ -337,7 +350,7 @@ ENGINE_KAT_RUNS = [
 ENGINE_KAT_EVENTS = {
     "circle": observables.ExceedanceEvent("circle", lo=0.8, hi=0.15),
     "gt": observables.ExceedanceEvent("gt", u=0.6),
-    "interval": observables.ExceedanceEvent("interval", lo=0.3, hi=0.55),
+    "interval": observables.ExceedanceEvent("circle", lo=0.3, hi=0.55),
     "cylinder": observables.ExceedanceEvent("cylinder", word=(0, 1, 1)),
 }
 # the jump map's runs: the same trials and prefix, in whole windows from step 0
@@ -453,7 +466,7 @@ def test_scan_independent_of_scan_block(spec, monkeypatch):
     prefix = np.zeros((len(trials), 400), dtype=np.uint8)
     prefix[:, :100] = np.arange(len(trials) * 100).reshape(len(trials), 100) * 7 % spec.base
     windows = [(0, 50), (90, 430), (440, 470)]
-    digits = PathEngine(spec, 5, trials, prefix=prefix).digit_matrix(0, 470, lookahead=PRECISION)
+    digits = PathEngine(spec, 5, trials, prefix=prefix).digit_matrix(0, 470 + PRECISION)
     ref = _per_step_values(spec, digits, windows)
     ev = observables.ExceedanceEvent("circle", lo=0.8, hi=0.15)
     for block in (1, 7, processes.SCAN_BLOCK):

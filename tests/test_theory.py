@@ -29,6 +29,15 @@ def test_analytic_ei_closed_forms():
     assert analytic_ei(ProcessSpec.iid_uniform()).theta == 1.0
 
 
+@pytest.mark.parametrize(
+    "spec", [ProcessSpec.iid_uniform(), ProcessSpec.mma2(), ProcessSpec.mma13()], ids=lambda s: s.label
+)
+def test_moving_max_slots_match_closed_forms(spec):
+    # each large innovation makes a cluster of one exceedance per slot: the
+    # slot table that drives the engine agrees with the closed forms
+    assert analytic_ei(spec).theta == 1 / len(spec.slots)
+
+
 def test_analytic_ei_prime_period_from_word():
     res = analytic_ei(ProcessSpec.doubling(), "0101")
     assert res.prime_period == 2 and res.theta == pytest.approx(0.75)
