@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -269,3 +270,103 @@ def test_conditions_sweeps_each_ensemble_twice(tmp_path, monkeypatch):
     assert len(extras) == 2
     names = [row[0] for row in rep.rows]
     assert names[-3:] == ["escape_pair_sum", "mixing_gap", "escape_rate"]
+
+
+# sha256 of the output files of small runs through main, each run in its own
+# working directory with "--out r" so that the echoed config is the same on
+# every host; provenance.json is hashed without its wall_time_s line.  Each
+# process is given once as a compact string and once as the equivalent dict
+# (the "-dict" runs read it from a config file), and both give one results.csv.
+CLI_KAT_RUNS = {
+    "estimate-ei": ("estimate-ei", None, [
+        "--process", "bernoulli:alpha=0.3", "--zeta", "01", "--offsets", "2", "--tau", "1",
+        "--n", "300", "--trials", "2000", "--seed", "7"]),
+    "estimate-ei-dict": ("estimate-ei", {
+        "process": {"kind": "m_ary", "m": 2, "weights": [0.3, 0.7]}, "zeta": "01", "offsets": [2],
+        "n": [300], "trials": 2000}, ["--seed", "7"]),
+    "hts": ("hts", None, [
+        "--process", "doubling", "--zeta", "0", "--trials", "2000", "--seed", "9", "--delta", "0.001",
+        "--horizon-factor", "12", "--emit-plot-data"]),
+    "rts": ("rts", None, ["--process", "ar1:r=2", "--trials", "2000", "--seed", "5", "--emit-plot-data"]),
+    "rts-dict": ("rts", {"process": {"kind": "ar1", "r": 2}, "emit_plot_data": True}, [
+        "--trials", "2000", "--seed", "5"]),
+    "conditions": ("conditions", None, [
+        "--process", "mma2", "--observable", "distance:weibull", "--offsets", "2", "--n", "300",
+        "--trials", "1000", "--seed", "3"]),
+    "dichotomy": ("dichotomy", None, [
+        "--process", "m_ary:m=3", "--word", "12", "--cylinder-n", "6", "--tau", "1,2",
+        "--trials", "2000", "--seed", "4"]),
+    "dichotomy-dict": ("dichotomy", {
+        "process": {"kind": "m_ary", "m": 3}, "word": "12", "cylinder_n": 6, "tau": [1.0, 2.0]}, [
+        "--trials", "2000", "--seed", "4"]),
+    "dichotomy-sqrt2": ("dichotomy", None, [
+        "--word", "sqrt2", "--cylinder-n", "8", "--trials", "2000", "--seed", "4"]),
+    "symbolic": ("symbolic", None, ["--zeta", "00100100", "--seed", "1"]),
+    "tail-check": ("tail-check", None, [
+        "--process", "chebyshev", "--observable", "distance:weibull", "--zeta", "0", "--n", "100,1000",
+        "--trials", "2000", "--seed", "3"]),
+}
+CLI_KAT = {
+    "estimate-ei": {
+        "results.csv": "1f19b420a9077ca040e539aa915a72cd3c48fa128dcb37e2889c8b2efc5e18cc",
+        "provenance.json": "ed0ae8efd870c27110e1d9377f453276fd15804f2aab2d70587a9699697a9ab1",
+    },
+    "estimate-ei-dict": {
+        "results.csv": "1f19b420a9077ca040e539aa915a72cd3c48fa128dcb37e2889c8b2efc5e18cc",
+        "provenance.json": "43a2ef6950134ac9edce01297b2be0a018cfad010b4de9a544028ef19ebdce3a",
+    },
+    "hts": {
+        "results.csv": "598b3b8698e76b14bd19f7469bf98227f9f827d9a0be4ac904a1aad6197e67de",
+        "plotdata.tsv": "30c1d236006b6807e2dec87bb1cb62aaf004e679f15c1b5f9f0bdd76c5240813",
+        "provenance.json": "b4ffeea7b2192aabecbac2c623ec866a01773154c84014f571d1ac7dce87116e",
+    },
+    "rts": {
+        "results.csv": "67abddd34de89ecc92bc3ddff14b5cefa5428abdd578230aecf4f42b7f174cb8",
+        "plotdata.tsv": "12e4c4998f4d7e28f08a4198a070da94ef9ef1f40ad8317017d5291d2efdade3",
+        "provenance.json": "0e125ef337ec7d052164ef29551c3cf2a6d0f024a1ae1832a187efbb818f5f70",
+    },
+    "rts-dict": {
+        "results.csv": "67abddd34de89ecc92bc3ddff14b5cefa5428abdd578230aecf4f42b7f174cb8",
+        "plotdata.tsv": "12e4c4998f4d7e28f08a4198a070da94ef9ef1f40ad8317017d5291d2efdade3",
+        "provenance.json": "70ecd51b09bc594b0932facee929995f971a849b04efb2ec1fa808a3d567bc0c",
+    },
+    "conditions": {
+        "results.csv": "2558e58e2334223988c9fa0271537cb4e8c4b22e2c800d89454760f7d8746f9a",
+        "provenance.json": "b56422d65d678e87c66941488a506f8031399db0cc661a3bee12f8e178ca2135",
+    },
+    "dichotomy": {
+        "results.csv": "4f217f13511d217225b7f6b9e04fb04da0106b189fa40a603a69c9f7d7d06620",
+        "provenance.json": "c21900bbc030fff860c497196a1b27206e697628e230ee54e49aa787037e849d",
+    },
+    "dichotomy-dict": {
+        "results.csv": "4f217f13511d217225b7f6b9e04fb04da0106b189fa40a603a69c9f7d7d06620",
+        "provenance.json": "655067e32fbc7f4271b70e2608fe8976586eace137505a72a74c35084e0756be",
+    },
+    "dichotomy-sqrt2": {
+        "results.csv": "136b2e3c22c97f87d30e3f6ef9714ac519888561e3a6b2bc4521d4b13de617f6",
+        "provenance.json": "28210ddec0f060d05d267a25252a91d59a936259b24e8db4958162bccb35404b",
+    },
+    "symbolic": {
+        "results.csv": "eb510da9e26851229a23c58396441c2d94db869eb43129dcadd008cf5a7950e8",
+        "provenance.json": "d8ca32b41cb9dda35285a312de0ea375169406ebe4fe5eff27ab96f72091f10f",
+    },
+    "tail-check": {
+        "results.csv": "c719a069e07b98e010e71533925a862d00dff25d645ee3f8dc4162b759a1c213",
+        "provenance.json": "b74c1070e19c6d60c6a5f88e0d761377e46303ee8478402df5e1e05353c3c2a5",
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(CLI_KAT_RUNS))
+def test_cli_known_answer_digests(run, tmp_path, monkeypatch):
+    experiment, config, argv = CLI_KAT_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = ["--config", "cfg.json", *argv]
+    assert main([experiment, *argv, "--out", "r"]) == 0
+    got = {}
+    for path in sorted(Path("r").iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        got[path.name] = hashlib.sha256(b"".join(ln for ln in lines if b'"wall_time_s"' not in ln)).hexdigest()
+    assert got == CLI_KAT[run]
