@@ -40,49 +40,65 @@ class ConfigError(ValueError):
     pass
 
 
+#: ProcessSpec kind and parameters of each compact process name; a parameter
+#: whose default is None is required
+_COMPACT = {
+    "doubling": ("m_ary", {}),
+    "bernoulli": ("m_ary", {"alpha": None}),
+    "bernoulli_doubling": ("m_ary", {"alpha": None}),
+    "m_ary": ("m_ary", {"m": None, "weights": ()}),
+    "ar1": ("ar1", {"r": None}),
+    "iid": ("iid_uniform", {}),
+    **{kind: (kind, {}) for kind in ("dyadic_jump", "chebyshev", "mma2", "mma13", "iid_uniform")},
+}
+_PARAMS = {"alpha": float, "m": int, "r": int, "weights": lambda w: [float(x) for x in w.split("|")]}
+
+
 def parse_process(value):
-    """Process spec from a dict or a compact string like 'ar1:r=2'."""
-    if isinstance(value, ProcessSpec):
-        return value
-    if isinstance(value, dict):
-        kind = value.get("kind")
-        if kind is None:
-            raise ConfigError("process: missing key 'kind'")
-        kw = {k: v for k, v in value.items() if k != "kind"}
+    """Process spec from a dict, or from a compact string like 'ar1:r=2' that
+    stands for the dict ``_COMPACT`` gives its name."""
+    if not isinstance(value, dict):
+        name, _, args = str(value).partition(":")
+        if name not in _COMPACT:
+            raise ConfigError(f"process: unknown kind {name!r}")
+        kind, params = _COMPACT[name]
+        value = {"kind": kind, **params}
+        for part in filter(None, args.split(",")):
+            k, _, v = part.partition("=")
+            if k not in params:
+                raise ConfigError(f"process: unexpected parameter {k!r} for {name}")
+            value[k] = _convert("process", _PARAMS[k], v)
+        for k in params:
+            if value[k] is None:
+                raise ConfigError(f"process: {name} is missing parameter {k!r}")
+        if "alpha" in value:
+            alpha = value.pop("alpha")
+            value["weights"] = (alpha, 1.0 - alpha)
+    kw = dict(value)
+    if "kind" not in kw:
+        raise ConfigError("process: missing key 'kind'")
+    try:
         if "weights" in kw:
             kw["weights"] = tuple(kw["weights"])
-        try:
-            return ProcessSpec(kind, **kw)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"process: {e}") from e
-    name, _, args = str(value).partition(":")
-    kv = {}
-    for part in filter(None, args.split(",")):
-        k, _, v = part.partition("=")
-        kv[k] = v
+        return ProcessSpec(**kw)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"process: {e}") from e
+
+
+def parse_observable(value, zeta):
+    d = dict(value) if isinstance(value, dict) else {}
+    if isinstance(value, str):
+        family, _, form = value.partition(":")
+        d = {"family": family}
+        if form:
+            d["form"] = form
+    d.setdefault("family", "ball_measure")
+    d.setdefault("form", "gumbel")
+    d.setdefault("anchor", zeta)
     try:
-        if name in ("doubling",):
-            return ProcessSpec.doubling()
-        if name in ("bernoulli", "bernoulli_doubling"):
-            return ProcessSpec.bernoulli_doubling(float(kv["alpha"]))
-        if name == "m_ary":
-            w = tuple(float(x) for x in kv["weights"].split("|")) if "weights" in kv else None
-            return ProcessSpec.m_ary(int(kv["m"]), w)
-        if name == "dyadic_jump":
-            return ProcessSpec.dyadic_jump()
-        if name == "chebyshev":
-            return ProcessSpec.chebyshev()
-        if name == "ar1":
-            return ProcessSpec.ar1(int(kv["r"]))
-        if name == "mma2":
-            return ProcessSpec.mma2()
-        if name == "mma13":
-            return ProcessSpec.mma13()
-        if name in ("iid", "iid_uniform"):
-            return ProcessSpec.iid_uniform()
-    except KeyError as e:
-        raise ConfigError(f"process {name!r}: missing parameter {e}") from e
-    raise ConfigError(f"process: unknown kind {name!r}")
+        return ObservableSpec(**d)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"observable: {e}") from e
 
 
 def _convert(key, convert, value):
@@ -100,29 +116,59 @@ def _integer(value):
     return i
 
 
-def _positive(value):
-    x = float(value)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"must be finite and > 0, got {value!r}")
-    return x
+def _checked(convert, holds, condition):
+    """``convert``, and a ValueError unless its result ``holds``."""
+
+    def checked(value):
+        x = convert(value)
+        if not holds(x):
+            raise ValueError(f"must be {condition}, got {value!r}")
+        return x
+
+    return checked
 
 
-def parse_observable(value, zeta):
-    if isinstance(value, ObservableSpec):
-        return value
-    d = dict(value) if isinstance(value, dict) else {}
-    if isinstance(value, str):
-        family, _, form = value.partition(":")
-        d = {"family": family}
-        if form:
-            d["form"] = form
-    d.setdefault("family", "ball_measure")
-    d.setdefault("form", "gumbel")
-    d.setdefault("anchor", zeta)
+def _one_of(*choices):
+    return _checked(lambda v: v, lambda v: v in choices, f"one of {choices}")
+
+
+def _each(convert):
+    return lambda values: [convert(v) for v in values]
+
+
+def _word(key, text, spec):
+    """``text`` parsed as a word over ``spec``'s digits."""
     try:
-        return ObservableSpec(**d)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"observable: {e}") from e
+        return symbolic.SymbolicWord.parse(text, spec.base)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
+#: every config key: the converter to its JSON value and the value it takes
+#: when absent; a list default marks a list key (comma separated as a flag)
+_KEYS = {
+    "experiment": (_one_of(*EXPERIMENTS), None),
+    "process": (lambda v: v, "doubling"),
+    "observable": (lambda v: v, {}),
+    "zeta": (lambda v: v if v is None else str(v), None),
+    # a scalar is one offset
+    "offsets": (lambda v: [_integer(p) for p in (v if isinstance(v, (list, tuple)) else [v])], [1]),
+    "tau": (_each(_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")), [1.0]),
+    "n": (_each(_checked(_integer, lambda i: i >= 1, ">= 1")), [10000]),
+    "trials": (_checked(_integer, lambda i: i >= 2, ">= 2"), 10000),
+    "seed": (_integer, None),
+    "out": (_checked(lambda v: v, lambda v: isinstance(v, str), "a string"), "evl-results"),
+    "emit_plot_data": (_checked(lambda v: v, lambda v: isinstance(v, bool), "true or false"), False),
+    "delta": (_checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0"), 2.0**-10),
+    "horizon_factor": (_checked(_integer, lambda i: i >= 10, ">= 10 (truncation bias)"), 20),
+    "cylinder_n": (_checked(_integer, lambda i: i >= 1, ">= 1"), 10),
+    "word": (str, None),
+    "profile": (_one_of("full", "quick"), "full"),
+}
+#: experiments that read the observable's anchor (hts and rts aim at zeta)
+_ANCHORED = ("estimate-ei", "hts", "rts", "conditions", "tail-check")
+#: the aperiodic words a dichotomy run may name, by their first n symbols
+_APERIODIC = {"champernowne": symbolic.champernowne_bits, "sqrt2": symbolic.sqrt2_minus1_bits}
 
 
 @dataclass
@@ -145,62 +191,35 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d):
-        kind = d.get("experiment")
-        if kind not in EXPERIMENTS:
-            raise ConfigError(f"experiment: expected one of {EXPERIMENTS}, got {kind!r}")
-        if "seed" not in d:
-            raise ConfigError("seed: required key is missing")
-        zeta = d.get("zeta")
-        zeta = None if zeta in (None, "", "endpoint") else str(zeta)
-        spec = parse_process(d.get("process", "doubling"))
-        obs = parse_observable(d.get("observable", {}), zeta)
-        offs = d.get("offsets", [1])
-        offs = offs if isinstance(offs, (list, tuple)) else [offs]
-        offsets = _convert("offsets", lambda v: EscapeOffsets(tuple(_integer(p) for p in v)), offs)
-        tau = _convert("tau", lambda v: [float(t) for t in v], d.get("tau", [1.0]))
-        n = _convert("n", lambda v: [_integer(x) for x in v], d.get("n", [10000]))
-        trials = _convert("trials", _integer, d.get("trials", 10000))
-        seed = _convert("seed", _integer, d["seed"])
-        extras = {k: d[k] for k in ("word", "profile") if k in d}
-        for key, convert in (("delta", _positive), ("horizon_factor", _integer), ("cylinder_n", _integer)):
-            if key in d:
-                extras[key] = _convert(key, convert, d[key])
-        if trials < 2:
-            raise ConfigError("trials: must be >= 2")
-        if any(x < 1 for x in n):
-            raise ConfigError("n: entries must be >= 1")
-        if not all(0.0 <= t < math.inf for t in tau):
-            raise ConfigError("tau: entries must be finite and >= 0")
-        if extras.get("cylinder_n", 1) < 1:
-            raise ConfigError("cylinder_n: must be >= 1")
-        if extras.get("horizon_factor", 10) < 10:
-            raise ConfigError("horizon_factor: must be >= 10 (truncation bias)")
-        if kind in ("hts", "rts") and spec.kind in MAP_KINDS and zeta is None:
-            raise ConfigError("zeta: map kinds need a word anchor")
-        known = {
-            "experiment", "process", "observable", "zeta", "offsets", "tau", "n",
-            "trials", "seed", "out", "emit_plot_data", "delta", "horizon_factor",
-            "cylinder_n", "word", "profile",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        raw = dict(d)
-        raw.setdefault("process", spec.label)
+        for key in ("experiment", "seed"):
+            if key not in d:
+                raise ConfigError(f"{key}: required key is missing")
+        v = {k: _convert(k, convert, d[k]) if k in d else default for k, (convert, default) in _KEYS.items()}
+        kind = v["experiment"]
+        offsets = _convert("offsets", EscapeOffsets, tuple(v["offsets"]))
+        zeta = None if v["zeta"] in ("", "endpoint") else v["zeta"]
+        spec = parse_process(v["process"])
+        obs = parse_observable(v["observable"], zeta)
+        extras = {k: v[k] for k in ("delta", "horizon_factor", "cylinder_n", "word", "profile")}
+        anchor = zeta if kind in ("hts", "rts") else obs.anchor
+        if kind in _ANCHORED and anchor is not None:
+            _word("zeta", anchor, spec)
+        elif kind in _ANCHORED and spec.kind in MAP_KINDS:
+            raise ConfigError("zeta: map kinds need a word anchor")
+        word = v["word"] or zeta
+        if kind == "dichotomy" and word in (None, *_APERIODIC):
+            extras["word"] = word or "champernowne"
+        elif kind in ("dichotomy", "symbolic"):
+            if word is None:
+                raise ConfigError("word: symbolic needs a word or zeta")
+            extras["word"] = _word("word" if v["word"] else "zeta", word, spec)
         return ExperimentConfig(
-            kind=kind,
-            spec=spec,
-            obs=obs,
-            zeta=zeta,
-            offsets=offsets,
-            tau=tau,
-            n=n,
-            trials=trials,
-            seed=seed,
-            out=Path(d.get("out", "evl-results")),
-            emit_plot_data=bool(d.get("emit_plot_data", False)),
-            extras=extras,
-            raw=raw,
+            kind=kind, spec=spec, obs=obs, zeta=zeta, offsets=offsets, tau=v["tau"], n=v["n"],
+            trials=v["trials"], seed=v["seed"], out=Path(v["out"]), emit_plot_data=v["emit_plot_data"],
+            extras=extras, raw={"process": spec.label, **d},
         )
 
 
@@ -271,8 +290,8 @@ def _run_hts_rts(cfg, mode):
             "mean_normalized", "censored_frac", "n_samples", "seed",
         ]
     )
-    delta = cfg.extras.get("delta", 2.0**-10)
-    hf = cfg.extras.get("horizon_factor", 20)
+    delta = cfg.extras["delta"]
+    hf = cfg.extras["horizon_factor"]
     target = hts_rts.TargetSet.ball(cfg.spec, cfg.zeta, delta)
     th = _analytic_theta(cfg)
     sampler = hts_rts.sample_hts if mode == "hts" else hts_rts.sample_rts
@@ -333,16 +352,11 @@ def _run_dichotomy(cfg):
     rep = ExperimentReport(
         header=["word", "cylinder_n", "tau", "theta_hat", "stderr", "theta_theory", "trials", "seed"]
     )
-    k = cfg.extras.get("cylinder_n", 10)
-    word = cfg.extras.get("word", cfg.zeta or "champernowne")
-    if word == "champernowne":
-        w = symbolic.champernowne_bits(k)
-        th = 1.0
-    elif word == "sqrt2":
-        w = symbolic.sqrt2_minus1_bits(k)
-        th = 1.0
+    k = cfg.extras["cylinder_n"]
+    root = cfg.extras["word"]
+    if root in _APERIODIC:
+        w, th = _APERIODIC[root](k), 1.0
     else:
-        root = symbolic.SymbolicWord.parse(word, cfg.spec.base)
         reps = -(-k // len(root))
         w = symbolic.SymbolicWord((root.digits * reps)[:k], cfg.spec.base)
         th = theory.analytic_ei(cfg.spec, root).theta
@@ -354,7 +368,7 @@ def _run_dichotomy(cfg):
 
 def _run_symbolic(cfg):
     rep = ExperimentReport(header=["word_len", "n", "r_n", "decided", "i_n", "a_n", "q_n"])
-    word = symbolic.SymbolicWord.parse(cfg.extras.get("word", cfg.zeta), cfg.spec.base)
+    word = cfg.extras["word"]
     ps = symbolic.period_sequence(word)
     for rec in ps.records:
         rep.rows.append([len(word), rec.n, rec.r, int(rec.decided), rec.i, rec.a, rec.q])
@@ -455,9 +469,9 @@ def reproduce_paper_configs(profile="full"):
 def run_experiment(config):
     """Dispatch one validated configuration and write its result files."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
+    if cfg.kind == "reproduce-paper":
+        return run_reproduce_paper(cfg.out, cfg.seed, cfg.extras["profile"])
     t0 = time.time()
-    if cfg.kind not in _RUNNERS:
-        raise ConfigError(f"experiment {cfg.kind!r} is not directly runnable")
     rep = _RUNNERS[cfg.kind](cfg)
     rep.provenance = {
         "config": cfg.raw,
@@ -490,10 +504,7 @@ def run_reproduce_paper(out_dir, seed, profile="full"):
     """Run the bundled acceptance experiments in sequence."""
     out = Path(out_dir)
     for name, sub in reproduce_paper_configs(profile).items():
-        sub = dict(sub)
-        sub["seed"] = seed
-        sub["out"] = str(out / name)
-        run_experiment(sub)
+        run_experiment({**sub, "seed": seed, "out": str(out / name)})
     return out
 
 
@@ -501,21 +512,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="evl-lab", description=__doc__)
     ap.add_argument("experiment", choices=EXPERIMENTS)
     ap.add_argument("--config", type=Path, help="JSON configuration file")
-    ap.add_argument("--process")
-    ap.add_argument("--observable")
-    ap.add_argument("--zeta")
-    ap.add_argument("--offsets", help="comma separated, e.g. 1,3")
-    ap.add_argument("--tau", help="comma separated")
-    ap.add_argument("--n", help="comma separated")
-    ap.add_argument("--trials", type=int)
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--out")
-    ap.add_argument("--emit-plot-data", action="store_true", default=None)
-    ap.add_argument("--delta", type=float)
-    ap.add_argument("--horizon-factor", type=int)
-    ap.add_argument("--cylinder-n", type=int)
-    ap.add_argument("--word")
-    ap.add_argument("--profile", choices=("full", "quick"), default=None)
+    for key, (_, default) in _KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "emit_plot_data":
+            ap.add_argument(flag, action="store_true", default=None)
+        elif key != "experiment":
+            ap.add_argument(flag, help="comma separated" if isinstance(default, list) else None)
     args = ap.parse_args(argv)
 
     d = {}
@@ -525,21 +527,11 @@ def main(argv=None):
         except (OSError, json.JSONDecodeError) as e:
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 2
-    d["experiment"] = args.experiment
-    for k, v in vars(args).items():
-        if v is not None and k not in ("experiment", "config", "offsets", "tau", "n"):
-            d[k] = v
     try:
-        for k, conv in (("offsets", int), ("tau", float), ("n", int)):
-            v = getattr(args, k)
-            if v is not None:
-                d[k] = [_convert(k, conv, x) for x in str(v).split(",")]
-        if args.experiment == "reproduce-paper":
-            if "seed" not in d:
-                raise ConfigError("seed: required key is missing")
-            seed = _convert("seed", _integer, d["seed"])
-            run_reproduce_paper(d.get("out", "evl-results"), seed, d.get("profile", "full"))
-            return 0
+        for k, v in vars(args).items():
+            if v is not None and k in _KEYS:
+                convert, default = _KEYS[k]
+                d[k] = _convert(k, convert, v.split(",") if isinstance(default, list) else v)
         run_experiment(d)
         return 0
     except ConfigError as e:

@@ -126,12 +126,12 @@ class PeriodSequence:
     records: tuple[PeriodRecord, ...]
 
 
-def _first_return(digits, n):
-    """min j >= 1 not contradicted by known symbols: digits[k+j] == digits[k]
+def _first_return(digits, n, start=1):
+    """min j >= start not contradicted by known symbols: digits[k+j] == digits[k]
     for all k < n with k + j < len(digits); decided iff j + n <= len."""
     L = len(digits)
     arr = np.frombuffer(bytes(digits), dtype=np.uint8)
-    for j in range(1, L + 1):
+    for j in range(start, L + 1):
         k_max = min(n, L - j)
         if k_max <= 0 or np.array_equal(arr[j : j + k_max], arr[:k_max]):
             return j, (j + n <= L)
@@ -143,8 +143,10 @@ def period_sequence(word):
     d = word.digits
     values: list[int] = []
     records = []
+    r = 1
     for n in range(1, len(d) + 1):
-        r, decided = _first_return(d, n)
+        # a longer prefix constrains every lag more, so r(n) >= r(n - 1)
+        r, decided = _first_return(d, n, r)
         if not values or r > values[-1]:
             values.append(r)
         i = max(k for k, p in enumerate(values) if p <= n) if values[0] <= n else 0

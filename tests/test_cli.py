@@ -24,6 +24,9 @@ def test_parse_process_variants():
     assert parse_process("m_ary:m=3,weights=0.2|0.3|0.5").weights == (0.2, 0.3, 0.5)
     with pytest.raises(ConfigError):
         parse_process("warp_drive")
+    for text in ("ar1", "m_ary", "bernoulli", "m_ary:weights=0.5|0.5"):
+        with pytest.raises(ConfigError, match="^process: .* missing parameter"):
+            parse_process(text)
     with pytest.raises(ConfigError):
         parse_process({"weights": [0.5, 0.5]})  # no kind
 
@@ -97,6 +100,36 @@ def test_hts_rts_config_errors_exit_before_running(tmp_path):
             assert not out.exists()
     # series kinds sit at the endpoint anchor without a zeta
     assert ExperimentConfig.from_dict({"experiment": "rts", "seed": 1, "process": "ar1:r=2"}).zeta is None
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["estimate-ei", "--process", "ar1:r=x"], {}, "process"),
+        (["estimate-ei", "--process", "ar1:r=1"], {}, "process"),
+        (["estimate-ei", "--process", "bernoulli:alpha=1.5", "--zeta", "0"], {}, "process"),
+        (["estimate-ei", "--process", "m_ary:m=3,weights=0.2|0.3", "--zeta", "0"], {}, "process"),
+        (["estimate-ei", "--process", "doubling:m=3", "--zeta", "0"], {}, "process"),
+        (["estimate-ei", "--process", "ar1:r=3,foo=1"], {}, "process"),
+        (["estimate-ei", "--process", "mma2", "--zeta", "0"], {}, "zeta"),
+        (["estimate-ei", "--process", "doubling", "--zeta", "2"], {}, "zeta"),
+        (["estimate-ei", "--process", "doubling"], {}, "zeta"),
+        (["conditions", "--process", "chebyshev"], {}, "zeta"),
+        (["tail-check", "--process", "dyadic_jump"], {}, "zeta"),
+        (["symbolic"], {}, "word"),
+        (["dichotomy", "--process", "doubling", "--word", "012"], {}, "word"),
+        (["hts", "--zeta", "0"], {"emit_plot_data": "false"}, "emit_plot_data"),
+        (["reproduce-paper"], {"profile": "fast"}, "profile"),
+    ],
+)
+def test_bad_input_is_a_named_config_error(argv, config, key, tmp_path, capsys):
+    # each exits 2 before running anything, so no output directory appears
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg_file), "--seed", "1", "--trials", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not out.exists()
 
 
 def _ei_config(out, trials=4000, n=500):

@@ -61,6 +61,24 @@ def test_period_sequence_simple_words():
     assert period_sequence(SymbolicWord.parse("000000")).values == (1,)
 
 
+def test_period_sequence_matches_per_n_search():
+    # r(n) from a search over every lag j >= 1 at each n, on random words
+    # with and without repeated blocks
+    g = np.random.default_rng(11)
+    for _ in range(200):
+        base = int(g.integers(2, 4))
+        block = tuple(int(x) for x in g.integers(0, base, int(g.integers(1, 8))))
+        d = (block * 12)[: int(g.integers(1, 48))]
+        if g.random() < 0.5:
+            d = tuple(int(x) for x in g.integers(0, base, len(d)))
+        L = len(d)
+        want = []
+        for n in range(1, L + 1):
+            r = min(j for j in range(1, L + 1) if all(d[k + j] == d[k] for k in range(min(n, L - j))))
+            want.append((r, r + n <= L))
+        assert [(rec.r, rec.decided) for rec in period_sequence(SymbolicWord(d, base)).records] == want
+
+
 def test_period_sequence_block_decomposition():
     ps = period_sequence(SymbolicWord.parse(BLOCK_WORD))
     rec = ps.records[19]  # n = 20
