@@ -325,30 +325,41 @@ def test_escape_pair_statistics_match_brute_force(spec, obs, offs):
         assert got_rate == rate
 
 
+def _survey_repr(ens, event, offsets):
+    p_max, p_esc, runs = _survey(ens, event, offsets)
+    return repr((p_max, p_esc, [vars(acc) for acc in runs]))
+
+
 def test_escape_statistics_independent_of_chunk_size(monkeypatch):
-    """All three escape statistics sum integer per-path counts, so splitting
-    the trials into more chunks leaves every float unchanged."""
+    """The three key sweeps (estimator survey, periodicity report, escape
+    statistics) sum integer per-path counts, so splitting the trials into
+    more chunks leaves every float unchanged."""
     spec = ProcessSpec.mma13()
     levels = LevelSchedule(spec, MMA_OBS, tau=6.0)
     n = 60
     ens = Ensemble(spec, 6, 700, n, obs=MMA_OBS)
     offsets = EscapeOffsets((1, 3))
     event = exceedance_event(spec, MMA_OBS, levels.u(n))
-    extra = max(n // 8, 3 + 7) + offsets.span  # the sweep width of the calls below
-    assert len(list(ens.mask_chunks(event, extra=extra))) == 1
-    whole = escape_statistics(ens, offsets, n, levels, k_n=8, t=3, ell=7)
+    # the sweep widths of the calls below; the default cutoff of the
+    # report at theta = 1/3 is ceil(log 60 / log 1.5) = 11 chains of 3 steps
+    extras = (offsets.span, 3 * 11, max(n // 8, 3 + 7) + offsets.span)
+
+    def sweeps():
+        return (
+            _survey_repr(ens, event, offsets),
+            repr(list(periodicity_report(ens, 3, 1.0 / 3.0, levels, n).rows())),
+            repr(escape_statistics(ens, offsets, n, levels, k_n=8, t=3, ell=7)),
+        )
+
+    assert [len(list(ens.mask_chunks(event, extra=e))) for e in extras] == [1, 1, 1]
+    whole = sweeps()
     monkeypatch.setattr(processes, "CHUNK_BUDGET", 1)  # 256-trial chunks
-    assert len(list(ens.mask_chunks(event, extra=extra))) == 3
-    split = escape_statistics(ens, offsets, n, levels, k_n=8, t=3, ell=7)
-    assert repr(split) == repr(whole)
+    assert [len(list(ens.mask_chunks(event, extra=e))) for e in extras] == [3, 3, 3]
+    split = sweeps()
+    assert split == whole
 
 
 BALL0 = ObservableSpec(family="ball_measure", form="gumbel", anchor="0")
-
-
-def _survey_repr(ens, event, offsets):
-    p_max, p_esc, runs = _survey(ens, event, offsets)
-    return repr((p_max, p_esc, [vars(acc) for acc in runs]))
 
 
 @pytest.mark.parametrize(
