@@ -20,6 +20,11 @@ survey build escapes on the keys (``_escape_keys``): an escape is a key
 whose key p steps on is absent.  ``escape_statistics`` re-sorts them by row
 as row * width + col; a search on those keys finds every later escape of
 the same path, and ``bincount`` sums per path and per lag.
+
+Every statistic is a function of integer counts per path.  A sweep keeps
+each chunk's count arrays, ``_per_path`` joins them over all trials in
+trial order, and ``_ratio`` and ``_mean`` reduce them once, so the trial
+chunking cannot move a float.
 """
 
 from __future__ import annotations
@@ -116,62 +121,35 @@ def no_escape_window(series, s, length, offsets, u):
 
 
 # ---------------------------------------------------------------------------
-# streaming accumulators
+# statistics of per-path counts
 # ---------------------------------------------------------------------------
 
 
-class _RatioAcc:
-    """Ratio-of-sums accumulator with path-level (cluster-robust) stderr."""
-
-    def __init__(self):
-        self.a = self.b = 0.0
-        self.aa = self.bb = self.ab = 0.0
-        self.paths = 0
-
-    def add(self, a_rows, b_rows):
-        a = np.asarray(a_rows, dtype=np.float64)
-        b = np.asarray(b_rows, dtype=np.float64)
-        self.a += a.sum()
-        self.b += b.sum()
-        self.aa += (a * a).sum()
-        self.bb += (b * b).sum()
-        self.ab += (a * b).sum()
-        self.paths += a.size
-
-    @property
-    def ratio(self):
-        return self.a / self.b if self.b > 0 else math.nan
-
-    @property
-    def stderr(self):
-        if self.b <= 0:
-            return math.inf
-        r = self.ratio
-        v = self.aa - 2.0 * r * self.ab + r * r * self.bb
-        return math.sqrt(max(v, 0.0)) / self.b
+def _per_path(chunks):
+    """Each quantity's counts per path over all trials from a sweep's chunks."""
+    return [np.concatenate(q) for q in zip(*chunks)]
 
 
-class _MeanAcc:
-    def __init__(self):
-        self.s = self.ss = 0.0
-        self.n = 0
+def _ratio(a, b):
+    """(sum a / sum b, path-level cluster-robust stderr) of per-path counts."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sb = b.sum()
+    if sb <= 0:
+        return math.nan, math.inf
+    r = a.sum() / sb
+    v = (a * a).sum() - 2.0 * r * (a * b).sum() + r * r * (b * b).sum()
+    return r, math.sqrt(max(v, 0.0)) / sb
 
-    def add(self, rows):
-        rows = np.asarray(rows, dtype=np.float64)
-        self.s += rows.sum()
-        self.ss += (rows * rows).sum()
-        self.n += rows.size
 
-    @property
-    def mean(self):
-        return self.s / self.n if self.n else math.nan
-
-    @property
-    def stderr(self):
-        if self.n < 2:
-            return math.inf
-        v = (self.ss - self.s * self.s / self.n) / (self.n - 1)
-        return math.sqrt(max(v, 0.0) / self.n)
+def _mean(x):
+    """(mean, stderr of the mean) of per-path counts."""
+    x = np.asarray(x, dtype=np.float64)
+    n, s = x.size, x.sum()
+    if n < 2:
+        return (s / n if n else math.nan), math.inf
+    v = ((x * x).sum() - s * s / n) / (n - 1)
+    return s / n, math.sqrt(max(v, 0.0) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +198,35 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
     if default_cutoff:
         ratio_cutoff = max(1, math.ceil(math.log(n) / abs(math.log1p(-theta)))) if 0 < theta < 1 else 10
     event = exceedance_event(ensemble.spec, levels.obs, u)
-    extra = max(p * ratio_cutoff, p)
-    sub = [_RatioAcc() for _ in range(p)]      # sub[0] unused
-    chain = [_RatioAcc() for _ in range(ratio_cutoff + 1)]
-    n_exc = 0
-    for ids, keys in ensemble.mask_chunks(event, extra=extra):
+    chunks = []
+    for ids, keys in ensemble.mask_chunks(event, extra=max(p * ratio_cutoff, p)):
         paths = ids.size
         base = keys[keys < n * paths]  # the exceedances in [0, n)
-        base_rows = np.bincount(base % paths, minlength=paths)
-        n_exc += int(base_rows.sum())
-        for j in range(1, p):
-            hit = base[np.isin(base + j * paths, keys, assume_unique=True)]
-            sub[j].add(np.bincount(hit % paths, minlength=paths), base_rows)
+        # j = 0 keeps every exceedance, 0 < j < p counts the sub-period hits
+        found = [base[np.isin(base + j * paths, keys, assume_unique=True)] for j in range(p)]
         run = base
         for i in range(1, ratio_cutoff + 1):  # chain i: exceedances at +p, ..., +i*p
             run = run[np.isin(run + i * p * paths, keys, assume_unique=True)]
-            chain[i].add(np.bincount(run % paths, minlength=paths), base_rows)
+            found.append(run)
+        chunks.append([np.bincount(k % paths, minlength=paths) for k in found])
+    base_rows, *counts = _per_path(chunks)
+    sub, chain = counts[: p - 1], counts[p - 1 :]
     if default_cutoff:  # continuation counts fall with the chain length
-        ratio_cutoff = sum(c.a >= MIN_CONTINUATIONS for c in chain[1:])
-    rep = ConditionReport(n=n, offsets=offsets, exceedances=n_exc)
-    rep.sub_period = [(j, sub[j].ratio, sub[j].stderr) for j in range(1, p)]
-    rep.continuation = (chain[1].ratio, chain[1].stderr)
-    rep.run_ratios = [
-        (i, chain[i].ratio / (1.0 - theta) ** i, chain[i].stderr / (1.0 - theta) ** i)
-        for i in range(1, ratio_cutoff + 1)
-        if 0 < theta < 1
-    ]
+        ratio_cutoff = sum(c.sum() >= MIN_CONTINUATIONS for c in chain)
+    rep = ConditionReport(n=n, offsets=offsets, exceedances=int(base_rows.sum()))
+    rep.sub_period = [(j, *_ratio(hit, base_rows)) for j, hit in enumerate(sub, 1)]
+    ratios = [_ratio(c, base_rows) for c in chain]
+    rep.continuation = ratios[0]
+    if 0 < theta < 1:
+        rep.run_ratios = [
+            (i, r / (1.0 - theta) ** i, se / (1.0 - theta) ** i)
+            for i, (r, se) in enumerate(ratios[:ratio_cutoff], 1)
+        ]
     total = ensemble.trials * n
-    acc = n_exc / total  # i = 0 term of the chain
+    acc = rep.exceedances / total  # i = 0 term of the chain
     sums = [(0, n * acc)]
-    for i in range(1, ratio_cutoff + 1):
-        acc += chain[i].a / total
+    for i, c in enumerate(chain[:ratio_cutoff], 1):
+        acc += c.sum() / total
         sums.append((i, n * acc))
     rep.chain_partial_sums = sums
     return rep
@@ -287,12 +263,7 @@ def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
     t = default_gap(n) if t is None else t
     ell = jmax if ell is None else ell
     event = exceedance_event(ensemble.spec, levels.obs, levels.u(n))
-    per_path = _MeanAcc()  # escape pairs of each path
-    lag_counts = np.zeros(jmax + 1)
-    # per-path counts over the starts s in [0, n), as integers: chunk-invariant
-    rate = _MeanAcc()    # escapes at s
-    joint = _MeanAcc()   # escape at s and no escape in [s+t, s+t+ell)
-    clean = _MeanAcc()   # no escape in [s, s+ell)
+    chunks, lag_counts = [], np.zeros(jmax + 1)
     width = n + max(jmax, t + ell)  # the steps at which the escapes are exact
     for ids, exc in ensemble.mask_chunks(event, extra=width - n + offsets.span):
         paths = ids.size
@@ -304,10 +275,7 @@ def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
         # escape a at col < n pairs with the escapes at keys (a, a + jmax],
         # and its window [a+t, a+t+ell) ends in a's row: both end below width
         a = np.flatnonzero(cols < n)
-        escapes = np.bincount(rows[a], minlength=paths)
-        rate.add(escapes)
         counts = np.searchsorted(keys, keys[a] + jmax, side="right") - (a + 1)
-        per_path.add(np.bincount(rows[a], weights=counts, minlength=paths))
         # pair k of escape a is the escape at sorted index a + 1 + k
         b = np.repeat(a + 1 - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
         lag_counts += np.bincount(cols[b] - np.repeat(cols[a], counts), minlength=jmax + 1)
@@ -319,16 +287,20 @@ def escape_statistics(ensemble, offsets, n, levels, k_n=None, t=None, ell=None):
         prev[1:][same] = np.minimum(n - 1, cols[:-1][same])
         lo = np.maximum(np.maximum(0, cols - ell + 1), prev + 1)
         covered = np.maximum(np.minimum(n - 1, cols) - lo + 1, 0)
-        joint.add(np.bincount(rows[a], weights=quiet, minlength=paths))
-        clean.add(n - np.bincount(rows, weights=covered, minlength=paths))
-    pair_sum = per_path.s / ensemble.trials
-    pair_se = per_path.stderr * per_path.n / ensemble.trials
-    pairs = (pair_sum, pair_se, lag_counts / (ensemble.trials * n))
+        # per path, over the starts s in [0, n): escapes at s, their pairs,
+        # escapes at s and no escape in [s+t, s+t+ell), no escape in [s, s+ell)
+        chunks.append([
+            np.bincount(rows[a], minlength=paths),
+            np.bincount(rows[a], weights=counts, minlength=paths),
+            np.bincount(rows[a], weights=quiet, minlength=paths),
+            n - np.bincount(rows, weights=covered, minlength=paths),
+        ])
+    rate, pairs, joint, clean = (_mean(x) for x in _per_path(chunks))
+    pairs = (*pairs, lag_counts / (ensemble.trials * n))
     if ell == 0:
-        return (rate.mean, rate.stderr), pairs, (0.0, 0.0)
+        return rate, pairs, (0.0, 0.0)
     # the per-start shares are the per-path counts over n
-    gap = abs(joint.mean - rate.mean * clean.mean / n) / n
-    se = math.sqrt(
-        joint.stderr**2 + (clean.mean * rate.stderr / n) ** 2 + (rate.mean * clean.stderr / n) ** 2
-    ) / n
-    return (rate.mean, rate.stderr), pairs, (gap, se)
+    (r, r_se), (j, j_se), (c, c_se) = rate, joint, clean
+    gap = abs(j - r * c / n) / n
+    se = math.sqrt(j_se**2 + (c * r_se / n) ** 2 + (r * c_se / n) ** 2) / n
+    return rate, pairs, (gap, se)

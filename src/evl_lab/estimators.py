@@ -7,9 +7,10 @@ probability at the period, and RtsAtom reads the weight of the at-zero atom
 of the normalized return-time law.
 
 MaxLaw, EscapeLaw and Runs, and the cylinder-mode MaxLaw, all read one sweep
-of the exceedance keys of ``Ensemble.mask_chunks``, ``_survey``: per path it notes whether any
-exceedance and any last-order escape occurs in [0, n), and per escape order
-it counts the escapes and the events they condition on.
+of the exceedance keys of ``Ensemble.mask_chunks``, ``_survey``: per path it
+notes whether any exceedance and any last-order escape occurs in [0, n), and
+per escape order it counts the escapes and the events they condition on; the
+runs ratios are reduced once from those counts over all trials.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hts_rts, symbolic
-from .escapes import EscapeOffsets, _escape_keys, _RatioAcc
+from .escapes import EscapeOffsets, _escape_keys, _per_path, _ratio
 from .observables import ExceedanceEvent, exceedance_event, level_for_tau, omega_for_cylinder
 from .processes import Ensemble
 
@@ -55,21 +56,20 @@ def _survey(ensemble, event, offsets):
     """The one sweep of the estimator family over [0, n) of every path.
 
     Returns (share of paths with no exceedance, share of paths with no
-    last-order escape, one runs accumulator per escape order k: order-k
-    escapes over order-(k-1) events, stepped through one offset at a time).
+    last-order escape, per escape order k the runs ratio of order-k escapes
+    over order-(k-1) events as (ratio, stderr, events)), the escapes stepped
+    through one offset at a time.
     """
     n = ensemble.length
-    quiet_max = quiet_esc = 0
-    runs = [_RatioAcc() for _ in offsets.offsets]
+    chunks = []
     for ids, keys in ensemble.mask_chunks(event, extra=offsets.span):
         paths = ids.size
         levels = _escape_keys(keys, paths, offsets)  # exact at steps below n at every order
-        counts = [np.bincount(k[k < n * paths] % paths, minlength=paths) for k in levels]
-        quiet_max += int((counts[0] == 0).sum())
-        quiet_esc += int((counts[-1] == 0).sum())
-        for acc, b, a in zip(runs, counts, counts[1:]):
-            acc.add(a, b)
-    return quiet_max / ensemble.trials, quiet_esc / ensemble.trials, runs
+        chunks.append([np.bincount(k[k < n * paths] % paths, minlength=paths) for k in levels])
+    counts = _per_path(chunks)
+    quiet_max, quiet_esc = (int((c == 0).sum()) / ensemble.trials for c in (counts[0], counts[-1]))
+    runs = [(*_ratio(a, b), b.sum(dtype=np.float64)) for b, a in zip(counts, counts[1:])]
+    return quiet_max, quiet_esc, runs
 
 
 def estimate_max_law(spec, obs, tau, n, trials, seed):
@@ -122,14 +122,12 @@ def ei_runs_nested(ensemble, offsets, u):
     if ensemble.obs is None:
         raise ValueError("the ensemble must carry the observable defining exceedances")
     event = exceedance_event(ensemble.spec, ensemble.obs, u)
-    _, _, accs = _survey(ensemble, event, offsets)
+    _, _, runs = _survey(ensemble, event, offsets)
     out = []
-    for k, acc in enumerate(accs):
-        if acc.b < 100:
-            raise ValueError(f"too few order-{k} conditioning events ({int(acc.b)})")
-        out.append(
-            EIEstimate.clamp(acc.ratio, acc.stderr, "Runs", n=ensemble.length, trials=ensemble.trials)
-        )
+    for k, (theta, se, events) in enumerate(runs):
+        if events < 100:
+            raise ValueError(f"too few order-{k} conditioning events ({int(events)})")
+        out.append(EIEstimate.clamp(theta, se, "Runs", n=ensemble.length, trials=ensemble.trials))
     return out
 
 
@@ -161,15 +159,16 @@ def survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed):
     u = level_for_tau(spec, obs, n, tau)
     ens = Ensemble(spec, seed, trials, n)
     p_max, p_esc, runs = _survey(ens, exceedance_event(spec, obs, u), offsets)
+    theta, se, events = runs[-1]
     return {
         "u": u,
         "p_max": p_max,
         "se_max": _binomial_se(p_max, trials),
         "p_escape": p_esc,
         "se_escape": _binomial_se(p_esc, trials),
-        "runs_theta": runs[-1].ratio,
-        "runs_se": runs[-1].stderr,
-        "exceedances": runs[-1].b,
+        "runs_theta": theta,
+        "runs_se": se,
+        "exceedances": events,
     }
 
 

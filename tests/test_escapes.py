@@ -10,7 +10,7 @@ from evl_lab.estimators import _survey
 from evl_lab.escapes import (
     MIN_CONTINUATIONS,
     EscapeOffsets,
-    _MeanAcc,
+    _mean,
     default_block_count,
     default_gap,
     escape_event,
@@ -267,9 +267,8 @@ def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
     plain loops over the dense exceedance masks, one path and one start index at a
     time."""
     pairs, lags = [], np.zeros(jmax + 1)
-    joint, clean, rate = _MeanAcc(), _MeanAcc(), _MeanAcc()
+    w_joint, w_lone, w_clean = [], [], []
     for _, e in dense_mask_chunks(ens, event, extra=max(jmax, t + ell) + offsets.span):
-        w_joint, w_lone, w_clean = [], [], []
         for row in e:
             q = _escapes_by_definition(row, offsets.offsets)
             total = 0
@@ -282,16 +281,12 @@ def _pair_statistics_by_loops(ens, offsets, n, jmax, t, ell, event):
             w_lone.append(sum(q[:n]))
             w_joint.append(sum(q[s] and not any(q[s + t : s + t + ell]) for s in range(n)))
             w_clean.append(sum(not any(q[s : s + ell]) for s in range(n)))
-        joint.add(w_joint)
-        clean.add(w_clean)
-        rate.add(w_lone)
-    per_path = _MeanAcc()
-    per_path.add(pairs)
-    cluster = (per_path.s / ens.trials, per_path.stderr, lags / (ens.trials * n))
+    rate, joint, clean = _mean(w_lone), _mean(w_joint), _mean(w_clean)
+    cluster = (*_mean(pairs), lags / (ens.trials * n))
     # shares per start are the per-path counts over n
-    gap = abs(joint.mean - rate.mean * clean.mean / n) / n
-    se = math.sqrt(joint.stderr**2 + (clean.mean * rate.stderr / n) ** 2 + (rate.mean * clean.stderr / n) ** 2) / n
-    return cluster, (gap, se), (rate.mean, rate.stderr)
+    gap = abs(joint[0] - rate[0] * clean[0] / n) / n
+    se = math.sqrt(joint[1] ** 2 + (clean[0] * rate[1] / n) ** 2 + (rate[0] * clean[1] / n) ** 2) / n
+    return cluster, (gap, se), rate
 
 
 @pytest.mark.parametrize(
@@ -326,8 +321,7 @@ def test_escape_pair_statistics_match_brute_force(spec, obs, offs):
 
 
 def _survey_repr(ens, event, offsets):
-    p_max, p_esc, runs = _survey(ens, event, offsets)
-    return repr((p_max, p_esc, [vars(acc) for acc in runs]))
+    return repr(_survey(ens, event, offsets))
 
 
 def test_escape_statistics_independent_of_chunk_size(monkeypatch):

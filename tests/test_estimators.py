@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evl_lab import theory
-from evl_lab.escapes import EscapeOffsets, _RatioAcc, escape_statistics, periodicity_report
+from evl_lab.escapes import EscapeOffsets, _ratio, escape_statistics, periodicity_report
 from evl_lab.estimators import (
     ATOM_EPS,
     EIEstimate,
@@ -294,8 +294,8 @@ def test_survey_exceedance_count_scale():
 
 def _survey_by_loops(ens, event, offs):
     """Shares of paths with no exceedance and with no last-order escape in
-    [0, n), and per order the runs accumulator, by plain loops over the dense
-    exceedance masks, one path at a time."""
+    [0, n), and per order the runs (ratio, stderr, events), by plain loops
+    over the dense exceedance masks, one path at a time."""
     n = ens.length
     quiet_max = quiet_esc = 0
     escapes, events = [[] for _ in offs], [[] for _ in offs]
@@ -309,9 +309,7 @@ def _survey_by_loops(ens, event, offs):
                 events[k].append(sum(level[:n]))
                 level = child
             quiet_esc += not any(level[:n])
-    runs = [_RatioAcc() for _ in offs]
-    for acc, a, b in zip(runs, escapes, events):
-        acc.add(a, b)
+    runs = [(*_ratio(a, b), float(sum(b))) for a, b in zip(escapes, events)]
     return quiet_max / ens.trials, quiet_esc / ens.trials, runs
 
 
@@ -329,20 +327,21 @@ def test_survey_views_match_plain_loops():
         u = level_for_tau(spec, obs, n, tau)
         ens = Ensemble(spec, seed, trials, n, obs=obs)
         p_max, p_esc, runs = _survey_by_loops(ens, exceedance_event(spec, obs, u), offs)
-        assert 0 < p_max <= p_esc < 1 and runs[-1].b >= 100
+        theta, se_runs, events = runs[-1]
+        assert 0 < p_max <= p_esc < 1 and events >= 100
         assert estimate_max_law(spec, obs, tau, n, trials, seed) == (p_max, se(p_max))
         assert estimate_escape_law(spec, obs, offsets, tau, n, trials, seed) == (p_esc, se(p_esc))
         nested = ei_runs_nested(ens, offsets, u)
-        assert [(r.theta, r.stderr) for r in nested] == [(acc.ratio, acc.stderr) for acc in runs]
+        assert [(r.theta, r.stderr) for r in nested] == [run[:2] for run in runs]
         assert survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed) == {
             "u": u,
             "p_max": p_max,
             "se_max": se(p_max),
             "p_escape": p_esc,
             "se_escape": se(p_esc),
-            "runs_theta": runs[-1].ratio,
-            "runs_se": runs[-1].stderr,
-            "exceedances": runs[-1].b,
+            "runs_theta": theta,
+            "runs_se": se_runs,
+            "exceedances": events,
         }
     spec = ProcessSpec.bernoulli_doubling(0.3)
     word = SymbolicWord.parse("0110", 2)
