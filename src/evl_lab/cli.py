@@ -209,13 +209,16 @@ class ExperimentConfig:
             _word("zeta", anchor, spec)
         elif kind in _ANCHORED and spec.kind in MAP_KINDS:
             raise ConfigError("zeta: map kinds need a word anchor")
-        word = v["word"] or zeta
+        word, key = (v["word"], "word") if v["word"] else (zeta, "zeta")
         if kind == "dichotomy" and word in (None, *_APERIODIC):
+            _convert("process", lambda s: s.base, spec)  # a cylinder needs digits
             extras["word"] = word or "champernowne"
         elif kind in ("dichotomy", "symbolic"):
             if word is None:
                 raise ConfigError("word: symbolic needs a word or zeta")
-            extras["word"] = _word("word" if v["word"] else "zeta", word, spec)
+            extras["word"] = _word(key, word, spec)
+            if kind == "dichotomy":  # the runner's theta_theory of a periodic word
+                _convert(key, lambda w: theory.analytic_ei(spec, w), extras["word"])
         return ExperimentConfig(
             kind=kind, spec=spec, obs=obs, zeta=zeta, offsets=offsets, tau=v["tau"], n=v["n"],
             trials=v["trials"], seed=v["seed"], out=Path(v["out"]), emit_plot_data=v["emit_plot_data"],
@@ -389,7 +392,7 @@ def _run_tail_check(cfg):
             u = level_for_tau(cfg.spec, cfg.obs, n, tau)
             p = tail_probability(cfg.spec, cfg.obs, u)
             emp = float((xs > u).mean())
-            se = math.sqrt(max(p * (1 - p), 1e-12) / cfg.trials)
+            se = estimators._binomial_se(p, cfg.trials)
             rep.rows.append(
                 [cfg.spec.label, f"{cfg.obs.family}:{cfg.obs.form}", u, p, emp, se, cfg.trials]
             )
@@ -528,6 +531,8 @@ def main(argv=None):
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 2
     try:
+        if not isinstance(d, dict):
+            raise ConfigError(f"config: {args.config} holds JSON that is not an object")
         for k, v in vars(args).items():
             if v is not None and k in _KEYS:
                 convert, default = _KEYS[k]

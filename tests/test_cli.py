@@ -120,6 +120,9 @@ def test_hts_rts_config_errors_exit_before_running(tmp_path):
         (["dichotomy", "--process", "doubling", "--word", "012"], {}, "word"),
         (["hts", "--zeta", "0"], {"emit_plot_data": "false"}, "emit_plot_data"),
         (["reproduce-paper"], {"profile": "fast"}, "profile"),
+        (["estimate-ei"], [1], "config"),
+        (["dichotomy", "--process", "mma2"], {}, "process"),
+        (["dichotomy", "--process", "dyadic_jump", "--word", "011"], {}, "word"),
     ],
 )
 def test_bad_input_is_a_named_config_error(argv, config, key, tmp_path, capsys):
