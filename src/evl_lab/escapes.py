@@ -143,11 +143,9 @@ def _ratio(a, b):
 
 
 def _mean(x):
-    """(mean, stderr of the mean) of per-path counts."""
+    """(mean, stderr of the mean) of per-path counts; an ensemble has >= 2 paths."""
     x = np.asarray(x, dtype=np.float64)
     n, s = x.size, x.sum()
-    if n < 2:
-        return (s / n if n else math.nan), math.inf
     v = ((x * x).sum() - s * s / n) / (n - 1)
     return s / n, math.sqrt(max(v, 0.0) / n)
 

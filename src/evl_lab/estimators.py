@@ -56,9 +56,9 @@ def _survey(ensemble, event, offsets):
     """The one sweep of the estimator family over [0, n) of every path.
 
     Returns (share of paths with no exceedance, share of paths with no
-    last-order escape, per escape order k the runs ratio of order-k escapes
-    over order-(k-1) events as (ratio, stderr, events)), the escapes stepped
-    through one offset at a time.
+    last-order escape, per escape order k the runs (ratio, stderr, events)
+    of order-k escapes over order-(k-1) events, stepped through one offset
+    at a time).
     """
     n = ensemble.length
     chunks = []
