@@ -15,6 +15,7 @@ from evl_lab.hts_rts import (
     sample_hts,
     sample_rts,
 )
+from evl_lab.observables import ObservableSpec, bernoulli_cdf
 from evl_lab.processes import TIME_BLOCK, DigitStream, ProcessSpec, ProcessState, sample_initial
 from evl_lab.symbolic import champernowne_bits
 
@@ -291,3 +292,60 @@ def test_whole_space_target_returns_at_step_one(spec, anchor, delta):
     assert _rts_prefix(spec, tgt, 8, 5) is None
     rts = sample_rts(spec, tgt, 200, 5)
     assert not rts.censored.any() and np.all(rts.times == 1.0)
+
+
+def _map_rts_targets():
+    end = ObservableSpec(family="distance", form="weibull", anchor=None)
+    bern = ProcessSpec.bernoulli_doubling(0.3)
+    tern = ProcessSpec.m_ary(3, (0.2, 0.3, 0.5))
+    return {
+        "doubling@0": TargetSet.ball(DOUB, "0", 2.0**-10),
+        "bernoulli(0.3)@01": TargetSet.ball(bern, "01", 2.0**-10),
+        "bernoulli(0.3)@0": TargetSet.ball(bern, "0", 2.0**-8),
+        "m_ary(3)@12": TargetSet.ball(tern, "12", 0.003),
+        "chebyshev@0": TargetSet.ball(ProcessSpec.chebyshev(), "0", 2.0**-14),
+        "dyadic_jump@01": TargetSet.ball(ProcessSpec.dyadic_jump(), "01", 0.01),
+        "ar1(2)": TargetSet.ball_of_measure(ProcessSpec.ar1(2), end, 2.0**-7),
+        "ar1(3)": TargetSet.ball_of_measure(ProcessSpec.ar1(3), end, 2.0**-7),
+    }
+
+
+# sha256 of the digit kinds' return-time starts at 1,000 trials, seed 2024:
+# wrapped and plain arcs, uniform and weighted digits, and the ar1 endpoint
+# balls of measure 2**-7
+MAP_RTS_PREFIX_KAT = {
+    "doubling@0": "fad2ea8361fd9c8b61b88c53aa91047e7572de4591a5c2a21f6f7b5adf50cec4",
+    "bernoulli(0.3)@01": "a2b13dabb878573f878562f16d852aa62c12a423d07f263a1d5b2598ef8a15ab",
+    "bernoulli(0.3)@0": "2b8901e388c88848f7a49c576051b12e74fa18dd9f74c0bb310d40a9d5c08dad",
+    "m_ary(3)@12": "56a9c9436303710f751b97a6ff887e25ad7acb88bdd3208ab619f83b6c8ec28c",
+    "chebyshev@0": "adfbdb2ac7c915c556364a2056e1ba1447ba2d450e565b740f86c573221dac30",
+    "dyadic_jump@01": "9e9ea0eb9c81bfed391ce2deec24b974a26af3a16d8b8add3f7931d6554100c8",
+    "ar1(2)": "c9781ea18f2aa67bae9a80c0c915cf144231e9b00bc3b244406d7e0a07117e0e",
+    "ar1(3)": "f8764b537586da5daa450dfcd387ca88ddb97a8c683cf0b5b2d1e59f05636f84",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_RTS_PREFIX_KAT))
+def test_map_rts_prefix_known_answer_digest(name):
+    tgt = _map_rts_targets()[name]
+    prefix = _rts_prefix(tgt.spec, tgt, 1000, 2024)
+    assert prefix.dtype == np.uint8 and prefix.shape[0] == 1000
+    assert hashlib.sha256(prefix.tobytes()).hexdigest() == MAP_RTS_PREFIX_KAT[name]
+
+
+@pytest.mark.parametrize("name", ["bernoulli(0.3)@01", "bernoulli(0.3)@0", "m_ary(3)@12"])
+def test_weighted_arc_start_law(ks, name):
+    # starts read from their first 60 digits lie in the arc and follow the
+    # invariant measure conditioned on it, along the arc when it wraps
+    trials = 20_000
+    tgt = _map_rts_targets()[name]
+    spec, ev = tgt.spec, tgt.event
+    m = spec.base
+    x = np.zeros(trials)
+    for d in _rts_prefix(spec, tgt, trials, seed=5)[:, 59::-1].T:
+        x = (x + d) / m
+    assert ev.mask_native(x).all()
+    F = lambda t: bernoulli_cdf(t, spec.digit_weights)
+    lo, hi = F(ev.lo), F(ev.hi)
+    along = F(x) - lo + (x < ev.lo)  # the wrapped part (0, hi) follows (lo, 1)
+    assert ks(along / (hi - lo + (ev.hi < ev.lo)), lambda p: p) <= 1.63 / math.sqrt(trials)
