@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, escapes, estimators, hts_rts, symbolic, theory
-from .observables import LevelSchedule, ObservableSpec, tail_probability
+from .observables import LevelSchedule, ObservableSpec, level_for_tau, tail_probability
 from .processes import MAP_KINDS, Ensemble, ProcessSpec, point_values_at
 from .escapes import EscapeOffsets
 
@@ -297,15 +297,16 @@ def _run_hts_rts(cfg, mode):
     hf = cfg.extras["horizon_factor"]
     target = hts_rts.TargetSet.ball(cfg.spec, cfg.zeta, delta)
     th = _analytic_theta(cfg)
+    th_law = th if not math.isnan(th) else 1.0  # no analytic index: compare with the unit-rate law
     sampler = hts_rts.sample_hts if mode == "hts" else hts_rts.sample_rts
     samples = sampler(cfg.spec, target, cfg.trials, cfg.seed, horizon_factor=hf)
-    cdf = theory.theoretical_cdf(mode, th if not math.isnan(th) else 1.0)
+    cdf = theory.theoretical_cdf(mode, th_law)
     if mode == "rts":
         unc = ~samples.censored
         eps = estimators.ATOM_EPS
         atom = float(((samples.times <= eps) & unc).mean())
         cont = np.sort(samples.times[(samples.times > eps) & unc])
-        base = theory.theoretical_cdf("hts", th if not math.isnan(th) else 1.0)
+        base = theory.theoretical_cdf("hts", th_law)
         f0 = float(base(eps))
         ks = float(hts_rts.ks_sup((np.asarray(base(cont)) - f0) / (1.0 - f0), cont.size))
     else:
@@ -383,8 +384,6 @@ def _run_tail_check(cfg):
     rep = ExperimentReport(
         header=["process", "observable", "u", "tail_analytic", "tail_empirical", "stderr", "samples"]
     )
-    from .observables import level_for_tau
-
     pts = point_values_at(cfg.spec, cfg.seed, np.arange(cfg.trials), [0])[:, 0]
     xs = cfg.obs.apply(cfg.spec, pts)
     for n in cfg.n:

@@ -195,6 +195,8 @@ def periodicity_report(ensemble, offsets, theta, levels, n, ratio_cutoff=None):
     default_cutoff = ratio_cutoff is None
     if default_cutoff:
         ratio_cutoff = max(1, math.ceil(math.log(n) / abs(math.log1p(-theta)))) if 0 < theta < 1 else 10
+    elif ratio_cutoff < 1:
+        raise ValueError("ratio_cutoff must be >= 1")
     event = exceedance_event(ensemble.spec, levels.obs, u)
     chunks = []
     for ids, keys in ensemble.mask_chunks(event, extra=max(p * ratio_cutoff, p)):

@@ -5,6 +5,9 @@ Hitting counts from step 1, so the Kac normalisation E[r | start in U] =
 conditioned on the target, exactly: by digit construction for cylinder and
 arc targets of the symbolic kinds, and through the law of the window maximum
 for the moving-maximum models, the i.i.d. control being the one-slot case.
+An arc's digits are drawn depth by depth from a table of at most three
+boundary states (the arc seen from a trial's cell), so the conditional digit
+masses are computed once per state, never once per trial.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .processes import (
     _chunk_trials,
     _digit_block,
     evaluate_point,
+    step,
 )
 
 
@@ -99,8 +103,6 @@ class TimeSampleSet:
 
 def hitting_time(spec, target, state, horizon):
     """Least j in 1..horizon with the orbit in the target at step j, else None."""
-    from .processes import step
-
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     s = state
@@ -156,52 +158,48 @@ def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
     """Digits of points drawn from the invariant measure conditioned on the
     (possibly wrapped) open interval (lo, hi).
 
-    Digit-by-digit conditional descent: each digit is drawn with its exact
-    conditional mass given the interval (fresh entropy per digit); once a
-    trial's cell lies inside the interval the conditional law coincides with
-    the unconditional one, and the remaining digits are exactly the path's
-    own unconditional stream digits.
+    Digit-by-digit conditional descent, each digit drawn with its exact
+    conditional mass given the interval (fresh entropy per digit).  A trial
+    carries only its row in a per-depth table of states (rel_lo, rel_hi),
+    the interval seen from the trial's cell: the common prefix of lo and hi,
+    or once they split the lo edge and the hi edge (a wrapped interval
+    starts from the two rows [lo, 1) and [0, hi)).  The m digit masses are
+    computed once per row; digit d leads to the child row
+    (clip(m rel_lo - d), clip(m rel_hi - d)).  Once a trial reaches the row
+    (0, 1), its cell lies inside the interval, the conditional law is the
+    unconditional one, and its remaining digits are its own stream digits.
     """
     w = spec.digit_weights
     m = w.size
     ids = np.arange(trials, dtype=np.uint64)
-    F = (lambda t: np.clip(t, 0.0, 1.0)) if spec.is_uniform else (
-        lambda t: bernoulli_cdf(t, w)
-    )
+    F = (lambda t: np.clip(t, 0.0, 1.0)) if spec.is_uniform else (lambda t: bernoulli_cdf(t, w))
     lo_m, hi_m = lo % 1.0, hi % 1.0
-    rel_lo = np.empty(trials)
-    rel_hi = np.empty(trials)
     if lo_m < hi_m:
-        rel_lo.fill(lo_m)
-        rel_hi.fill(hi_m)
-    else:  # wrapped through 0: segment [0, hi_m) or [lo_m, 1)
+        table = np.array([[lo_m, hi_m]])
+        row = np.zeros(trials, dtype=np.intp)
+    else:  # wrapped through 0: segment [lo_m, 1) (row 0) or [0, hi_m) (row 1)
+        table = np.array([[lo_m, 1.0], [0.0, hi_m]])
+        mass_hi, below_lo = F(np.array([hi_m, lo_m]))
         u_side = rng.uniforms(seed, rng.CH_INIT, ids, 0, 1)[:, 0]
-        mass_hi = float(F(np.asarray([hi_m]))[0])
-        mass_lo = 1.0 - float(F(np.asarray([lo_m]))[0])
-        take_hi = u_side * (mass_lo + mass_hi) < mass_hi
-        rel_lo[:] = np.where(take_hi, 0.0, lo_m)
-        rel_hi[:] = np.where(take_hi, hi_m, 1.0)
+        row = (u_side * (1.0 - below_lo + mass_hi) < mass_hi).astype(np.intp)
     prefix = _digit_block(spec, seed, ids, 0, depth, rng.CH_ORBIT)
-    active = np.flatnonzero((rel_lo > 0.0) | (rel_hi < 1.0))
+    active = np.arange(trials)
     for k in range(depth):
+        keep = ((table[:, 0] > 0.0) | (table[:, 1] < 1.0))[row]
+        active, row = active[keep], row[keep]
         if active.size == 0:
             break
-        rlo = m * rel_lo[active]
-        rhi = m * rel_hi[active]
-        cum_mass = np.zeros((active.size, m + 1))
-        for d in range(m):
-            a = F(np.clip(rlo - d, 0.0, 1.0))
-            b = F(np.clip(rhi - d, 0.0, 1.0))
-            cum_mass[:, d + 1] = cum_mass[:, d] + w[d] * (b - a)
+        child = np.clip(m * table[:, None, :] - np.arange(m)[:, None], 0.0, 1.0)  # (rows, m, 2)
+        cum = np.cumsum(w * (F(child[..., 1]) - F(child[..., 0])), axis=1)[row]
         u = rng.uniforms(seed, rng.CH_INIT, ids[active], k + 1, k + 2)[:, 0]
-        target = (u * cum_mass[:, m])[:, None]
-        d_sel = (target >= cum_mass[:, 1:]).sum(axis=1).astype(np.int64)
-        d_sel = np.minimum(d_sel, m - 1)
-        prefix[active, k] = d_sel.astype(np.uint8)
-        rel_lo[active] = np.clip(rlo - d_sel, 0.0, 1.0)
-        rel_hi[active] = np.clip(rhi - d_sel, 0.0, 1.0)
-        keep = (rel_lo[active] > 0.0) | (rel_hi[active] < 1.0)
-        active = active[keep]
+        d = np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
+        prefix[active, k] = d
+        # the next table holds the children some trial reached (no sort over trials)
+        row = row * m + d
+        reached = np.zeros(child.shape[0] * m, dtype=bool)
+        reached[row] = True
+        table, inv = np.unique(child.reshape(-1, 2)[reached], axis=0, return_inverse=True)
+        row = inv[np.cumsum(reached)[row] - 1]
     return prefix
 
 

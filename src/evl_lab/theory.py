@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import symbolic
 
 
@@ -93,8 +95,6 @@ def theoretical_cdf(kind, theta):
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    import numpy as np
-
     if kind == "hts":
         return lambda t: 1.0 - np.exp(-theta * np.asarray(t, dtype=np.float64))
     if kind == "rts":

@@ -139,6 +139,16 @@ def test_default_ratio_cutoff_drops_unsupported_rows():
     assert counts[rows] >= MIN_CONTINUATIONS > counts[rows + 1]
 
 
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_ratio_cutoff_below_one_is_a_named_error(cutoff):
+    spec = ProcessSpec.ar1(2)
+    levels = LevelSchedule(spec, AR1_OBS, tau=1.0)
+    ens = Ensemble(spec, 7, 100, 100, obs=AR1_OBS)
+    with pytest.raises(ValueError, match="ratio_cutoff"):
+        periodicity_report(ens, 1, 0.5, levels, 100, ratio_cutoff=cutoff)
+    assert len(periodicity_report(ens, 1, 0.5, levels, 100, ratio_cutoff=1).run_ratios) == 1
+
+
 def test_annulus_rate_law():
     # n P(escape at a fixed index) -> theta tau for each built-in
     cases = [

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evl_lab import theory
+from evl_lab import rng, theory
 from evl_lab.hts_rts import (
     TargetSet,
     TimeSampleSet,
@@ -16,7 +18,7 @@ from evl_lab.hts_rts import (
     sample_rts,
 )
 from evl_lab.observables import ObservableSpec, bernoulli_cdf
-from evl_lab.processes import TIME_BLOCK, DigitStream, ProcessSpec, ProcessState, sample_initial
+from evl_lab.processes import PRECISION, TIME_BLOCK, DigitStream, ProcessSpec, ProcessState, sample_initial
 from evl_lab.symbolic import champernowne_bits
 
 DOUB = ProcessSpec.doubling()
@@ -349,3 +351,58 @@ def test_weighted_arc_start_law(ks, name):
     lo, hi = F(ev.lo), F(ev.hi)
     along = F(x) - lo + (x < ev.lo)  # the wrapped part (0, hi) follows (lo, 1)
     assert ks(along / (hi - lo + (ev.hi < ev.lo)), lambda p: p) <= 1.63 / math.sqrt(trials)
+
+
+def _interval_prefix_by_loops(spec, lo, hi, trials, seed, depth=PRECISION + 16):
+    """Conditional-start digits one trial at a time: each trial carries its
+    own (rel_lo, rel_hi) and sums its m conditional digit masses in a plain
+    loop over the digits."""
+    w = spec.digit_weights.tolist()
+    m = len(w)
+    F = (lambda t: t) if spec.is_uniform else (lambda t: bernoulli_cdf(t, spec.digit_weights))
+    clip = lambda t: min(max(t, 0.0), 1.0)
+    u = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, depth + 1).tolist()
+    out = []
+    for trial in range(trials):
+        digits = DigitStream.random(spec, seed, trial).block(0, depth).tolist()
+        a, b = lo % 1.0, hi % 1.0
+        if a >= b:  # wrapped through 0: (a, 1) or (0, b), chosen by their masses
+            mass_hi, mass_lo = F(b), 1.0 - F(a)
+            a, b = (0.0, b) if u[trial][0] * (mass_lo + mass_hi) < mass_hi else (a, 1.0)
+        for k in range(depth):
+            if (a, b) == (0.0, 1.0):  # the cell lies inside: stream digits from here
+                break
+            cum = [0.0]
+            for d in range(m):
+                cum.append(cum[-1] + w[d] * (F(clip(m * b - d)) - F(clip(m * a - d))))
+            target = u[trial][k + 1] * cum[-1]
+            d = min(sum(target >= c for c in cum[1:]), m - 1)
+            digits[k] = d
+            a, b = clip(m * a - d), clip(m * b - d)
+        out.append(digits)
+    return np.array(out, dtype=np.uint8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_interval_descent_matches_per_trial_loops(data):
+    import evl_lab.hts_rts as H
+
+    m = data.draw(st.sampled_from([2, 3, 5]), label="m")
+    raw = data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m), label="weights")
+    spec = ProcessSpec.m_ary(m, [x / sum(raw) for x in raw] if data.draw(st.booleans()) else None)
+
+    def endpoint():
+        k = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            return data.draw(st.integers(0, m**k)) / m**k  # on a digit boundary
+        return data.draw(st.floats(0.0, 1.0))
+
+    lo, hi = endpoint(), endpoint()  # lo >= hi: the arc wraps through 0
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(H, "bernoulli_cdf", lambda t, w: sizes.append(np.size(t)) or bernoulli_cdf(t, w))
+        prefix = H._interval_digit_prefix(spec, lo, hi, 20_000, seed=3)
+    assert max(sizes, default=0) <= 4 * m, (spec.label, lo, hi)
+    want = _interval_prefix_by_loops(spec, lo, hi, 12, seed=3)
+    assert np.array_equal(prefix[:12], want), (spec.label, lo, hi)
