@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from evl_lab.observables import (
     LevelSchedule,
     ObservableSpec,
     ball_measure,
+    ball_radius_for_measure,
     bernoulli_cdf,
     exceedance_event,
     level_for_tau,
@@ -145,6 +147,68 @@ def test_bernoulli_ball_measure_against_monte_carlo():
     d = np.abs(pts - z)
     emp = (np.minimum(d, 1 - d) < delta).mean()
     assert abs(emp - mu) < 4 * math.sqrt(mu * (1 - mu) / 1e5)
+
+
+def _radius_by_bisection(spec, obs, target):
+    """Radius with mu(ball) = target by 80 sequential bisection steps, one
+    scalar ball_measure call per step."""
+    if target <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 2.0 if spec.kind == "chebyshev" else 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ball_measure(spec, obs, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+RADIUS_CASES = {
+    "bernoulli(0.3)@01": (ProcessSpec.bernoulli_doubling(0.3), "01"),
+    "bernoulli(0.3)@0": (ProcessSpec.bernoulli_doubling(0.3), "0"),
+    "m_ary(3)@12": (ProcessSpec.m_ary(3, (0.2, 0.3, 0.5)), "12"),
+    "doubling@01": (DOUB, "01"),
+    "chebyshev@0": (CHEB, "0"),
+    "dyadic_jump@01": (ProcessSpec.dyadic_jump(), "01"),
+    "ar1(2)": (ProcessSpec.ar1(2), None),
+    "mma2": (ProcessSpec.mma2(), None),
+    "mma13": (ProcessSpec.mma13(), None),
+}
+
+#: dyadic targets, the quick profile's tau/n and 2**-10, seeded random
+#: targets in (2**-30, 1), and the targets of measure >= 1
+RADIUS_TARGETS = (
+    [2.0**-k for k in range(1, 30)]
+    + [0.001, 0.0025, 0.002, 0.005, 2.0**-10]
+    + (2.0 ** -np.random.default_rng(16).uniform(0.0, 30.0, 20)).tolist()
+    + [1.0, 1.5]
+)
+
+# sha256 of the radii of RADIUS_TARGETS as float64 bytes: pins them apart
+# from the reference, whose scalar arcsin could agree with the vectorized
+# one on this CPU and not on another
+RADIUS_KAT = {
+    "ar1(2)": "454ad9b93bf0c206c2427af0a536081055f9ab0a5843df38b52b4401cdf58b7f",
+    "bernoulli(0.3)@0": "cf4b409ae2a1089f9046d5cde6fe6cf992ebdc707a4ac2aa1107e2bd8d93ca8b",
+    "bernoulli(0.3)@01": "7a55dc240ae948dfece302f52ed39b3a47fbc4c4b0335095d50b063c73c44eb9",
+    "chebyshev@0": "40201c336ec83ff0d27b7e8c2dbd866ead0c967e8a28c36641c91a72d82a273e",
+    "doubling@01": "fe85038443f4e3f4ce14f3e90ee646730386d6e74443a0b2daa68d1bf93456d1",
+    "dyadic_jump@01": "6498f6cd09e349fcdf3220e740feae1e0b46c33d40bbd233039e12c4ab152874",
+    "m_ary(3)@12": "b2ca1ecde3a076bf189fd79aaf2054736d55a7018d3286b0f41e297809ab39af",
+    "mma13": "e5cfeb35faecfddb583cc977ba673115700dcac2560ee9bcf2a2c987fc7fc0ad",
+    "mma2": "ed2ed19a36270262e9c0c8b6adc88f44bff0f4b4090baf581307b44177ec9c50",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_CASES))
+def test_ball_radius_matches_sequential_bisection(name):
+    spec, anchor = RADIUS_CASES[name]
+    obs = ObservableSpec(family="distance", form="weibull", anchor=anchor, alpha=1.0, d=1.0)
+    radii = np.array([ball_radius_for_measure(spec, obs, t) for t in RADIUS_TARGETS])
+    want = np.array([_radius_by_bisection(spec, obs, t) for t in RADIUS_TARGETS])
+    assert radii.tobytes() == want.tobytes(), name
+    assert hashlib.sha256(radii.tobytes()).hexdigest() == RADIUS_KAT[name]
 
 
 def test_measure_ball_uniformisation():
