@@ -5,9 +5,9 @@ Hitting counts from step 1, so the Kac normalisation E[r | start in U] =
 conditioned on the target, exactly: by digit construction for cylinder and
 arc targets of the symbolic kinds, and through the law of the window maximum
 for the moving-maximum models, the i.i.d. control being the one-slot case.
-An arc's digits are drawn depth by depth from a table of at most three
-boundary states (the arc seen from a trial's cell), so the conditional digit
-masses are computed once per state, never once per trial.
+An arc's digits are drawn depth by depth from an unsorted table of at most
+three boundary states (the arc seen from a trial's cell), so the conditional
+digit masses are computed once per state, never once per trial.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def sample_hts(spec, target, trials, seed, horizon_factor=20):
 
 def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
     """Digits of points drawn from the invariant measure conditioned on the
-    (possibly wrapped) open interval (lo, hi).
+    open interval (lo, hi), wrapped through 0 when lo mod 1 >= hi mod 1 and hi != 1.
 
     Digit-by-digit conditional descent, each digit drawn with its exact
     conditional mass given the interval (fresh entropy per digit).  A trial
@@ -164,16 +164,17 @@ def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
     the interval seen from the trial's cell: the common prefix of lo and hi,
     or once they split the lo edge and the hi edge (a wrapped interval
     starts from the two rows [lo, 1) and [0, hi)).  The m digit masses are
-    computed once per row; digit d leads to the child row
-    (clip(m rel_lo - d), clip(m rel_hi - d)).  Once a trial reaches the row
-    (0, 1), its cell lies inside the interval, the conditional law is the
+    computed once per row; digit d leads to the child (clip(m rel_lo - d),
+    clip(m rel_hi - d)) at flat index row * m + d.  At the child (0, 1) a
+    trial's cell lies inside the interval, the conditional law is the
     unconditional one, and its remaining digits are its own stream digits.
+    The other reached children, in flat order, make the next table unsorted.
     """
     w = spec.digit_weights
     m = w.size
     ids = np.arange(trials, dtype=np.uint64)
     F = (lambda t: np.clip(t, 0.0, 1.0)) if spec.is_uniform else (lambda t: bernoulli_cdf(t, w))
-    lo_m, hi_m = lo % 1.0, hi % 1.0
+    lo_m, hi_m = lo % 1.0, (hi if hi == 1.0 else hi % 1.0)  # hi = 1 is the top, not a wrap
     if lo_m < hi_m:
         table = np.array([[lo_m, hi_m]])
         row = np.zeros(trials, dtype=np.intp)
@@ -183,23 +184,24 @@ def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
         u_side = rng.uniforms(seed, rng.CH_INIT, ids, 0, 1)[:, 0]
         row = (u_side * (1.0 - below_lo + mass_hi) < mass_hi).astype(np.intp)
     prefix = _digit_block(spec, seed, ids, 0, depth, rng.CH_ORBIT)
-    active = np.arange(trials)
+    inner = lambda t: (t[:, 0] > 0.0) | (t[:, 1] < 1.0)  # not (0, 1): the cell still meets an edge
+    active = np.flatnonzero(inner(table)[row])
+    row = row[active]
     for k in range(depth):
-        keep = ((table[:, 0] > 0.0) | (table[:, 1] < 1.0))[row]
-        active, row = active[keep], row[keep]
         if active.size == 0:
             break
-        child = np.clip(m * table[:, None, :] - np.arange(m)[:, None], 0.0, 1.0)  # (rows, m, 2)
-        cum = np.cumsum(w * (F(child[..., 1]) - F(child[..., 0])), axis=1)[row]
+        child = np.clip(m * table[:, None, :] - np.arange(m)[:, None], 0.0, 1.0).reshape(-1, 2)
+        cum = np.cumsum(w * (F(child[:, 1]) - F(child[:, 0])).reshape(-1, m), axis=1)[row]
         u = rng.uniforms(seed, rng.CH_INIT, ids[active], k + 1, k + 2)[:, 0]
         d = np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
         prefix[active, k] = d
-        # the next table holds the children some trial reached (no sort over trials)
+        # trials at child (0, 1) leave; the other reached children are the next table
         row = row * m + d
-        reached = np.zeros(child.shape[0] * m, dtype=bool)
+        keep = inner(child)[row]
+        active, row = active[keep], row[keep]
+        reached = np.zeros(child.shape[0], dtype=bool)
         reached[row] = True
-        table, inv = np.unique(child.reshape(-1, 2)[reached], axis=0, return_inverse=True)
-        row = inv[np.cumsum(reached)[row] - 1]
+        table, row = child[reached], (np.cumsum(reached) - 1)[row]
     return prefix
 
 

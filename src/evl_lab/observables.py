@@ -20,6 +20,9 @@ from . import symbolic
 
 G_FORMS = ("gumbel", "frechet", "weibull")
 FAMILIES = ("distance", "ball_measure", "cylinder")
+#: bisection levels per ball_measure call in ball_radius_for_measure: at 6 (63 midpoints) a
+#: Bernoulli(0.3)@01 solve at 2**-10 took 17 ms against 67 ms at 1; 4 to 6 were about equal, 12 slower
+_TREE_LEVELS = 6
 
 
 def _g_apply(form, alpha, d, s):
@@ -153,16 +156,25 @@ def ball_measure(spec, obs, radius):
 
 
 def ball_radius_for_measure(spec, obs, target):
-    """Inverse of ball_measure: radius with mu(ball) = target (bisection)."""
+    """Inverse of ball_measure: radius with mu(ball) = target, by 80 bisection steps run
+    _TREE_LEVELS at a time: the levels' midpoints are the same 0.5 * (lo + hi) floats as in a
+    one-step loop, measured in one call and walked taking that loop's branch at every node,
+    so the radius is the loop's bit for bit, also where ball_measure is not monotone in ulps."""
+    if math.isnan(target):
+        raise ValueError("ball target measure is NaN")
     if target <= 0.0:
         return 0.0
     lo, hi = 0.0, {"chebyshev": 2.0}.get(spec.kind, 1.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ball_measure(spec, obs, mid) < target:
-            lo = mid
-        else:
-            hi = mid
+    for done in range(0, 80, _TREE_LEVELS):
+        widths = 2 ** np.arange(min(_TREE_LEVELS, 80 - done), 0, -1)  # cell widths per level, in leaves
+        edges = np.r_[lo, np.full(widths[0], hi)]  # the tree's edges in order
+        for w in widths:  # split every cell of width w at its middle
+            edges[w // 2 :: w] = 0.5 * (edges[:-1:w] + edges[w::w])
+        below = ball_measure(spec, obs, edges[1:-1]) < target
+        a = 0
+        for w in widths:  # the loop's branch: the right half of [a, a + w] if its middle is below
+            a += w // 2 * below[a + w // 2 - 1]
+        lo, hi = float(edges[a]), float(edges[a + 1])
     return 0.5 * (lo + hi)
 
 

@@ -335,6 +335,28 @@ def test_map_rts_prefix_known_answer_digest(name):
     assert hashlib.sha256(prefix.tobytes()).hexdigest() == MAP_RTS_PREFIX_KAT[name]
 
 
+def test_arcs_ending_at_one_draw_no_side_uniform(monkeypatch):
+    # the ar1 starts and a jump-map arc clipped at 1 end at the top of the
+    # circle and do not wrap through 0: no CH_INIT uniform at position 0
+    # picks a side of them, and the starts are as pinned
+    import evl_lab.hts_rts as H
+
+    calls = []
+    uniforms = H.rng.uniforms
+    monkeypatch.setattr(
+        H.rng, "uniforms", lambda seed, ch, ids, lo, hi: calls.append((ch, lo)) or uniforms(seed, ch, ids, lo, hi)
+    )
+    jump = ProcessSpec.dyadic_jump()
+    tgt = TargetSet.ball(jump, "10", 0.4)  # (2/3 - 0.4, 2/3 + 0.4)
+    assert tgt.event.hi > 1.0
+    _rts_prefix(jump, tgt, 100, 2024)
+    for name in ("ar1(2)", "ar1(3)"):
+        tgt = _map_rts_targets()[name]
+        prefix = _rts_prefix(tgt.spec, tgt, 1000, 2024)
+        assert hashlib.sha256(prefix.tobytes()).hexdigest() == MAP_RTS_PREFIX_KAT[name]
+    assert (rng.CH_INIT, 1) in calls and (rng.CH_INIT, 0) not in calls
+
+
 @pytest.mark.parametrize("name", ["bernoulli(0.3)@01", "bernoulli(0.3)@0", "m_ary(3)@12"])
 def test_weighted_arc_start_law(ks, name):
     # starts read from their first 60 digits lie in the arc and follow the

@@ -211,6 +211,17 @@ def test_ball_radius_matches_sequential_bisection(name):
     assert hashlib.sha256(radii.tobytes()).hexdigest() == RADIUS_KAT[name]
 
 
+def test_nan_target_measure_is_a_named_error():
+    # a NaN target used to bisect down to a radius of about 4e-25, and the
+    # ball of measure NaN became an arc with lo == hi
+    from evl_lab.hts_rts import TargetSet
+
+    with pytest.raises(ValueError, match="target measure is NaN"):
+        ball_radius_for_measure(DOUB, CHEB_OBS, math.nan)
+    with pytest.raises(ValueError, match="target measure is NaN"):
+        TargetSet.ball_of_measure(DOUB, BALL_G1, float("nan"))
+
+
 def test_measure_ball_uniformisation():
     # mu(B_dist(X, anchor)) is Uniform(0,1) for non-atomic invariant measures
     for spec, word in ((DOUB, "0"), (ProcessSpec.bernoulli_doubling(0.3), "01"), (CHEB, "0")):
