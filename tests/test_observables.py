@@ -212,8 +212,8 @@ def test_ball_radius_matches_sequential_bisection(name):
 
 
 def test_nan_target_measure_is_a_named_error():
-    # a NaN target used to bisect down to a radius of about 4e-25, and the
-    # ball of measure NaN became an arc with lo == hi
+    # a NaN target is rejected by name, not bisected to a radius near 0 whose
+    # ball would be an arc with lo == hi
     from evl_lab.hts_rts import TargetSet
 
     with pytest.raises(ValueError, match="target measure is NaN"):
