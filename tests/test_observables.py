@@ -137,6 +137,43 @@ def test_bernoulli_cdf_array_matches_scalar():
         assert arr[0] == 0.0 and arr[1] == 0.0 and arr[2] == 1.0 and arr[3] == 1.0
 
 
+def _bernoulli_cdf_by_loop(x, weights):
+    """Reference: 64 steps of x *= m, d = min(int(x), m - 1), x -= d, with the
+    weight of the cell of the digits so far carried along."""
+    w = np.asarray(weights, dtype=np.float64)
+    m = w.size
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    x0 = np.asarray(x, dtype=np.float64)
+    x = np.clip(x0, 0.0, 1.0)
+    acc = (x0 >= 1.0).astype(np.float64)
+    prod = ((x0 > 0.0) & (x0 < 1.0)).astype(np.float64)
+    for _ in range(64):
+        x *= m
+        d = np.minimum(x.astype(np.int64), m - 1)
+        x -= d
+        acc += prod * cum[d]
+        prod *= w[d]
+    out = acc + 0.5 * prod
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("weights", [(0.3, 0.7), (0.5, 0.5), (0.1, 0.9), (0.2, 0.3, 0.5)])
+def test_bernoulli_cdf_matches_per_digit_loop(weights):
+    # float64 bytes equal to the per-digit loop, for every shape, at the
+    # edges of [0, 1], at dyadic offsets from 1/3 and at seeded randoms
+    third = 1 / 3
+    edges = [0.0, -0.0, 1.0, 1.0 - 2.0**-53, 2.0**-60, math.inf, -math.inf, -0.5, 1.5, third]
+    offsets = [third + s * 2.0**-k for k in range(1, 64) for s in (1.0, -1.0)]
+    x = np.concatenate([edges, offsets, np.random.default_rng(17).random(1000)])
+    for t in edges:
+        got = bernoulli_cdf(t, weights)
+        want = _bernoulli_cdf_by_loop(t, weights)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    for shaped in (np.asarray(third), x, x[:126].reshape(2, 63)):
+        got, want = bernoulli_cdf(shaped, weights), _bernoulli_cdf_by_loop(shaped, weights)
+        assert np.shape(got) == np.shape(shaped) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_bernoulli_ball_measure_against_monte_carlo():
     spec = ProcessSpec.bernoulli_doubling(0.3)
     obs = ObservableSpec(family="distance", form="weibull", anchor="01")

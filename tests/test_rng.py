@@ -171,6 +171,21 @@ def test_generator_known_answers(name):
     assert h.hexdigest() == expected
 
 
+@pytest.mark.parametrize("m", [3, 5, 7, 10])
+def test_uniform_digits_match_divmod_unpacking(m):
+    # word mod m**k, then k digits least significant first, each by divmod
+    k = int(32 // np.log2(m))
+    for lo, hi in [(0, 1), (1, 2 * k + 3), (k - 1, 5 * k + 1), (7, 7)]:
+        w0 = lo // k
+        words = rng.raw_words(11, 2, KAT_TRIALS, w0, (hi + k - 1) // k)
+        v = words % np.uint64(m**k)
+        want = np.empty((len(KAT_TRIALS), words.shape[1], k), dtype=np.uint8)
+        for slot in range(k):
+            v, want[:, :, slot] = np.divmod(v, np.uint64(m))
+        got = rng.uniform_digits(11, 2, KAT_TRIALS, lo, hi, m)
+        assert np.array_equal(got, want.reshape(len(KAT_TRIALS), -1)[:, lo - k * w0 : hi - k * w0])
+
+
 def test_words_are_built_time_major():
     w = rng.raw_words(2024, 0, KAT_TRIALS, 5, 70)
     assert w.T.flags.c_contiguous
