@@ -36,6 +36,8 @@ from .processes import (
     step,
 )
 
+_DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call (a doubling@0 start: 3 calls, not 12)
+
 
 class ConditionalStartError(RuntimeError):
     """A drawn return-time start lies outside its target."""
@@ -190,15 +192,17 @@ def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
     for k in range(depth):
         if active.size == 0:
             break
+        if k % _DRAW_DEPTHS == 0:  # positional draws: those of later depths are drawn ahead
+            u_ahead = rng.uniforms(seed, rng.CH_INIT, ids[active], k + 1, k + 1 + _DRAW_DEPTHS)
         child = np.clip(m * table[:, None, :] - np.arange(m)[:, None], 0.0, 1.0).reshape(-1, 2)
         cum = np.cumsum(w * (F(child[:, 1]) - F(child[:, 0])).reshape(-1, m), axis=1)[row]
-        u = rng.uniforms(seed, rng.CH_INIT, ids[active], k + 1, k + 2)[:, 0]
+        u = u_ahead[:, k % _DRAW_DEPTHS]
         d = np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
         prefix[active, k] = d
         # trials at child (0, 1) leave; the other reached children are the next table
         row = row * m + d
         keep = inner(child)[row]
-        active, row = active[keep], row[keep]
+        active, row, u_ahead = active[keep], row[keep], u_ahead[keep]
         reached = np.zeros(child.shape[0], dtype=bool)
         reached[row] = True
         table, row = child[reached], (np.cumsum(reached) - 1)[row]

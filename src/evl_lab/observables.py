@@ -23,6 +23,7 @@ FAMILIES = ("distance", "ball_measure", "cylinder")
 #: bisection levels per ball_measure call in ball_radius_for_measure: at 6 (63 midpoints) a
 #: Bernoulli(0.3)@01 solve at 2**-10 took 17 ms against 67 ms at 1; 4 to 6 were about equal, 12 slower
 _TREE_LEVELS = 6
+_CDF_BLOCK = 1024  #: values per bernoulli_cdf block (its tables: 1.5 KiB a value); 512 to 2048 ran alike
 
 
 def _g_apply(form, alpha, d, s):
@@ -80,7 +81,7 @@ class ObservableSpec:
                 raise ValueError("map kinds need a word anchor")
             return 1.0
         word = symbolic.SymbolicWord.parse(self.anchor, spec.base)
-        y = word.periodic_value()
+        y = float(word.periodic_value())  # a Fraction would turn point arrays into object arrays
         if spec.kind == "chebyshev":
             return -math.cos(2.0 * math.pi * y)
         return y
@@ -110,22 +111,41 @@ def bernoulli_cdf(x, weights):
     """CDF at x of the product measure with the given digit weights (base m).
 
     Vectorized in x (a float for a scalar x); exactly 0 at x <= 0 and exactly
-    1 at x >= 1.
+    1 at x >= 1; a NaN x is a ValueError.
     """
     w = np.asarray(weights, dtype=np.float64)
     m = w.size
     cum = np.concatenate([[0.0], np.cumsum(w)])
     x0 = np.asarray(x, dtype=np.float64)
-    x = np.clip(x0, 0.0, 1.0)
-    acc = (x0 >= 1.0).astype(np.float64)
-    prod = ((x0 > 0.0) & (x0 < 1.0)).astype(np.float64)
-    for _ in range(64):  # base-m digits; 64 exceed float64 precision
-        x *= m
-        d = np.minimum(x.astype(np.int64), m - 1)
-        x -= d
-        acc += prod * cum[d]
-        prod *= w[d]
-    out = acc + 0.5 * prod  # midpoint of the residual cell
+    if np.isnan(x0).any():
+        raise ValueError("bernoulli_cdf: x is NaN")
+    flat, out = x0.ravel(), np.empty(x0.size)
+    x = np.clip(flat, 0.0, 1.0)
+    # 64 base-m digits (past float64 precision) of the loop x *= m, d = min(int(x), m - 1), x -= d
+    if m == 2:  # the loop is exact: its digits are the bits of floor(x * 2**64) (x = 1 wraps to 0s)
+        t = x * 2.0**32
+        v = np.floor(t).astype(np.uint64) << np.uint64(32) | ((t - np.floor(t)) * 2.0**32).astype(np.uint64)
+        digits = np.unpackbits(v.astype(">u8").view(np.uint8).reshape(-1, 8).T.copy(), axis=0)
+    else:
+        digits = np.empty((64, x.size), dtype=np.uint8)
+        for row in digits:
+            x *= m
+            row[...] = d = np.minimum(x.astype(np.int64), m - 1)
+            x -= d
+    buf = np.empty(193 * min(flat.size, _CDF_BLOCK))  # one block's tables, reused block to block
+    for s in range(0, flat.size, _CDF_BLOCK):
+        xs = flat[s : s + _CDF_BLOCK]
+        idx, prod, tab = np.split(buf[: 193 * xs.size].reshape(193, xs.size), [64, 129])
+        idx = idx.view(np.int64)
+        idx[...] = digits[:, s : s + _CDF_BLOCK]
+        prod[0] = (xs > 0.0) & (xs < 1.0)  # prod[k]: weight of x's cell after k digits
+        for p, f, q in zip(prod, w.take(idx, out=tab, mode="clip"), prod[1:]):
+            np.multiply(p, f, out=q)
+        cum.take(idx, out=tab, mode="clip")
+        tab *= prod[:-1]  # weight of the cells left of x's, digit by digit
+        acc = sum(tab, (xs >= 1.0).astype(np.float64))  # row by row, in the loop's order
+        out[s : s + _CDF_BLOCK] = acc + 0.5 * prod[-1]  # midpoint of the residual cell
+    out = out.reshape(x0.shape)
     return float(out) if out.ndim == 0 else out
 
 

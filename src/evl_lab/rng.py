@@ -118,11 +118,11 @@ def uniform_digits(seed, channel, trials, lo, hi, m):
     w0, w1 = lo // k, (hi + k - 1) // k
     words = raw_words(seed, channel, trials, w0, w1).T
     out = np.empty((words.shape[0], k, words.shape[1]), dtype=np.uint8)
-    v = (words % M).astype(np.uint32)  # m**k <= 2**32
-    r = np.empty_like(v)
-    for slot in range(k):
-        np.divmod(v, np.uint32(m), out=(v, r))
-        out[:, slot] = r
+    v = (words - words // M * M).astype(np.uint32)  # words % M, and m**k <= 2**32
+    for slot in range(k):  # remainders via floor_divide, numpy's one fast path for a scalar divisor
+        q = v // np.uint32(m)
+        out[:, slot] = v - q * np.uint32(m)
+        v = q
     return _rows(out)[lo - k * w0 : hi - k * w0].T
 
 

@@ -174,6 +174,26 @@ def test_bernoulli_cdf_matches_per_digit_loop(weights):
         assert np.shape(got) == np.shape(shaped) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def test_bernoulli_cdf_rejects_nan_by_name():
+    # a NaN x is named, not cast to a digit index out of bounds; a weighted
+    # ball of NaN radius meets the same error
+    w = (0.3, 0.7)
+    for x in (math.nan, np.array([[0.2, math.nan, 0.7]])):
+        with pytest.raises(ValueError, match="x is NaN"):
+            bernoulli_cdf(x, w)
+    obs = ObservableSpec(family="distance", form="weibull", anchor="01")
+    with pytest.raises(ValueError, match="x is NaN"):
+        ball_measure(ProcessSpec.bernoulli_doubling(0.3), obs, math.nan)
+
+
+def test_word_anchors_are_floats():
+    # a Fraction anchor would turn ball and distance arithmetic on point
+    # arrays into object-dtype arrays
+    for spec in (ProcessSpec.bernoulli_doubling(0.3), ProcessSpec.m_ary(3), ProcessSpec.dyadic_jump(), CHEB):
+        obs = ObservableSpec(family="distance", form="weibull", anchor="01")
+        assert type(obs.anchor_point(spec)) is float
+
+
 def test_bernoulli_ball_measure_against_monte_carlo():
     spec = ProcessSpec.bernoulli_doubling(0.3)
     obs = ObservableSpec(family="distance", form="weibull", anchor="01")
