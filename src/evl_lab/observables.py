@@ -121,18 +121,17 @@ def bernoulli_cdf(x, weights):
         raise ValueError("bernoulli_cdf: x is NaN")
     flat, out = x0.ravel(), np.empty(x0.size)
     x = np.clip(flat, 0.0, 1.0)
-    # 64 base-m digits (past float64 precision) of the loop x *= m, d = min(int(x), m - 1), x -= d
-    if m == 2:  # the loop is exact: its digits are the bits of floor(x * 2**64) (x = 1 wraps to 0s)
+    if m == 2:  # the digit loop below is exact: its digits are the bits of floor(x * 2**64) (0s at x = 1)
         t = x * 2.0**32
         v = np.floor(t).astype(np.uint64) << np.uint64(32) | ((t - np.floor(t)) * 2.0**32).astype(np.uint64)
         digits = np.unpackbits(v.astype(">u8").view(np.uint8).reshape(-1, 8).T.copy(), axis=0)
-    else:
+    else:  # 64 base-m digits, past float64 precision, by x *= m, d = min(int(x), m - 1), x -= d
         digits = np.empty((64, x.size), dtype=np.uint8)
         for row in digits:
             x *= m
             row[...] = d = np.minimum(x.astype(np.int64), m - 1)
             x -= d
-    buf = np.empty(193 * min(flat.size, _CDF_BLOCK))  # one block's tables, reused block to block
+    buf = np.empty(193 * min(flat.size, _CDF_BLOCK))  # a block's 64 digit, 65 + 64 weight rows, reused
     for s in range(0, flat.size, _CDF_BLOCK):
         xs = flat[s : s + _CDF_BLOCK]
         idx, prod, tab = np.split(buf[: 193 * xs.size].reshape(193, xs.size), [64, 129])
