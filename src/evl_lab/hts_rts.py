@@ -36,7 +36,7 @@ from .processes import (
     step,
 )
 
-_DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call (a doubling@0 start: 3 calls, not 12)
+_DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call (a doubling@0 start: 3 calls, not 11)
 
 
 class ConditionalStartError(RuntimeError):

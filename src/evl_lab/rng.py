@@ -118,7 +118,7 @@ def uniform_digits(seed, channel, trials, lo, hi, m):
     w0, w1 = lo // k, (hi + k - 1) // k
     words = raw_words(seed, channel, trials, w0, w1).T
     out = np.empty((words.shape[0], k, words.shape[1]), dtype=np.uint8)
-    q = words // M  # words % M as words - q * M, in place: m**k <= 2**32
+    q = words // M  # words % M as words - q * M, in place; m**k <= 2**32 fits uint32
     v = np.subtract(words, np.multiply(q, M, out=q), out=words).astype(np.uint32)
     for slot in range(k):  # remainders via floor_divide, numpy's one fast path for a scalar divisor
         q = v // np.uint32(m)
