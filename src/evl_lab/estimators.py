@@ -187,7 +187,7 @@ def cylinder_ei(spec, word, tau, trials, seed):
         raise ValueError("tau too small: empty observation window")
     mu = symbolic.cylinder_measure(w, spec.digit_weights)
     tau_eff = omega * mu
-    event = ExceedanceEvent("cylinder", word=tuple(w.digits))
+    event = ExceedanceEvent(word=tuple(w.digits))
     p, _, _ = _survey(Ensemble(spec, seed, trials, omega), event, EscapeOffsets.single(1))
     return ei_from_max(p, tau_eff, _binomial_se(p, trials), "MaxLaw", n=omega, trials=trials)
 

@@ -5,9 +5,9 @@ Hitting counts from step 1, so the Kac normalisation E[r | start in U] =
 conditioned on the target, exactly: by digit construction for cylinder and
 arc targets of the symbolic kinds, and through the law of the window maximum
 for the moving-maximum models, the i.i.d. control being the one-slot case.
-An arc's digits are drawn depth by depth from an unsorted table of at most
-three boundary states (the arc seen from a trial's cell), so the conditional
-digit masses are computed once per state, never once per trial.
+A union of arcs has its digits drawn depth by depth from an unsorted table of
+at most two boundary states per arc (an arc seen from a trial's cell), so the
+conditional digit masses are computed once per state, never once per trial.
 """
 
 from __future__ import annotations
@@ -65,29 +65,25 @@ class TargetSet:
 
     @staticmethod
     def ball_of_measure(spec, obs, measure):
-        anchor = obs.anchor
-        probe = ObservableSpec(family="distance", form="weibull", anchor=anchor, alpha=1.0, d=1.0)
-        delta = ball_radius_for_measure(spec, probe, measure)
-        return TargetSet.ball(spec, anchor, delta)
+        # ball_measure reads only the anchor of obs
+        return TargetSet.ball(spec, obs.anchor, ball_radius_for_measure(spec, obs, measure))
 
     @staticmethod
     def cylinder(spec, word):
         w = symbolic.SymbolicWord.parse(word, spec.base)
         mu = symbolic.cylinder_measure(w, spec.digit_weights)
-        ev = ExceedanceEvent("cylinder", word=tuple(w.digits))
+        ev = ExceedanceEvent(word=tuple(w.digits))
         return TargetSet(spec, "cylinder", str(w), 0.0, mu, ev)
 
     def contains_state(self, state):
         if self.kind == "cylinder":
             got = state.stream.block(state.cursor, state.cursor + len(self.event.word))
             return all(int(a) == b for a, b in zip(got, self.event.word))
-        x = evaluate_point(self.spec, state)
-        if self.spec.kind == "chebyshev":
-            theta = sum(
-                int(d) * 0.5 ** (i + 1)
-                for i, d in enumerate(state.stream.block(state.cursor, state.cursor + PRECISION))
-            )
-            return bool(self.event.mask_native(np.asarray(theta)))
+        if self.spec.kind == "chebyshev":  # the event lies on the doubling coordinate theta
+            digits = state.stream.block(state.cursor, state.cursor + PRECISION)
+            x = sum(int(d) * 0.5 ** (i + 1) for i, d in enumerate(digits))
+        else:
+            x = evaluate_point(self.spec, state)
         return bool(self.event.mask_native(np.asarray(x)))
 
 
@@ -156,35 +152,32 @@ def sample_hts(spec, target, trials, seed, horizon_factor=20):
 # ---------------------------------------------------------------------------
 
 
-def _interval_digit_prefix(spec, lo, hi, trials, seed, depth=PRECISION + 16):
+def _interval_digit_prefix(spec, arcs, trials, seed, depth=PRECISION + 16):
     """Digits of points drawn from the invariant measure conditioned on the
-    open interval (lo, hi), wrapped through 0 when lo mod 1 >= hi mod 1 and hi != 1.
+    union of the sorted disjoint open ``arcs``, clipped to [0, 1].
 
     Digit-by-digit conditional descent, each digit drawn with its exact
-    conditional mass given the interval (fresh entropy per digit).  A trial
-    carries only its row in a per-depth table of states (rel_lo, rel_hi),
-    the interval seen from the trial's cell: the common prefix of lo and hi,
-    or once they split the lo edge and the hi edge (a wrapped interval
-    starts from the two rows [lo, 1) and [0, hi)).  The m digit masses are
-    computed once per row; digit d leads to the child (clip(m rel_lo - d),
-    clip(m rel_hi - d)) at flat index row * m + d.  At the child (0, 1) a
-    trial's cell lies inside the interval, the conditional law is the
-    unconditional one, and its remaining digits are its own stream digits.
+    conditional mass (fresh entropy per digit).  A trial carries only its row
+    in a per-depth table of states (rel_lo, rel_hi), an arc seen from the
+    trial's cell: first one row per arc, picked when there are several by the
+    position-0 uniform against the arcs' cumulative masses; then the common
+    prefix of an arc's ends, or once they split its lo edge and its hi edge.
+    The m digit masses are computed once per row; digit d leads to the child
+    (clip(m rel_lo - d), clip(m rel_hi - d)) at flat index row * m + d.  At the
+    child (0, 1) a trial's cell lies inside the arc, the conditional law is
+    the unconditional one, and its remaining digits are its own stream digits.
     The other reached children, in flat order, make the next table unsorted.
     """
     w = spec.digit_weights
     m = w.size
     ids = np.arange(trials, dtype=np.uint64)
     F = (lambda t: np.clip(t, 0.0, 1.0)) if spec.is_uniform else (lambda t: bernoulli_cdf(t, w))
-    lo_m, hi_m = lo % 1.0, (hi if hi == 1.0 else hi % 1.0)  # hi = 1 is the top, not a wrap
-    if lo_m < hi_m:
-        table = np.array([[lo_m, hi_m]])
-        row = np.zeros(trials, dtype=np.intp)
-    else:  # wrapped through 0: segment [lo_m, 1) (row 0) or [0, hi_m) (row 1)
-        table = np.array([[lo_m, 1.0], [0.0, hi_m]])
-        mass_hi, below_lo = F(np.array([hi_m, lo_m]))
-        u_side = rng.uniforms(seed, rng.CH_INIT, ids, 0, 1)[:, 0]
-        row = (u_side * (1.0 - below_lo + mass_hi) < mass_hi).astype(np.intp)
+    table = np.clip(np.array(arcs, dtype=np.float64), 0.0, 1.0)
+    row = np.zeros(trials, dtype=np.intp)
+    if len(table) > 1:
+        mass = np.cumsum(np.diff(F(table), axis=1)[:, 0])
+        u_arc = rng.uniforms(seed, rng.CH_INIT, ids, 0, 1)
+        row = ((u_arc * mass[-1]) >= mass[:-1]).sum(axis=1)
     prefix = _digit_block(spec, seed, ids, 0, depth, rng.CH_ORBIT)
     inner = lambda t: (t[:, 0] > 0.0) | (t[:, 1] < 1.0)  # not (0, 1): the cell still meets an edge
     active = np.flatnonzero(inner(table)[row])
@@ -217,13 +210,12 @@ def _rts_prefix(spec, target, trials, seed):
     if target.kind == "cylinder":
         word = np.asarray(target.event.word, dtype=np.uint8)
         return np.tile(word, (trials, 1))
-    ev = target.event
-    if spec.kind in MAP_KINDS:  # m_ary and chebyshev arcs lie in [0, 1), jump-map arcs are clipped to it
-        return _interval_digit_prefix(spec, max(ev.lo, 0.0), min(ev.hi, 1.0), trials, seed)
+    if spec.kind in MAP_KINDS:
+        return _interval_digit_prefix(spec, target.event.arcs, trials, seed)
     if spec.kind == "ar1":
         # X_0 uniform conditioned on (u, 1]; engine stores its most
         # significant digit at position 63, so the descent is reversed.
-        msb_first = _interval_digit_prefix(spec, ev.u, 1.0, trials, seed, depth=PRECISION)
+        msb_first = _interval_digit_prefix(spec, target.event.arcs, trials, seed, depth=PRECISION)
         return msb_first[:, ::-1].copy()
     # moving-maximum kinds: X_0 is the maximum M of the k window slots, so
     # given M > u it has the tail law (x^k - u^k) / (1 - u^k) on (u, 1]; M
@@ -233,12 +225,12 @@ def _rts_prefix(spec, target, trials, seed):
     slots = np.array(spec.slots)
     k = slots.size
     r = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 3 + spec.slots[-1])
-    uk = max(ev.u, 0.0) ** k
+    uk = max(target.event.arcs[0][0], 0.0) ** k  # the event is the half line (u, inf)
     top = (uk + (1.0 - r[:, 0]) * (1.0 - uk)) ** (1.0 / k)  # 1 - r in (0, 1]: top > u
     prefix = r[:, 2:].copy()
     prefix[:, slots] *= top[:, None]
     prefix[np.arange(trials), slots[(r[:, 1] * k).astype(np.int64)]] = top
-    if not ev.mask_native(prefix[:, slots].max(axis=1)).all():
+    if not target.event.mask_native(prefix[:, slots].max(axis=1)).all():
         raise ConditionalStartError("a moving-maximum start lies outside the target")
     return prefix
 

@@ -181,6 +181,8 @@ def ball_radius_for_measure(spec, obs, target):
     so the radius is the loop's bit for bit, also where ball_measure is not monotone in ulps."""
     if math.isnan(target):
         raise ValueError("ball target measure is NaN")
+    if target > 1.0:
+        raise ValueError(f"ball target measure {target!r} exceeds 1")
     if target <= 0.0:
         return 0.0
     lo, hi = 0.0, {"chebyshev": 2.0}.get(spec.kind, 1.0)
@@ -221,85 +223,91 @@ def marginal_tail(spec, u):
 
 @dataclass(frozen=True)
 class ExceedanceEvent:
-    """Exceedance set {X_0 > u} in the engine's native sweep coordinate.
+    """Exceedance set {X_0 > u} in the engine's native coordinate: a ``word``'s
+    cylinder, or the union of sorted disjoint open intervals ``arcs`` (lo, hi)
+    whose ends at +-inf are never compared: {X > u} is ((u, inf),), a circle arc
+    wrapped through 0 ((-inf, hi), (lo, inf)), the whole space ((-inf, inf),)."""
 
-    kind "circle": open arc (lo, hi) of the unit circle, wrapped through 0
-    when lo > hi (m_ary, the chebyshev doubling coordinate, and the
-    dyadic_jump exposed points, whose arcs have lo <= hi and never wrap);
-    "gt": open half line (series kinds), and for every kind the empty event
-    at u = +inf and the whole space at u = -inf; "cylinder": digit prefix
-    match.
-    """
-
-    kind: str
-    lo: float = 0.0
-    hi: float = 0.0
-    u: float = 0.0
+    arcs: tuple = ()
     word: tuple = ()
 
-    def mask_native(self, values, out=None):
-        v = values
-        if self.kind == "gt":
-            return np.greater(v, self.u, out=out)
-        if self.kind == "circle":
-            if self.lo <= self.hi:
-                res = np.less(v, self.hi, out=out)
-                res &= v > self.lo
-            else:  # wraps through 0
-                res = np.greater(v, self.lo, out=out)
-                res |= v < self.hi
-            return res
-        raise ValueError("cylinder events match digits, not points")
+    def __post_init__(self):
+        ends = [end for arc in self.arcs for end in arc]
+        if self.word and self.arcs or not all(lo < hi for lo, hi in self.arcs) or ends != sorted(ends):
+            raise ValueError(f"an event is a word or sorted disjoint nonempty arcs, not {self}")
 
-    @property
-    def is_cylinder(self):
-        return self.kind == "cylinder"
+    @classmethod
+    def circle_arc(cls, lo, hi):
+        """The open arc from lo to hi (lo < hi) of the circle R/Z, as arcs of [0, 1)."""
+        if not lo < hi:
+            raise ValueError(f"circle arc ({lo}, {hi}) is empty")
+        lo, hi = lo % 1.0, hi % 1.0
+        return cls(((lo, hi),) if lo < hi else ((-math.inf, hi), (lo, math.inf)))
+
+    def mask_native(self, values, out=None):
+        if self.word:
+            raise ValueError("cylinder events match digits, not points")
+        res = np.empty(np.shape(values), dtype=bool) if out is None else out
+        if not self.arcs:
+            res[...] = False
+        for i, (lo, hi) in enumerate(self.arcs):
+            arc = np.empty_like(res) if i else res
+            if hi < math.inf:
+                np.less(values, hi, out=arc)
+                if lo > -math.inf:
+                    arc &= values > lo
+            elif lo > -math.inf:
+                np.greater(values, lo, out=arc)
+            else:
+                arc[...] = True
+            if i:
+                res |= arc
+        return res
 
 
 #: the event that holds everywhere (a ball covering the state space)
-WHOLE_SPACE = ExceedanceEvent("gt", u=-math.inf)
+WHOLE_SPACE = ExceedanceEvent(((-math.inf, math.inf),))
 
 
 def ball_event(spec, anchor_point, radius):
-    """Native-coordinate realization of the open metric ball around an anchor.
-
-    A ball that covers the whole state space is the whole-space event
-    ``gt(-inf)``: a wrapped circle arc cannot express it, since lo == hi
-    reads as the empty arc."""
+    """Native-coordinate realization of the open metric ball around an anchor."""
     z = anchor_point
-    if spec.kind == "m_ary":
-        if radius >= 0.5:  # the circle metric never exceeds 1/2
-            return WHOLE_SPACE
-        return ExceedanceEvent("circle", lo=(z - radius) % 1.0, hi=(z + radius) % 1.0)
-    if spec.kind == "dyadic_jump":
-        return ExceedanceEvent("circle", lo=z - radius, hi=z + radius)
-    if spec.kind == "chebyshev":
-        # x-ball (z-radius, z+radius) pulled back through x = -cos(2 pi theta):
-        # theta in (t_lo, t_hi) on [0, 1/2], mirrored at 1 - theta.
-        a, b = max(z - radius, -1.0), min(z + radius, 1.0)
-        if a == -1.0 and b == 1.0:
-            return WHOLE_SPACE
-        t_lo = math.acos(-a) / (2.0 * math.pi)
-        t_hi = math.acos(-b) / (2.0 * math.pi)
-        t_lo, t_hi = min(t_lo, t_hi), max(t_lo, t_hi)
-        if t_lo <= 1e-15:  # anchor at x=-1: wrapped symmetric ball
-            return ExceedanceEvent("circle", lo=1.0 - t_hi, hi=t_hi)
-        if t_hi >= 0.5 - 1e-15:  # anchor at x=1: interval around theta=1/2
-            return ExceedanceEvent("circle", lo=t_lo, hi=1.0 - t_lo)
-        raise ValueError("chebyshev exceedance sets are supported at the endpoints")
-    return ExceedanceEvent("gt", u=1.0 - radius)
+    if radius == 0.0:  # empty, unlike a ball too small to hold a float (a ValueError)
+        return ExceedanceEvent()
+    try:
+        if spec.kind == "m_ary":
+            if radius >= 0.5:  # the circle metric never exceeds 1/2
+                return WHOLE_SPACE
+            return ExceedanceEvent.circle_arc(z - radius, z + radius)
+        if spec.kind == "dyadic_jump":
+            return ExceedanceEvent(((z - radius, z + radius),))
+        if spec.kind == "chebyshev":
+            # x-ball (z-radius, z+radius) pulled back through x = -cos(2 pi theta):
+            # theta in (t_lo, t_hi) on [0, 1/2], mirrored at 1 - theta.
+            a, b = max(z - radius, -1.0), min(z + radius, 1.0)
+            if a == -1.0 and b == 1.0:
+                return WHOLE_SPACE
+            t_lo = math.acos(-a) / (2.0 * math.pi)
+            t_hi = math.acos(-b) / (2.0 * math.pi)  # >= t_lo, as a <= b
+            if t_lo <= 1e-15:  # anchor at x=-1: wrapped symmetric ball
+                return ExceedanceEvent.circle_arc(-t_hi, t_hi)
+            if t_hi >= 0.5 - 1e-15:  # anchor at x=1: interval around theta=1/2
+                return ExceedanceEvent(((t_lo, 1.0 - t_lo),))
+            raise ValueError("chebyshev exceedance sets are supported at the endpoints")
+        return ExceedanceEvent(((1.0 - radius, math.inf),))
+    except ValueError as e:
+        raise ValueError(f"ball of radius {radius!r} around {z!r}: {e}") from None
 
 
 def exceedance_event(spec, obs, u):
     """Native-coordinate realization of {X_0 > u} for the engine."""
     if obs.family == "cylinder":
         word = symbolic.SymbolicWord.parse(obs.anchor, spec.base)
-        return ExceedanceEvent("cylinder", word=tuple(word.digits))
-    if u >= obs.top:
-        # above the essential sup: empty event
-        return ExceedanceEvent("gt", u=math.inf)
+        return ExceedanceEvent(word=tuple(word.digits))
+    if u >= obs.top:  # above the essential sup: empty event
+        return ExceedanceEvent()
     v = obs.g_inverse(u)
-    radius = v if obs.family == "distance" else ball_radius_for_measure(spec, obs, v)
+    radius = v if obs.family == "distance" else ball_radius_for_measure(spec, obs, min(v, 1.0))
     return ball_event(spec, obs.anchor_point(spec), radius)
 
 

@@ -529,7 +529,7 @@ class PathEngine:
         """Boolean exceedance matrix for steps [t0, t1); cylinder events match
         their word on the digits, every other event reads the exposed values."""
         self._check_window(t0)
-        if event.is_cylinder:
+        if event.word:
             out = self._cylinder_rows(t0, t1, event.word)
         else:
             out = np.empty((t1 - t0, self.trials.size), dtype=bool)  # time-major

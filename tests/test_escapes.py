@@ -384,7 +384,7 @@ def test_statistic_sweeps_independent_of_time_window(spec, obs, offs, monkeypatc
     offsets = EscapeOffsets(offs)
     ens = Ensemble(spec, 19, trials, n, obs=obs)
     if obs is None:
-        event = ExceedanceEvent("cylinder", word=(0, 1, 1, 0))
+        event = ExceedanceEvent(word=(0, 1, 1, 0))
 
         def sweeps():
             return _survey_repr(ens, event, offsets)

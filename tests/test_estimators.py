@@ -347,7 +347,7 @@ def test_survey_views_match_plain_loops():
     word = SymbolicWord.parse("0110", 2)
     omega = omega_for_cylinder(spec, word, tau)
     ens = Ensemble(spec, seed, trials, omega)
-    p, _, _ = _survey_by_loops(ens, ExceedanceEvent("cylinder", word=tuple(word.digits)), (1,))
+    p, _, _ = _survey_by_loops(ens, ExceedanceEvent(word=tuple(word.digits)), (1,))
     tau_eff = omega * cylinder_measure(word, spec.digit_weights)
     want = ei_from_max(p, tau_eff, se(p), "MaxLaw", n=omega, trials=trials)
     assert 0 < p < 1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evl_lab import rng, theory
@@ -17,7 +17,7 @@ from evl_lab.hts_rts import (
     sample_hts,
     sample_rts,
 )
-from evl_lab.observables import ObservableSpec, bernoulli_cdf
+from evl_lab.observables import ExceedanceEvent, ObservableSpec, bernoulli_cdf
 from evl_lab.processes import PRECISION, TIME_BLOCK, DigitStream, ProcessSpec, ProcessState, sample_initial
 from evl_lab.symbolic import champernowne_bits
 
@@ -193,7 +193,6 @@ def test_moving_max_start_law(ks):
     # starts conditioned on X_0 > u: window maximum M on its tail law, the
     # other window slots uniform below M, the free slots Uniform(0, 1)
     import evl_lab.hts_rts as H
-    from evl_lab.observables import ExceedanceEvent, ObservableSpec
 
     trials = 200_000
     bound = 1.63 / math.sqrt(trials)
@@ -201,7 +200,7 @@ def test_moving_max_start_law(ks):
     uniform = lambda x: np.clip(x, 0.0, 1.0)
     for spec, slots in ((ProcessSpec.mma2(), [1, 3]), (ProcessSpec.mma13(), [0, 1, 3])):
         tgt = TargetSet.ball_of_measure(spec, end, 2.0**-3)
-        u, k = tgt.event.u, len(slots)
+        u, k = tgt.event.arcs[0][0], len(slots)
         prefix = H._rts_prefix(spec, tgt, trials, seed=5)
         window = prefix[:, slots]
         top = window.max(axis=1)
@@ -213,7 +212,7 @@ def test_moving_max_start_law(ks):
             assert ks(rest, uniform) <= 1.63 / math.sqrt(rest.size), (spec.label, slots[j])
         for j in sorted(set(range(4)) - set(slots)):
             assert ks(prefix[:, j], uniform) <= bound, (spec.label, j)
-        unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent("gt", u=1.5))
+        unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
         with pytest.raises(H.ConditionalStartError):
             H._rts_prefix(spec, unreachable, 10, seed=5)
 
@@ -242,17 +241,16 @@ def test_first_hits_engine_matches_scalar_cylinder_and_jump():
 def test_iid_start_law(ks, monkeypatch):
     # starts conditioned on X_0 > u are uniform on (u, 1], never at u itself
     import evl_lab.hts_rts as H
-    from evl_lab.observables import ExceedanceEvent, ObservableSpec
 
     spec = ProcessSpec.iid_uniform()
     trials = 200_000
     end = ObservableSpec(family="distance", form="weibull", anchor=None)
     tgt = TargetSet.ball_of_measure(spec, end, 2.0**-3)
-    u = tgt.event.u
+    u = tgt.event.arcs[0][0]
     start = H._rts_prefix(spec, tgt, trials, seed=5)[:, 0]
     assert (start > u).all() and (start <= 1.0).all()
     assert ks(start, lambda x: np.clip((x - u) / (1.0 - u), 0.0, 1.0)) <= 1.63 / math.sqrt(trials)
-    unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent("gt", u=1.5))
+    unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
     with pytest.raises(H.ConditionalStartError):
         H._rts_prefix(spec, unreachable, 10, seed=5)
     # a zero uniform draw maps to the top of the target, not to its open end u
@@ -348,7 +346,7 @@ def test_arcs_ending_at_one_draw_no_side_uniform(monkeypatch):
     )
     jump = ProcessSpec.dyadic_jump()
     tgt = TargetSet.ball(jump, "10", 0.4)  # (2/3 - 0.4, 2/3 + 0.4)
-    assert tgt.event.hi > 1.0
+    assert tgt.event.arcs[0][1] > 1.0
     _rts_prefix(jump, tgt, 100, 2024)
     for name in ("ar1(2)", "ar1(3)"):
         tgt = _map_rts_targets()[name]
@@ -357,12 +355,20 @@ def test_arcs_ending_at_one_draw_no_side_uniform(monkeypatch):
     assert (rng.CH_INIT, 1) in calls and (rng.CH_INIT, 0) not in calls
 
 
-@pytest.mark.parametrize("name", ["bernoulli(0.3)@01", "bernoulli(0.3)@0", "m_ary(3)@12"])
+def _two_arc_target():
+    """A Bernoulli(0.3) target made of two arcs that do not wrap."""
+    spec = ProcessSpec.bernoulli_doubling(0.3)
+    event = ExceedanceEvent(((0.1, 0.25), (0.6, 0.7)))
+    mu = sum(np.diff(bernoulli_cdf(np.array(event.arcs), spec.digit_weights), axis=1)[:, 0])
+    return TargetSet(spec, "ball", None, 0.0, float(mu), event)
+
+
+@pytest.mark.parametrize("name", ["bernoulli(0.3)@01", "bernoulli(0.3)@0", "m_ary(3)@12", "bernoulli(0.3)@two arcs"])
 def test_weighted_arc_start_law(ks, name):
-    # starts read from their first 60 digits lie in the arc and follow the
-    # invariant measure conditioned on it, along the arc when it wraps
+    # starts read from their first 60 digits lie in the arcs and follow the
+    # invariant measure conditioned on them, along the arcs in their order
     trials = 20_000
-    tgt = _map_rts_targets()[name]
+    tgt = {**_map_rts_targets(), "bernoulli(0.3)@two arcs": _two_arc_target()}[name]
     spec, ev = tgt.spec, tgt.event
     m = spec.base
     x = np.zeros(trials)
@@ -370,27 +376,29 @@ def test_weighted_arc_start_law(ks, name):
         x = (x + d) / m
     assert ev.mask_native(x).all()
     F = lambda t: bernoulli_cdf(t, spec.digit_weights)
-    lo, hi = F(ev.lo), F(ev.hi)
-    along = F(x) - lo + (x < ev.lo)  # the wrapped part (0, hi) follows (lo, 1)
-    assert ks(along / (hi - lo + (ev.hi < ev.lo)), lambda p: p) <= 1.63 / math.sqrt(trials)
+    arcs = np.clip(np.array(ev.arcs), 0.0, 1.0)
+    along = sum(F(np.clip(x, a, b)) - F(a) for a, b in arcs)  # the mass of the arcs left of x
+    assert ks(along / sum(F(b) - F(a) for a, b in arcs), lambda p: p) <= 1.63 / math.sqrt(trials)
 
 
-def _interval_prefix_by_loops(spec, lo, hi, trials, seed, depth=PRECISION + 16):
-    """Conditional-start digits one trial at a time: each trial carries its
-    own (rel_lo, rel_hi) and sums its m conditional digit masses in a plain
-    loop over the digits."""
+def _interval_prefix_by_loops(spec, arcs, trials, seed, depth=PRECISION + 16):
+    """Conditional-start digits one trial at a time: each trial picks its arc
+    by its position-0 uniform against the arcs' cumulative masses, then
+    carries its own (rel_lo, rel_hi) and sums its m conditional digit masses
+    in a plain loop over the digits."""
     w = spec.digit_weights.tolist()
     m = len(w)
     F = (lambda t: t) if spec.is_uniform else (lambda t: bernoulli_cdf(t, spec.digit_weights))
     clip = lambda t: min(max(t, 0.0), 1.0)
+    arcs = [(clip(a), clip(b)) for a, b in arcs]
+    cum_mass = [0.0]
+    for a, b in arcs:
+        cum_mass.append(cum_mass[-1] + (F(b) - F(a)))
     u = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, depth + 1).tolist()
     out = []
     for trial in range(trials):
         digits = DigitStream.random(spec, seed, trial).block(0, depth).tolist()
-        a, b = lo % 1.0, hi % 1.0
-        if a >= b:  # wrapped through 0: (a, 1) or (0, b), chosen by their masses
-            mass_hi, mass_lo = F(b), 1.0 - F(a)
-            a, b = (0.0, b) if u[trial][0] * (mass_lo + mass_hi) < mass_hi else (a, 1.0)
+        a, b = arcs[sum(u[trial][0] * cum_mass[-1] >= c for c in cum_mass[1:-1])]
         for k in range(depth):
             if (a, b) == (0.0, 1.0):  # the cell lies inside: stream digits from here
                 break
@@ -420,11 +428,24 @@ def test_interval_descent_matches_per_trial_loops(data):
             return data.draw(st.integers(0, m**k)) / m**k  # on a digit boundary
         return data.draw(st.floats(0.0, 1.0))
 
-    lo, hi = endpoint(), endpoint()  # lo >= hi: the arc wraps through 0
+    # 1 to 3 sorted disjoint arcs; with ends at -inf and inf, the first and
+    # last make an arc wrapped through 0
+    ends = sorted({endpoint() for _ in range(2 * data.draw(st.integers(1, 3), label="arcs"))})
+    assume(len(ends) >= 2)
+    if data.draw(st.booleans(), label="wrapped"):
+        ends = [-math.inf, *ends, math.inf]
+    arcs = tuple(zip(ends[::2], ends[1::2]))
     sizes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(H, "bernoulli_cdf", lambda t, w: sizes.append(np.size(t)) or bernoulli_cdf(t, w))
-        prefix = H._interval_digit_prefix(spec, lo, hi, 20_000, seed=3)
-    assert max(sizes, default=0) <= 4 * m, (spec.label, lo, hi)
-    want = _interval_prefix_by_loops(spec, lo, hi, 12, seed=3)
-    assert np.array_equal(prefix[:12], want), (spec.label, lo, hi)
+        prefix = H._interval_digit_prefix(spec, arcs, 20_000, seed=3)
+    assert max(sizes, default=0) <= 2 * len(arcs) * m, (spec.label, arcs)
+    want = _interval_prefix_by_loops(spec, arcs, 12, seed=3)
+    assert np.array_equal(prefix[:12], want), (spec.label, arcs)
+
+
+def test_collapsed_ball_is_a_named_error():
+    # 2/3 +- 1e-17 rounds to 2/3: no float lies inside this ball of measure
+    # 2e-17, whose mask would never fire
+    with pytest.raises(ValueError, match=r"radius 1e-17 around 0\.666"):
+        TargetSet.ball(DOUB, "10", 1e-17)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from evl_lab.observables import (
+    ExceedanceEvent,
     LevelSchedule,
     ObservableSpec,
     ball_measure,
@@ -47,6 +48,11 @@ def test_doubling_distance_tail():
 def test_tail_above_essential_sup_is_zero():
     assert tail_probability(CHEB, CHEB_OBS, 1.5) == 0.0
     assert CHEB_OBS.top == 1.0
+    # below the essential sup, a level whose ball has radius 0 in floats is the empty event
+    gumbel = ObservableSpec(family="distance", form="gumbel", anchor="0")
+    for spec in (DOUB, CHEB, ProcessSpec.dyadic_jump()):
+        assert tail_probability(spec, gumbel, 800.0) == 0.0
+        assert exceedance_event(spec, gumbel, 800.0) == ExceedanceEvent()
 
 
 def test_level_chebyshev_quadratic_approximation():
@@ -234,27 +240,28 @@ RADIUS_CASES = {
 }
 
 #: dyadic targets, the quick profile's tau/n and 2**-10, seeded random
-#: targets in (2**-30, 1), and the targets of measure >= 1
+#: targets in (2**-30, 1), and the whole space (a target above 1 is a named
+#: error, see test_nan_target_measure_is_a_named_error)
 RADIUS_TARGETS = (
     [2.0**-k for k in range(1, 30)]
     + [0.001, 0.0025, 0.002, 0.005, 2.0**-10]
     + (2.0 ** -np.random.default_rng(16).uniform(0.0, 30.0, 20)).tolist()
-    + [1.0, 1.5]
+    + [1.0]
 )
 
 # sha256 of the radii of RADIUS_TARGETS as float64 bytes: pins them apart
 # from the reference, whose scalar arcsin could agree with the vectorized
 # one on this CPU and not on another
 RADIUS_KAT = {
-    "ar1(2)": "454ad9b93bf0c206c2427af0a536081055f9ab0a5843df38b52b4401cdf58b7f",
-    "bernoulli(0.3)@0": "cf4b409ae2a1089f9046d5cde6fe6cf992ebdc707a4ac2aa1107e2bd8d93ca8b",
-    "bernoulli(0.3)@01": "7a55dc240ae948dfece302f52ed39b3a47fbc4c4b0335095d50b063c73c44eb9",
-    "chebyshev@0": "40201c336ec83ff0d27b7e8c2dbd866ead0c967e8a28c36641c91a72d82a273e",
-    "doubling@01": "fe85038443f4e3f4ce14f3e90ee646730386d6e74443a0b2daa68d1bf93456d1",
-    "dyadic_jump@01": "6498f6cd09e349fcdf3220e740feae1e0b46c33d40bbd233039e12c4ab152874",
-    "m_ary(3)@12": "b2ca1ecde3a076bf189fd79aaf2054736d55a7018d3286b0f41e297809ab39af",
-    "mma13": "e5cfeb35faecfddb583cc977ba673115700dcac2560ee9bcf2a2c987fc7fc0ad",
-    "mma2": "ed2ed19a36270262e9c0c8b6adc88f44bff0f4b4090baf581307b44177ec9c50",
+    "ar1(2)": "6dcbe6d81072fcf7a259cdfb1ba58fc671650f6ca8563f3253a9d6d16e8ddce5",
+    "bernoulli(0.3)@0": "38e3ba6c4a27a19b345ddf82adfe1658c1f9dd7645642c680fa2d9da177b0d8a",
+    "bernoulli(0.3)@01": "38599b49cf473dab623c4094c660e3c5bf8ef2ea458e9338fa1b53ee55f54b72",
+    "chebyshev@0": "afb0cc9063b3a8c20ba3df477ba39ccd1caee7d2bd8ea84bbdc052a9756df599",
+    "doubling@01": "15c2070f480c60d189d7f76490bf386014127c90208a175c74219ee55b518b90",
+    "dyadic_jump@01": "b6c472d4bbd57e6298e73d6f040322ff8041c07fd4a1a73c4a4d432e59d81a8b",
+    "m_ary(3)@12": "17eddd69bc688c72a5dd3104f38f0cc0e3fe9e5f4d099aaed277fd5101f28172",
+    "mma13": "d7ffddebc2de033b79b913018aa01cc969d321863f100faf94707c4621216fb2",
+    "mma2": "8b976c9d3b1843fcbf3e4ebe643ec0baadb185c763cf7f3eac7961ed895959fe",
 }
 
 
@@ -277,6 +284,44 @@ def test_nan_target_measure_is_a_named_error():
         ball_radius_for_measure(DOUB, CHEB_OBS, math.nan)
     with pytest.raises(ValueError, match="target measure is NaN"):
         TargetSet.ball_of_measure(DOUB, BALL_G1, float("nan"))
+    # a target above 1 is rejected by name, not solved to the top radius
+    bern = ProcessSpec.bernoulli_doubling(0.3)
+    dist = ObservableSpec(family="distance", form="weibull", anchor="0")
+    with pytest.raises(ValueError, match="target measure 1.5 exceeds 1"):
+        ball_radius_for_measure(bern, dist, 1.5)
+    with pytest.raises(ValueError, match="target measure 1.5 exceeds 1"):
+        TargetSet.ball_of_measure(bern, dist, 1.5)
+
+
+@pytest.mark.parametrize(
+    "arcs, word",
+    [(((0.3, 0.3),), ()), (((0.5, 0.2),), ()), (((0.1, 0.5), (0.4, 0.6)), ()), (((0.6, 0.7), (0.1, 0.2)), ()),
+     (((0.1, math.nan),), ()), (((0.1, 0.2),), (0, 1))],
+)
+def test_empty_unsorted_or_mixed_events_cannot_be_built(arcs, word):
+    with pytest.raises(ValueError):
+        ExceedanceEvent(arcs, word)
+
+
+def test_circle_arc_reads_the_wrap():
+    assert ExceedanceEvent.circle_arc(0.2, 0.4).arcs == ((0.2, 0.4),)
+    assert ExceedanceEvent.circle_arc(-0.25, 0.25).arcs == ((-math.inf, 0.25), (0.75, math.inf))
+    assert ExceedanceEvent.circle_arc(0.875, 1.125).arcs == ((-math.inf, 0.125), (0.875, math.inf))
+    with pytest.raises(ValueError, match="empty"):
+        ExceedanceEvent.circle_arc(0.5, 0.5)
+    # an end at +-inf is never compared: half lines, the whole space and the empty event
+    v = np.array([-5.0, 0.1, 0.5, 0.9, 5.0])
+    for arcs, want in [
+        (((-math.inf, 0.25), (0.75, math.inf)), [1, 1, 0, 1, 1]),
+        (((0.3, math.inf),), [0, 0, 1, 1, 1]),
+        (((-math.inf, math.inf),), [1, 1, 1, 1, 1]),
+        ((), [0, 0, 0, 0, 0]),
+        (((0.0, 0.2), (0.4, 0.6), (0.8, 1.0)), [0, 1, 1, 1, 0]),
+    ]:
+        ev = ExceedanceEvent(arcs)
+        assert ev.mask_native(v).tolist() == [bool(x) for x in want], arcs
+        out = np.ones(v.shape, dtype=bool) if not arcs else np.zeros(v.shape, dtype=bool)
+        assert ev.mask_native(v, out=out) is out and out.tolist() == [bool(x) for x in want], arcs
 
 
 def test_measure_ball_uniformisation():

@@ -66,9 +66,9 @@ def test_near_uniform_weights_are_not_uniform(monkeypatch):
     assert np.array_equal(digits, rng.digits(3, rng.CH_ORBIT, [2], 0, 200, np.cumsum(near.weights))[0])
     calls = []
     monkeypatch.setattr(H, "bernoulli_cdf", lambda *a: calls.append(1) or observables.bernoulli_cdf(*a))
-    H._interval_digit_prefix(doub, 0.2, 0.3, 10, seed=1)
+    H._interval_digit_prefix(doub, ((0.2, 0.3),), 10, seed=1)
     assert not calls
-    H._interval_digit_prefix(near, 0.2, 0.3, 10, seed=1)
+    H._interval_digit_prefix(near, ((0.2, 0.3),), 10, seed=1)
     assert calls
 
 
@@ -286,14 +286,19 @@ def test_ensemble_mask_determinism_across_runs():
 def _random_event(spec, data):
     if spec.uses_digits and data.draw(st.booleans()):
         word = data.draw(st.lists(st.integers(0, spec.base - 1), min_size=1, max_size=4))
-        return observables.ExceedanceEvent("cylinder", word=tuple(word))
+        return observables.ExceedanceEvent(word=tuple(word))
+    if data.draw(st.booleans()):  # two arcs: (a, b) and (c, d), or with a = -inf and d = inf a wrapped one
+        a, b, c, d = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4, unique=True)))
+        if data.draw(st.booleans()):
+            a, d = -math.inf, math.inf
+        return observables.ExceedanceEvent(((a, b), (c, d)))
     if spec.kind in ("m_ary", "chebyshev"):
         lo = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-        return observables.ExceedanceEvent("circle", lo=lo, hi=(lo + 0.2) % 1.0)
+        return observables.ExceedanceEvent.circle_arc(lo, lo + 0.2)
     if spec.kind == "dyadic_jump":
         lo = data.draw(st.floats(0.0, 0.8))
-        return observables.ExceedanceEvent("circle", lo=lo, hi=lo + 0.2)
-    return observables.ExceedanceEvent("gt", u=data.draw(st.floats(0.3, 0.95)))
+        return observables.ExceedanceEvent(((lo, lo + 0.2),))
+    return observables.ExceedanceEvent(((data.draw(st.floats(0.3, 0.95)), math.inf),))
 
 
 def _cuts(data, n):
@@ -325,7 +330,7 @@ def test_engine_masks_window_and_chunk_invariant(spec, data):
             assert np.array_equal(eng.masks(t0, t1, ev), whole[a:b, t0:t1])
     # points exist in the event's coordinate for all but chebyshev (x-space
     # points, theta-space events)
-    if not ev.is_cylinder and spec.kind != "chebyshev":
+    if not ev.word and spec.kind != "chebyshev":
         pts = point_values_range(spec, seed, ids, 0, n)
         assert np.array_equal(ev.mask_native(pts), whole)
 
@@ -348,10 +353,10 @@ ENGINE_KAT_RUNS = [
     ([3, 4, 9, 77], 20, [(5, 90)]),
 ]
 ENGINE_KAT_EVENTS = {
-    "circle": observables.ExceedanceEvent("circle", lo=0.8, hi=0.15),
-    "gt": observables.ExceedanceEvent("gt", u=0.6),
-    "interval": observables.ExceedanceEvent("circle", lo=0.3, hi=0.55),
-    "cylinder": observables.ExceedanceEvent("cylinder", word=(0, 1, 1)),
+    "circle": observables.ExceedanceEvent(((-math.inf, 0.15), (0.8, math.inf))),
+    "gt": observables.ExceedanceEvent(((0.6, math.inf),)),
+    "interval": observables.ExceedanceEvent(((0.3, 0.55),)),
+    "cylinder": observables.ExceedanceEvent(word=(0, 1, 1)),
 }
 # the jump map's runs: the same trials and prefix, in whole windows from step 0
 JUMP_KAT_RUNS = [(ENGINE_KAT_RUNS[0][0], 0, [(0, 141)]), (ENGINE_KAT_RUNS[1][0], 20, [(0, 90)])]
@@ -468,7 +473,7 @@ def test_scan_independent_of_scan_block(spec, monkeypatch):
     windows = [(0, 50), (90, 430), (440, 470)]
     digits = PathEngine(spec, 5, trials, prefix=prefix).digit_matrix(0, 470 + PRECISION)
     ref = _per_step_values(spec, digits, windows)
-    ev = observables.ExceedanceEvent("circle", lo=0.8, hi=0.15)
+    ev = observables.ExceedanceEvent(((-math.inf, 0.15), (0.8, math.inf)))
     for block in (1, 7, processes.SCAN_BLOCK):
         monkeypatch.setattr(processes, "SCAN_BLOCK", block)
         pts, masks = PathEngine(spec, 5, trials, prefix=prefix), PathEngine(spec, 5, trials, prefix=prefix)
