@@ -57,10 +57,10 @@ class TargetSet:
     @staticmethod
     def ball(spec, anchor, delta):
         obs = ObservableSpec(family="distance", form="weibull", anchor=anchor, alpha=1.0, d=1.0)
+        ev = ball_event(spec, obs.anchor_point(spec), delta)  # names a ball too small for a float
         mu = float(ball_measure(spec, obs, delta))
         if mu <= 0.0:
             raise ValueError("target has measure zero")
-        ev = ball_event(spec, obs.anchor_point(spec), delta)
         return TargetSet(spec, "ball", anchor, delta, mu, ev)
 
     @staticmethod

@@ -74,6 +74,11 @@ class ObservableSpec:
         """Essential sup of the observable (value of g at argument 0+)."""
         return self.d if self.form == "weibull" else math.inf
 
+    @property
+    def bottom(self):
+        """A level below every value of the observable (frechet values are > 0)."""
+        return 0.0 if self.form == "frechet" else -math.inf
+
     def anchor_point(self, spec):
         """Exposed-space anchor point; None-anchored series sit at the endpoint."""
         if self.anchor is None:
@@ -306,6 +311,8 @@ def exceedance_event(spec, obs, u):
         return ExceedanceEvent(word=tuple(word.digits))
     if u >= obs.top:  # above the essential sup: empty event
         return ExceedanceEvent()
+    if u <= obs.bottom:  # below every value: the whole space
+        return WHOLE_SPACE
     v = obs.g_inverse(u)
     radius = v if obs.family == "distance" else ball_radius_for_measure(spec, obs, min(v, 1.0))
     return ball_event(spec, obs.anchor_point(spec), radius)
@@ -315,13 +322,15 @@ def tail_probability(spec, obs, u):
     """P(X_0 > u), analytic for every built-in pairing.
 
     Above the essential sup the probability is exactly 0 (use
-    ``obs.top`` to detect that regime).
+    ``obs.top`` to detect that regime), and at or below ``obs.bottom`` it is 1.
     """
     if obs.family == "cylinder":
         word = symbolic.SymbolicWord.parse(obs.anchor, spec.base)
         return symbolic.cylinder_measure(word, spec.digit_weights)
     if u >= obs.top:
         return 0.0
+    if u <= obs.bottom:
+        return 1.0
     if obs.family == "ball_measure":
         return min(obs.g_inverse(u), 1.0)  # ball-measure variable is Uniform(0,1)
     return float(ball_measure(spec, obs, obs.g_inverse(u)))

@@ -445,7 +445,8 @@ def test_interval_descent_matches_per_trial_loops(data):
 
 
 def test_collapsed_ball_is_a_named_error():
-    # 2/3 +- 1e-17 rounds to 2/3: no float lies inside this ball of measure
-    # 2e-17, whose mask would never fire
-    with pytest.raises(ValueError, match=r"radius 1e-17 around 0\.666"):
-        TargetSet.ball(DOUB, "10", 1e-17)
+    # 2/3 +- 1e-17 rounds to 2/3: no float lies inside this ball, whose mask
+    # would never fire, whether its measure reads 2e-17 (uniform) or 0 (Bernoulli)
+    for spec in (DOUB, ProcessSpec.bernoulli_doubling(0.3)):
+        with pytest.raises(ValueError, match=r"radius 1e-17 around 0\.666.*is empty"):
+            TargetSet.ball(spec, "10", 1e-17)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from evl_lab.observables import (
+    WHOLE_SPACE,
     ExceedanceEvent,
     LevelSchedule,
     ObservableSpec,
@@ -53,6 +54,18 @@ def test_tail_above_essential_sup_is_zero():
     for spec in (DOUB, CHEB, ProcessSpec.dyadic_jump()):
         assert tail_probability(spec, gumbel, 800.0) == 0.0
         assert exceedance_event(spec, gumbel, 800.0) == ExceedanceEvent()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("u", [-2.0, 0.0])
+def test_frechet_level_at_or_below_zero_is_the_whole_space(alpha, u):
+    # X = s**(-1/alpha) > 0, so {X > u} holds everywhere; u**(-alpha) is
+    # negative, a ZeroDivisionError or complex there
+    for family in ("distance", "ball_measure"):
+        obs = ObservableSpec(family=family, form="frechet", anchor="0", alpha=alpha)
+        for spec in (DOUB, ProcessSpec.bernoulli_doubling(0.3), ProcessSpec.dyadic_jump()):
+            assert tail_probability(spec, obs, u) == 1.0, (family, spec.label)
+            assert exceedance_event(spec, obs, u) == WHOLE_SPACE, (family, spec.label)
 
 
 def test_level_chebyshev_quadratic_approximation():
