@@ -11,7 +11,6 @@ from .processes import (
     ProcessState,
     UniformStream,
     evaluate_point,
-    observe_path,
     sample_initial,
     step,
 )
@@ -27,9 +26,7 @@ from .observables import (
 from .escapes import (
     ConditionReport,
     EscapeOffsets,
-    escape_event,
     escape_statistics,
-    no_escape_window,
     periodicity_report,
 )
 from .estimators import (
@@ -38,17 +35,14 @@ from .estimators import (
     cylinder_ei,
     ei_from_max,
     ei_rts_atom,
-    ei_runs,
     ei_runs_nested,
     estimate_ei_bundle,
     estimate_escape_law,
-    estimate_max_law,
 )
 from .hts_rts import (
     TargetSet,
     TimeSampleSet,
     check_integral_relation,
-    hitting_time,
     ks_distance,
     sample_hts,
     sample_rts,
@@ -56,9 +50,7 @@ from .hts_rts import (
 from .symbolic import (
     SymbolicWord,
     cylinder_measure,
-    encode,
     period_sequence,
-    periodic_point_from_word,
     return_structure,
 )
-from .theory import TheoryResult, analytic_ei, dichotomy_ei, potential_sum, theoretical_cdf
+from .theory import TheoryResult, analytic_ei, dichotomy_ei, theoretical_cdf

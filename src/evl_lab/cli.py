@@ -110,10 +110,18 @@ def _convert(key, convert, value):
         raise ConfigError(f"{key}: {e}") from e
 
 
+def _real(value):
+    """``float(value)``, but a JSON boolean is an error, not 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value):
-    """``int(value)``, but a non-integral number is an error, not truncated."""
+    """``int(value)``, but a non-integral number is an error, not truncated,
+    and so is a JSON boolean."""
     i = int(value)
-    if not isinstance(value, str) and i != value:
+    if isinstance(value, bool) or (not isinstance(value, str) and i != value):
         raise ValueError(f"expected an integer, got {value!r}")
     return i
 
@@ -155,13 +163,13 @@ _KEYS = {
     "zeta": (lambda v: v if v is None else str(v), None),
     # a scalar is one offset
     "offsets": (lambda v: [_integer(p) for p in (v if isinstance(v, (list, tuple)) else [v])], [1]),
-    "tau": (_each(_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")), [1.0]),
+    "tau": (_each(_checked(_real, lambda x: 0.0 <= x < math.inf, "finite and >= 0")), [1.0]),
     "n": (_each(_checked(_integer, lambda i: i >= 1, ">= 1")), [10000]),
     "trials": (_checked(_integer, lambda i: i >= 2, ">= 2"), 10000),
     "seed": (_integer, None),
     "out": (_checked(lambda v: v, lambda v: isinstance(v, str), "a string"), "evl-results"),
     "emit_plot_data": (_checked(lambda v: v, lambda v: isinstance(v, bool), "true or false"), False),
-    "delta": (_checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0"), 2.0**-10),
+    "delta": (_checked(_real, lambda x: 0.0 < x < math.inf, "finite and > 0"), 2.0**-10),
     "horizon_factor": (_checked(_integer, lambda i: i >= 10, ">= 10 (truncation bias)"), 20),
     "cylinder_n": (_checked(_integer, lambda i: i >= 1, ">= 1"), 10),
     "word": (str, None),
@@ -219,7 +227,7 @@ class ExperimentConfig:
             if word is None:
                 raise ConfigError("word: symbolic needs a word or zeta")
             extras["word"] = _word(key, word, spec)
-            if kind == "dichotomy":  # the runner's theta_theory of a periodic word
+            if kind == "dichotomy":  # a jump-map cylinder must be a branch word
                 _convert(key, lambda w: theory.analytic_ei(spec, w), extras["word"])
         return ExperimentConfig(
             kind=kind, spec=spec, obs=obs, zeta=zeta, offsets=offsets, tau=v["tau"], n=v["n"],
@@ -365,7 +373,9 @@ def _run_dichotomy(cfg):
     else:
         reps = -(-k // len(root))
         w = symbolic.SymbolicWord((root.digits * reps)[:k], cfg.spec.base)
-        th = theory.analytic_ei(cfg.spec, root).theta
+        # 1 - mu(cylinder of the prime root); chebyshev cylinders lie on the
+        # doubling coordinate, where analytic_ei's x-ball value does not hold
+        th = 1.0 - symbolic.cylinder_measure(root.primitive_root(), cfg.spec.digit_weights)
     for tau in cfg.tau:
         est = estimators.cylinder_ei(cfg.spec, w, tau, cfg.trials, cfg.seed)
         rep.rows.append([str(w), k, tau, est.theta, est.stderr, th, cfg.trials, cfg.seed])

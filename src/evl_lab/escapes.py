@@ -15,11 +15,11 @@ time-major keys step * paths + path of ``Ensemble.mask_chunks``.
 capture-chain conditionals count the keys whose key j steps on is present.
 ``escape_statistics`` reads the escapes: the escape rate, the pair sum
 behind D'_p and the mixing gap behind D_p, all from one set of escape keys
-per chunk.  ``escape_statistics``, ``escape_matrix`` and the estimator
-survey build escapes on the keys (``_escape_keys``): an escape is a key
-whose key p steps on is absent.  ``escape_statistics`` re-sorts them by row
-as row * width + col; a search on those keys finds every later escape of
-the same path, and ``bincount`` sums per path and per lag.
+per chunk.  ``escape_statistics`` and the estimator survey build escapes
+on the keys (``_escape_keys``): an escape is a key whose key p steps on is
+absent.  ``escape_statistics`` re-sorts them by row as row * width + col; a
+search on those keys finds every later escape of the same path, and
+``bincount`` sums per path and per lag.
 
 Every statistic is a function of integer counts per path.  A sweep keeps
 each chunk's count arrays, ``_per_path`` joins them over all trials in
@@ -87,37 +87,6 @@ def _escape_keys(keys, paths, offsets):
         k = levels[-1]
         levels.append(k[~np.isin(k + p * paths, k, assume_unique=True)])
     return levels
-
-
-def escape_matrix(exceed, offsets):
-    """Order-i escape booleans from an exceedance matrix (columns shrink by span)."""
-    paths, width = exceed.shape
-    q = np.zeros((width - offsets.span, paths), dtype=bool)  # time-major, like the masks
-    keys = _escape_keys(np.flatnonzero(exceed.T), paths, offsets)[-1]
-    q.flat[keys[keys < q.size]] = True
-    return q.T
-
-
-def escape_event(series, j, offsets, u):
-    """Order-i escape at index j of a plain series (strict exceedance X > u)."""
-    offsets = EscapeOffsets.of(offsets)
-    x = np.asarray(series, dtype=np.float64)
-    if j < 0 or j + offsets.span >= x.size:
-        raise IndexError("series too short to read the escape at this index")
-    e = x > u
-    return bool(escape_matrix(e[None, :], offsets)[0, j])
-
-
-def no_escape_window(series, s, length, offsets, u):
-    """True iff no order-i escape occurs at any index in [s, s+length)."""
-    offsets = EscapeOffsets.of(offsets)
-    if length == 0:
-        return True
-    x = np.asarray(series, dtype=np.float64)
-    if s < 0 or s + length - 1 + offsets.span >= x.size:
-        raise IndexError("window out of range")
-    q = escape_matrix((x > u)[None, :], offsets)[0]
-    return not q[s : s + length].any()
 
 
 # ---------------------------------------------------------------------------

@@ -72,14 +72,6 @@ def _survey(ensemble, event, offsets):
     return quiet_max, quiet_esc, runs
 
 
-def estimate_max_law(spec, obs, tau, n, trials, seed):
-    """(P(max of n steps <= u_n), stderr) over independent stationary paths."""
-    ens = Ensemble(spec, seed, trials, n)
-    event = exceedance_event(spec, obs, level_for_tau(spec, obs, n, tau))
-    p, _, _ = _survey(ens, event, EscapeOffsets.single(1))
-    return p, _binomial_se(p, trials)
-
-
 def estimate_escape_law(spec, obs, offsets, tau, n, trials, seed):
     """(P(no order-i escape in [0, n)), stderr); tau = 0 gives exactly 1."""
     offsets = EscapeOffsets.of(offsets)
@@ -100,16 +92,6 @@ def ei_from_max(p_hat, tau, se=0.0, method="MaxLaw", **meta):
     theta = -math.log(p_hat) / tau
     stderr = se / (p_hat * tau)
     return EIEstimate.clamp(theta, stderr, method, tau=tau, **meta)
-
-
-def ei_runs(ensemble, p_or_offsets, u):
-    """Runs estimator: fraction of (order-i-1) events not continued at lag p_i.
-
-    For order 1 this is P(X_p <= u | X_0 > u), conditioning on every
-    exceedance index of every path; stderr is cluster-robust (path-level).
-    It is the last element of ``ei_runs_nested``.
-    """
-    return ei_runs_nested(ensemble, p_or_offsets, u)[-1]
 
 
 def ei_runs_nested(ensemble, offsets, u):

@@ -32,8 +32,6 @@ from .processes import (
     PathEngine,
     _chunk_trials,
     _digit_block,
-    evaluate_point,
-    step,
 )
 
 _DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call (a doubling@0 start: 3 calls, not 11)
@@ -75,17 +73,6 @@ class TargetSet:
         ev = ExceedanceEvent(word=tuple(w.digits))
         return TargetSet(spec, "cylinder", str(w), 0.0, mu, ev)
 
-    def contains_state(self, state):
-        if self.kind == "cylinder":
-            got = state.stream.block(state.cursor, state.cursor + len(self.event.word))
-            return all(int(a) == b for a, b in zip(got, self.event.word))
-        if self.spec.kind == "chebyshev":  # the event lies on the doubling coordinate theta
-            digits = state.stream.block(state.cursor, state.cursor + PRECISION)
-            x = sum(int(d) * 0.5 ** (i + 1) for i, d in enumerate(digits))
-        else:
-            x = evaluate_point(self.spec, state)
-        return bool(self.event.mask_native(np.asarray(x)))
-
 
 @dataclass
 class TimeSampleSet:
@@ -97,18 +84,6 @@ class TimeSampleSet:
     mode: str                    # "hts" | "rts"
     horizon: float               # normalized censoring horizon
     target_measure: float
-
-
-def hitting_time(spec, target, state, horizon):
-    """Least j in 1..horizon with the orbit in the target at step j, else None."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    s = state
-    for j in range(1, horizon + 1):
-        s = step(spec, s)
-        if target.contains_state(s):
-            return j
-    return None
 
 
 def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None):

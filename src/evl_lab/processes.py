@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -295,30 +294,6 @@ def evaluate_point(spec, state, K=PRECISION):
     return float(max(state.stream[c + s] for s in spec.slots))
 
 
-def exact_point(spec, state, K=PRECISION):
-    """Exact rational projection of a digit state (for exactness checks)."""
-    if not spec.uses_digits or spec.kind == "chebyshev":
-        raise ValueError("exact_point requires a plain digit-stream kind")
-    c = state.cursor
-    if spec.kind == "ar1":
-        digits = state.stream.block(c, c + 64)[::-1][:K]
-    else:
-        digits = state.stream.block(c, c + K)
-    b = spec.base
-    num = 0
-    for d in digits:
-        num = num * b + int(d)
-    return Fraction(num, b ** len(digits))
-
-
-def observe_path(spec, observable, seed, n, trial=0):
-    """Series (X_0, ..., X_{n-1}) of the observable along one stationary path."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pts = point_values_range(spec, seed, [trial], 0, n)[0]
-    return observable.apply(spec, pts)
-
-
 # ---------------------------------------------------------------------------
 # vectorized ensemble engine
 # ---------------------------------------------------------------------------
@@ -560,11 +535,6 @@ class PathEngine:
             if not self.trials.size:
                 return
             yield t, self.masks(t, min(t + TIME_BLOCK, stop), event).T
-
-
-def point_values_range(spec, seed, trials, t0, t1):
-    """Exposed points at steps [t0, t1) for many trials (one-shot sweep)."""
-    return PathEngine(spec, seed, trials).points(t0, t1)
 
 
 def point_values_at(spec, seed, trials, steps):

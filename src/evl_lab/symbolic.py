@@ -41,15 +41,6 @@ class SymbolicWord:
     def __len__(self):
         return len(self.digits)
 
-    def prefix(self, n):
-        if n > len(self.digits):
-            raise ValueError("prefix longer than word")
-        return SymbolicWord(self.digits[:n], self.base)
-
-    def value(self):
-        """Exact value of 0.(digits) as a Fraction (terminating expansion)."""
-        return Fraction(int(str(self), self.base), self.base ** len(self.digits))
-
     def periodic_value(self):
         """Exact value of the point with expansion word^infinity."""
         v = Fraction(int(str(self), self.base), self.base ** len(self.digits) - 1)
@@ -62,23 +53,6 @@ class SymbolicWord:
             if n % p == 0 and self.digits == self.digits[:p] * (n // p):
                 return SymbolicWord(self.digits[:p], self.base)
         return self
-
-
-def encode(state_or_point, n, base=2):
-    """First n itinerary symbols (digit expansion in the given base)."""
-    from .processes import ProcessState
-
-    if isinstance(state_or_point, ProcessState):
-        st = state_or_point
-        return SymbolicWord(tuple(int(d) for d in st.stream.block(st.cursor, st.cursor + n)), st.spec.base)
-    x = float(state_or_point) % 1.0
-    out = []
-    for _ in range(n):
-        x *= base
-        d = min(int(x), base - 1)
-        out.append(d)
-        x -= d
-    return SymbolicWord(tuple(out), base)
 
 
 def cylinder_measure(word, weights):
@@ -212,23 +186,6 @@ def return_structure(word, n, j_max):
                 raise AssertionError("witness differs from the constructed code")
             out.append(CylinderReturn(j, constructed, True, j > n - p))
     return ReturnStructure(word, n, p, tuple(out))
-
-
-def periodic_point_from_word(word, base=None):
-    """Exact rational periodic point with expansion word^infinity.
-
-    Returns (value, state, prime_period, boundary_flag); the state is a
-    digit-stream ProcessState cycling the primitive root of the word.
-    """
-    from .processes import DigitStream, ProcessSpec, ProcessState
-
-    w = SymbolicWord.parse(word, base or 2)
-    root = w.primitive_root()
-    value = w.periodic_value()
-    boundary = all(d == w.base - 1 for d in w.digits)
-    spec = ProcessSpec.m_ary(w.base)
-    state = ProcessState(spec, DigitStream.periodic(w.base, root.digits), 0)
-    return value, state, len(root), boundary
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Closed-form ground truth: extremal indices, orbit potential sums, and the
-theoretical hitting/return/max limit laws."""
+"""Closed-form ground truth: extremal indices and the theoretical
+hitting/return/max limit laws."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ class TheoryResult:
             raise ValueError("extremal index must lie in [0, 1]")
 
 
-def analytic_ei(spec, anchor=None, p=None):
+def analytic_ei(spec, anchor=None):
     """Closed-form extremal index for a built-in (process, anchor) pairing.
 
     Map kinds need a word anchor marking a repelling periodic point; the
@@ -36,12 +35,8 @@ def analytic_ei(spec, anchor=None, p=None):
     if kind == "m_ary":
         word = symbolic.SymbolicWord.parse(anchor, spec.base)
         root = word.primitive_root()
-        if p is not None and p != len(root):
-            raise ValueError(f"anchor word has prime period {len(root)}, not {p}")
-        prod = 1.0
-        for d in root.digits:
-            prod *= spec.digit_weights[d]
-        return TheoryResult(1.0 - prod, "bernoulli_word", len(root))
+        theta = 1.0 - symbolic.cylinder_measure(root, spec.digit_weights)
+        return TheoryResult(theta, "bernoulli_word", len(root))
     if kind == "chebyshev":
         # fixed point x = -1 of the full quadratic map: |f'(-1)| = 4
         return TheoryResult(0.75, "derivative", 1)
@@ -67,25 +62,6 @@ def dichotomy_ei():
     return TheoryResult(1.0, "dichotomy", None)
 
 
-def potential_sum(spec, anchor, p=None):
-    """Sum of the defining potential along the anchor's periodic orbit.
-
-    Always non-positive; 1 - exp of it reproduces ``analytic_ei``.
-    """
-    if spec.kind == "m_ary":
-        word = symbolic.SymbolicWord.parse(anchor, spec.base)
-        root = word.primitive_root()
-        if p is not None and p % len(root) != 0:
-            raise ValueError("p must be a multiple of the prime period")
-        reps = 1 if p is None else p // len(root)
-        return sum(math.log(spec.digit_weights[d]) for d in root.digits) * reps
-    if spec.kind == "dyadic_jump":
-        word = symbolic.SymbolicWord.parse(anchor, 2)
-        k = len(word.primitive_root())
-        return -k * math.log(2.0)
-    raise ValueError(f"no defined potential for {spec.kind}")
-
-
 def theoretical_cdf(kind, theta):
     """Named closed-form law as a vectorized callable.
 
@@ -104,15 +80,3 @@ def theoretical_cdf(kind, theta):
     if kind == "max_law":
         return lambda tau: np.exp(-theta * np.asarray(tau, dtype=np.float64))
     raise ValueError(f"unknown law kind {kind!r}")
-
-
-def rts_quantile(theta, q):
-    """Inverse CDF of the return-time law (atom at 0 plus theta-exponential)
-    at q in [0, 1); theta = 0 puts all mass in the atom."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if not 0.0 <= q < 1.0:
-        raise ValueError("q must lie in [0, 1)")
-    if q < 1.0 - theta:
-        return 0.0
-    return -math.log(1.0 - (q - (1.0 - theta)) / theta) / theta

@@ -59,11 +59,11 @@ def test_config_validation_names_offending_key(tmp_path):
     assert main(["reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
-def test_config_rejects_fractional_integers_and_bad_delta(tmp_path):
-    # integer keys are not truncated, delta must be a positive finite radius
-    # and tau finite
+def test_config_rejects_fractional_integers_and_bad_delta(tmp_path, capsys):
+    # integer keys are not truncated nor read from JSON booleans, delta must
+    # be a positive finite radius and tau finite
     base = {"experiment": "rts", "seed": 1, "zeta": "0"}
-    bad = [("trials", 2000.5), ("n", [500.5]), ("seed", 7.5), ("offsets", [1.5]),
+    bad = [("trials", 2000.5), ("n", [500.5]), ("seed", 7.5), ("seed", True), ("offsets", [1.5]),
            ("horizon_factor", 12.7), ("horizon_factor", "x"), ("horizon_factor", float("inf")),
            ("cylinder_n", 10.5), ("cylinder_n", 0), ("trials", float("nan")),
            ("delta", "abc"), ("delta", -0.01), ("delta", 0.0), ("delta", float("nan")),
@@ -75,12 +75,15 @@ def test_config_rejects_fractional_integers_and_bad_delta(tmp_path):
         {**base, "trials": 2000.0, "n": [500.0], "horizon_factor": 12.0, "delta": "0.001"}
     )
     assert (cfg.trials, cfg.n, cfg.extras["horizon_factor"], cfg.extras["delta"]) == (2000, [500], 12, 0.001)
-    # on the command line they exit 2 and write no results
-    for key, value in (("horizon_factor", 12.7), ("delta", -0.01), ("trials", 2000.5)):
+    # on the command line they exit 2 with the key named and write no results
+    for key, value in (
+        ("horizon_factor", 12.7), ("delta", -0.01), ("trials", 2000.5), ("seed", True), ("trials", True),
+    ):
         out = tmp_path / key
         cfg_file = tmp_path / f"{key}.json"
-        cfg_file.write_text(json.dumps({"seed": 1, "trials": 100, "out": str(out), key: value}))
+        cfg_file.write_text(json.dumps({"seed": 1, "trials": 100, "zeta": "0", "out": str(out), key: value}))
         assert main(["rts", "--config", str(cfg_file)]) == 2, key
+        assert capsys.readouterr().err.startswith(f"config error: {key}: "), key
         assert not out.exists()
     cfg_file.write_text('{"seed": 7.5}')
     assert main(["reproduce-paper", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
@@ -123,6 +126,13 @@ def test_hts_rts_config_errors_exit_before_running(tmp_path):
         (["estimate-ei"], [1], "config"),
         (["dichotomy", "--process", "mma2"], {}, "process"),
         (["dichotomy", "--process", "dyadic_jump", "--word", "011"], {}, "word"),
+        # JSON booleans are not numbers (the flags above override seed and trials)
+        (["estimate-ei", "--process", "ar1:r=2"], {"n": [True]}, "n"),
+        (["estimate-ei", "--process", "ar1:r=2"], {"offsets": True}, "offsets"),
+        (["estimate-ei", "--process", "ar1:r=2"], {"tau": [True]}, "tau"),
+        (["rts", "--zeta", "0"], {"delta": True}, "delta"),
+        (["rts", "--zeta", "0"], {"horizon_factor": True}, "horizon_factor"),
+        (["dichotomy"], {"cylinder_n": True}, "cylinder_n"),
     ],
 )
 def test_bad_input_is_a_named_config_error(argv, config, key, tmp_path, capsys):
@@ -284,6 +294,22 @@ def test_dichotomy_requires_word_or_zeta(tmp_path):
     assert len(lines) == 2
     theta = float(lines[1].split(",")[3])
     assert abs(theta - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("word, theta", [("0", 0.5), ("01", 0.75)])
+def test_dichotomy_chebyshev_theory_is_the_cylinder_index(word, theta, tmp_path):
+    # chebyshev cylinders lie on the doubling coordinate: 1 - 2**-p at prime period p
+    rc = main(
+        [
+            "dichotomy", "--process", "chebyshev", "--word", word, "--cylinder-n", "10",
+            "--trials", "3000", "--seed", "3", "--out", str(tmp_path / "d"),
+        ]
+    )
+    assert rc == 0
+    with open(tmp_path / "d" / "results.csv", newline="", encoding="utf-8") as f:
+        (row,) = csv.DictReader(f)
+    assert float(row["theta_theory"]) == theta
+    assert abs(float(row["theta_hat"]) - theta) <= 4 * float(row["stderr"]) + 0.02
 
 
 def test_conditions_sweeps_each_ensemble_twice(tmp_path, monkeypatch):

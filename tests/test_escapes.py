@@ -13,10 +13,7 @@ from evl_lab.escapes import (
     _mean,
     default_block_count,
     default_gap,
-    escape_event,
-    escape_matrix,
     escape_statistics,
-    no_escape_window,
     periodicity_report,
 )
 from evl_lab.observables import (
@@ -27,47 +24,43 @@ from evl_lab.observables import (
     level_for_tau,
 )
 from evl_lab.processes import KINDS, MAP_KINDS, Ensemble, ProcessSpec
-from tests.conftest import dense_mask_chunks
+from tests.oracles import dense_mask_chunks, escape_matrix
 
 AR1_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
 MMA_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
 
 
+def _escapes(series, offsets, u):
+    """Order-i escape booleans of one plain series (strict exceedance X > u),
+    read off ``_escape_keys``; the last span entries cannot be read."""
+    exceed = np.asarray(series, dtype=np.float64) > u
+    return escape_matrix(exceed[None, :], EscapeOffsets.of(offsets))[0]
+
+
 def test_escape_event_definition():
-    assert escape_event([0.99, 0.2], 0, 1, 0.9) is True
-    assert escape_event([0.99, 0.95], 0, 1, 0.9) is False  # capture
-    with pytest.raises(IndexError):
-        escape_event([0.99], 0, 1, 0.9)
+    assert _escapes([0.99, 0.2], 1, 0.9).tolist() == [True]
+    assert _escapes([0.99, 0.95], 1, 0.9).tolist() == [False]  # capture
+    assert _escapes([0.99], 1, 0.9).size == 0  # too short to read the escape
 
 
 def test_escape_capture_partition():
     rng = np.random.default_rng(0)
     x = rng.random(500)
     u = 0.7
-    for j in range(499):
-        exceed = x[j] > u
-        esc = escape_event(x, j, 1, u)
-        cap = exceed and not esc
-        assert exceed == (esc or cap)
-        assert not (esc and cap)
+    exceed = x[:-1] > u
+    esc = _escapes(x, 1, u)
+    cap = exceed & (x[1:] > u)
+    assert np.array_equal(exceed, esc | cap)
+    assert not (esc & cap).any()
 
 
 def test_no_escape_window_cases():
-    assert no_escape_window([0.1] * 20, 0, 10, 1, 0.9) is True
+    assert not _escapes([0.1] * 20, 1, 0.9)[0:10].any()
     x = [0.1] * 8 + [0.95, 0.1] + [0.1] * 5
-    assert no_escape_window(x, 5, 8, 1, 0.9) is False
-    assert no_escape_window(x, 0, 0, 1, 0.9) is True  # empty window
-
-
-def test_no_escape_window_equals_brute_force():
-    rng = np.random.default_rng(3)
-    offs = EscapeOffsets((1,))
-    for _ in range(200):
-        x = rng.random(30)
-        s, ln = rng.integers(0, 10), int(rng.integers(1, 12))
-        u = float(rng.random() * 0.5 + 0.4)
-        brute = not any(escape_event(x, j, offs, u) for j in range(s, s + ln))
-        assert no_escape_window(x, s, ln, offs, u) == brute
+    q = _escapes(x, 1, 0.9)
+    assert np.flatnonzero(q).tolist() == [8]
+    assert q[5:13].any()  # the window [5, 13) holds the escape at 8
+    assert not q[0:0].any()  # empty window
 
 
 def test_higher_order_escape_recursion():
@@ -79,7 +72,6 @@ def test_higher_order_escape_recursion():
     # q1 at 0 (exceed then drop), at 3; q2 at 0 requires q1 at 0 and not at 3
     assert bool(q1[0]) and bool(q1[3])
     assert not bool(q2[0])
-    assert escape_event(x, 0, offs, 0.9) == bool(q2[0])
 
 
 def test_ar1_periodicity_report_matches_exact_law():

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evl_lab import theory
 from evl_lab.escapes import EscapeOffsets, _ratio, escape_statistics, periodicity_report
 from evl_lab.estimators import (
     ATOM_EPS,
@@ -13,11 +12,9 @@ from evl_lab.estimators import (
     cylinder_ei,
     ei_from_max,
     ei_rts_atom,
-    ei_runs,
     ei_runs_nested,
     estimate_ei_bundle,
     estimate_escape_law,
-    estimate_max_law,
     survey_max_and_escapes,
 )
 from evl_lab.hts_rts import TargetSet, TimeSampleSet, _return_times, sample_rts
@@ -31,10 +28,16 @@ from evl_lab.observables import (
 )
 from evl_lab.processes import TIME_BLOCK, Ensemble, ProcessSpec
 from evl_lab.symbolic import SymbolicWord, cylinder_measure
-from tests.conftest import dense_mask_chunks
+from tests.oracles import dense_mask_chunks, rts_quantile
 
 END_OBS = ObservableSpec(family="distance", form="weibull", anchor=None)
 BALL0 = ObservableSpec(family="ball_measure", form="gumbel", anchor="0")
+
+
+def _max_law(spec, obs, tau, n, trials, seed):
+    """(P(max of n steps <= u_n), stderr) from the order-1 survey."""
+    s = survey_max_and_escapes(spec, obs, 1, tau, n, trials, seed)
+    return s["p_max"], s["se_max"]
 
 
 def test_ei_from_max_examples():
@@ -57,7 +60,6 @@ def test_fewer_than_two_trials_is_a_named_error(trials):
     spec, n, offs = ProcessSpec.ar1(2), 100, EscapeOffsets((1,))
     levels = LevelSchedule(spec, END_OBS, tau=1.0)
     calls = [
-        lambda: estimate_max_law(spec, END_OBS, 1.0, n, trials, 1),
         lambda: estimate_escape_law(spec, END_OBS, offs, 1.0, n, trials, 1),
         lambda: estimate_escape_law(spec, END_OBS, offs, 0.0, n, trials, 1),
         lambda: survey_max_and_escapes(spec, END_OBS, offs, 1.0, n, trials, 1),
@@ -88,7 +90,7 @@ def test_max_law_memory_flat_in_n(spec, obs):
     def peak(n):
         tracemalloc.start()
         try:
-            estimate_max_law(spec, obs, 1.0, n, 256, seed=5)
+            _max_law(spec, obs, 1.0, n, 256, seed=5)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -98,17 +100,17 @@ def test_max_law_memory_flat_in_n(spec, obs):
 
 
 def test_max_law_doubling():
-    p, se = estimate_max_law(ProcessSpec.doubling(), BALL0, 1.0, 5000, 20000, seed=101)
+    p, se = _max_law(ProcessSpec.doubling(), BALL0, 1.0, 5000, 20000, seed=101)
     assert abs(p - math.exp(-0.5)) <= 3 * se + 0.005
 
 
 def test_max_law_ar1():
-    p, se = estimate_max_law(ProcessSpec.ar1(2), END_OBS, 1.0, 5000, 20000, seed=103)
+    p, se = _max_law(ProcessSpec.ar1(2), END_OBS, 1.0, 5000, 20000, seed=103)
     assert abs(p - math.exp(-0.5)) <= 3 * se + 0.005
 
 
 def test_max_law_iid_control():
-    p, se = estimate_max_law(ProcessSpec.iid_uniform(), END_OBS, 1.0, 5000, 20000, seed=105)
+    p, se = _max_law(ProcessSpec.iid_uniform(), END_OBS, 1.0, 5000, 20000, seed=105)
     assert abs(p - math.exp(-1.0)) <= 3 * se + 0.005
 
 
@@ -127,7 +129,7 @@ def test_escape_law_mma13_order2():
 def test_runs_ar1_r3():
     spec = ProcessSpec.ar1(3)
     ens = Ensemble(spec, 109, 20000, 2000, obs=END_OBS)
-    est = ei_runs(ens, 1, 0.99)
+    est = ei_runs_nested(ens, 1, 0.99)[-1]
     assert abs(est.theta - 2.0 / 3.0) <= 0.02
 
 
@@ -135,7 +137,7 @@ def test_runs_mma2():
     spec = ProcessSpec.mma2()
     ens = Ensemble(spec, 111, 20000, 2000, obs=END_OBS)
     u = level_for_tau(spec, END_OBS, 2000, 1.0)
-    est = ei_runs(ens, 2, u)
+    est = ei_runs_nested(ens, 2, u)[-1]
     assert abs(est.theta - 0.5) <= 0.02
 
 
@@ -144,7 +146,7 @@ def test_runs_bernoulli_periodic_point():
     obs = ObservableSpec(family="ball_measure", form="gumbel", anchor="01")
     ens = Ensemble(spec, 113, 20000, 2000, obs=obs)
     u = level_for_tau(spec, obs, 2000, 1.0)
-    est = ei_runs(ens, 2, u)
+    est = ei_runs_nested(ens, 2, u)[-1]
     assert abs(est.theta - 0.79) <= 0.03
 
 
@@ -152,7 +154,7 @@ def test_runs_requires_conditioning_events():
     spec = ProcessSpec.doubling()
     ens = Ensemble(spec, 1, 50, 50, obs=BALL0)
     with pytest.raises(ValueError):
-        ei_runs(ens, 1, 30.0)  # level far above anything observable
+        ei_runs_nested(ens, 1, 30.0)  # level far above anything observable
 
 
 def test_rts_atom_synthetic_mixture():
@@ -160,7 +162,7 @@ def test_rts_atom_synthetic_mixture():
     theta = 0.6
     rng = np.random.default_rng(7)
     q = rng.random(40000)
-    times = np.array([theory.rts_quantile(theta, x) for x in q])
+    times = np.array([rts_quantile(theta, x) for x in q])
     samples = TimeSampleSet(times, np.zeros_like(times, dtype=bool), "rts", 50.0, 1e-3)
     est = ei_rts_atom(samples)
     assert abs(est.theta - theta) <= 0.02
@@ -235,7 +237,7 @@ def test_tau_invariance_of_max_law():
     spec = ProcessSpec.doubling()
     thetas = []
     for tau in (0.5, 1.0, 2.0):
-        p, se = estimate_max_law(spec, BALL0, tau, 4000, 15000, seed=119)
+        p, se = _max_law(spec, BALL0, tau, 4000, 15000, seed=119)
         est = ei_from_max(p, tau, se)
         thetas.append((est.theta, est.stderr))
     for (t1, s1), (t2, s2) in zip(thetas, thetas[1:]):
@@ -246,7 +248,7 @@ def test_monotone_consistency_in_n():
     spec = ProcessSpec.doubling()
     errs = {}
     for n in (1000, 10000, 100000):
-        p, se = estimate_max_law(spec, BALL0, 1.0, n, 8000, seed=121)
+        p, se = _max_law(spec, BALL0, 1.0, n, 8000, seed=121)
         est = ei_from_max(p, 1.0, se)
         errs[n] = (abs(est.theta - 0.5), est.stderr)
     assert errs[100000][0] <= errs[1000][0] + 3 * math.hypot(errs[1000][1], errs[100000][1])
@@ -329,7 +331,6 @@ def test_survey_views_match_plain_loops():
         p_max, p_esc, runs = _survey_by_loops(ens, exceedance_event(spec, obs, u), offs)
         theta, se_runs, events = runs[-1]
         assert 0 < p_max <= p_esc < 1 and events >= 100
-        assert estimate_max_law(spec, obs, tau, n, trials, seed) == (p_max, se(p_max))
         assert estimate_escape_law(spec, obs, offsets, tau, n, trials, seed) == (p_esc, se(p_esc))
         nested = ei_runs_nested(ens, offsets, u)
         assert [(r.theta, r.stderr) for r in nested] == [run[:2] for run in runs]

@@ -19,7 +19,7 @@ from evl_lab.observables import (
     tail_probability,
 )
 from evl_lab.processes import Ensemble, PathEngine, ProcessSpec, point_values_at
-from tests.conftest import ks_against
+from tests.oracles import ks_against
 
 CHEB = ProcessSpec.chebyshev()
 DOUB = ProcessSpec.doubling()

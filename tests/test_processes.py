@@ -16,14 +16,11 @@ from evl_lab.processes import (
     ProcessSpec,
     ProcessState,
     evaluate_point,
-    exact_point,
-    observe_path,
     point_values_at,
-    point_values_range,
     sample_initial,
     step,
 )
-from tests.conftest import ks_against
+from tests.oracles import exact_point, ks_against
 
 ALL_SPECS = [
     ProcessSpec.doubling(),
@@ -169,7 +166,7 @@ def test_ar1_digit_model_matches_exact_recursion():
 
 def test_engine_matches_scalar_stepping():
     for spec in ALL_SPECS:
-        pts = point_values_range(spec, 31, [0, 1, 2], 0, 60)
+        pts = PathEngine(spec, 31, [0, 1, 2]).points(0, 60)
         for trial in range(3):
             st = sample_initial(spec, 31, trial=trial)
             for t in range(60):
@@ -180,8 +177,8 @@ def test_engine_matches_scalar_stepping():
 def test_engine_windows_are_positional():
     # a window starting past step 0 equals the tail of the full sweep
     for spec in ALL_SPECS:
-        full = point_values_range(spec, 19, [0, 1, 2], 0, 60)
-        assert np.array_equal(point_values_range(spec, 19, [0, 1, 2], 40, 60), full[:, 40:])
+        full = PathEngine(spec, 19, [0, 1, 2]).points(0, 60)
+        assert np.array_equal(PathEngine(spec, 19, [0, 1, 2]).points(40, 60), full[:, 40:])
 
 
 @pytest.mark.parametrize(
@@ -237,17 +234,21 @@ def test_digit_matrix_leaves_the_sweep_carry_alone(spec):
 def test_observe_path_reproducible():
     spec = ProcessSpec.chebyshev()
     obs = observables.ObservableSpec(family="distance", form="weibull", anchor="0")
-    a = observe_path(spec, obs, seed=2, n=200, trial=7)
-    b = observe_path(spec, obs, seed=2, n=200, trial=7)
+
+    def observe_path(trial):
+        return obs.apply(spec, PathEngine(spec, 2, [trial]).points(0, 200)[0])
+
+    a = observe_path(7)
+    b = observe_path(7)
     assert np.array_equal(a, b)
-    c = observe_path(spec, obs, seed=2, n=200, trial=8)
+    c = observe_path(8)
     assert not np.array_equal(a, c)
 
 
 def test_chunking_does_not_change_paths():
     spec = ProcessSpec.ar1(3)
-    full = point_values_range(spec, 77, np.arange(64), 0, 100)
-    subset = point_values_range(spec, 77, np.arange(40, 64), 0, 100)
+    full = PathEngine(spec, 77, np.arange(64)).points(0, 100)
+    subset = PathEngine(spec, 77, np.arange(40, 64)).points(0, 100)
     assert np.array_equal(full[40:], subset)
 
 
@@ -331,7 +332,7 @@ def test_engine_masks_window_and_chunk_invariant(spec, data):
     # points exist in the event's coordinate for all but chebyshev (x-space
     # points, theta-space events)
     if not ev.word and spec.kind != "chebyshev":
-        pts = point_values_range(spec, seed, ids, 0, n)
+        pts = PathEngine(spec, seed, ids).points(0, n)
         assert np.array_equal(ev.mask_native(pts), whole)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evl_lab import rng
-from tests.conftest import ks_against
+from tests.oracles import ks_against
 
 
 def test_words_are_positionally_keyed():

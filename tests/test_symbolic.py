@@ -3,34 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evl_lab.processes import DigitStream, ProcessSpec, ProcessState, step
+from evl_lab.processes import DigitStream
 from evl_lab.symbolic import (
     SymbolicWord,
     champernowne_bits,
     cylinder_measure,
-    encode,
     min_weak_period,
     period_sequence,
-    periodic_point_from_word,
     return_structure,
     sqrt2_minus1_bits,
 )
 
 BLOCK_WORD = ("0" * 14 + "1") * 10 + "001"  # 153 symbols
-
-
-def test_encode_binary_expansions():
-    assert str(encode(0.625, 3)) == "101"
-    assert str(encode(5 / 8, 3)) == "101"
-
-
-def test_encode_commutes_with_step():
-    spec = ProcessSpec.doubling()
-    st = ProcessState(spec, DigitStream.periodic(2, [0, 1, 1, 0, 1]), 0)
-    w = encode(st, 6)
-    st2 = step(spec, st)
-    w2 = encode(st2, 5)
-    assert w.digits[1:] == w2.digits
 
 
 def test_cylinder_measures():
@@ -139,23 +123,22 @@ def test_measure_growth_bound_for_returning_cylinders():
     w = SymbolicWord.parse("0101010")
     for n in range(2, 7):
         rs = return_structure(w, n, n)
-        mu_n = cylinder_measure(w.prefix(n), [alpha, 1 - alpha])
+        mu_n = cylinder_measure(SymbolicWord(w.digits[:n]), [alpha, 1 - alpha])
         for r in rs.returns:
             mu_nj = cylinder_measure(r.witness, [alpha, 1 - alpha])
             assert mu_nj <= mu_n * theta**r.j + 1e-15
 
 
 def test_periodic_points():
-    v, st, p, boundary = periodic_point_from_word("01")
-    assert v == Fraction(1, 3) and p == 2 and not boundary
-    v, st, p, boundary = periodic_point_from_word("001")
-    assert v == Fraction(1, 7) and p == 3
-    v, st, p, boundary = periodic_point_from_word("1")
-    assert v == 0 and boundary  # 1 identified with 0 on the circle
-    v, st, p, boundary = periodic_point_from_word("0101")
-    assert p == 2  # primitive root length
+    w = SymbolicWord.parse("01")
+    assert w.periodic_value() == Fraction(1, 3) and len(w.primitive_root()) == 2
+    w = SymbolicWord.parse("001")
+    assert w.periodic_value() == Fraction(1, 7) and len(w.primitive_root()) == 3
+    assert SymbolicWord.parse("1").periodic_value() == 0  # 1 identified with 0 on the circle
+    root = SymbolicWord.parse("0101").primitive_root()
+    assert len(root) == 2  # primitive root length
     # the stream actually cycles the word
-    assert list(st.stream.block(0, 6)) == [0, 1, 0, 1, 0, 1]
+    assert list(DigitStream.periodic(2, root.digits).block(0, 6)) == [0, 1, 0, 1, 0, 1]
 
 
 def test_min_weak_period():

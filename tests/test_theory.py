@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from evl_lab.processes import ProcessSpec
-from evl_lab.theory import (
-    TheoryResult,
-    analytic_ei,
-    dichotomy_ei,
-    potential_sum,
-    rts_quantile,
-    theoretical_cdf,
-)
+from evl_lab.theory import TheoryResult, analytic_ei, dichotomy_ei, theoretical_cdf
+from tests.oracles import rts_quantile
 
 
 def test_analytic_ei_closed_forms():
@@ -41,33 +35,11 @@ def test_moving_max_slots_match_closed_forms(spec):
 def test_analytic_ei_prime_period_from_word():
     res = analytic_ei(ProcessSpec.doubling(), "0101")
     assert res.prime_period == 2 and res.theta == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        analytic_ei(ProcessSpec.doubling(), "01", p=3)
 
 
 def test_dichotomy_result():
     assert dichotomy_ei().theta == 1.0
     assert dichotomy_ei().derivation == "dichotomy"
-
-
-def test_potential_sums():
-    assert potential_sum(ProcessSpec.doubling(), "0") == pytest.approx(-math.log(2))
-    s = potential_sum(ProcessSpec.bernoulli_doubling(0.3), "01")
-    assert s == pytest.approx(math.log(0.3) + math.log(0.7))
-    assert potential_sum(ProcessSpec.dyadic_jump(), "01") == pytest.approx(-2 * math.log(2))
-    with pytest.raises(ValueError):
-        potential_sum(ProcessSpec.mma2(), "0")
-
-
-def test_potential_reproduces_index():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        alpha = float(rng.uniform(0.05, 0.95))
-        spec = ProcessSpec.bernoulli_doubling(alpha)
-        word = "".join(str(int(b)) for b in rng.integers(0, 2, int(rng.integers(1, 7))))
-        s = potential_sum(spec, word)
-        assert s <= 1e-15  # non-positive always
-        assert 1.0 - math.exp(s) == pytest.approx(analytic_ei(spec, word).theta, abs=1e-12)
 
 
 def test_theoretical_cdf_values():
