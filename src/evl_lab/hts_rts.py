@@ -32,6 +32,7 @@ from .processes import (
     PathEngine,
     _chunk_trials,
     _digit_block,
+    _gap_prefix,
 )
 
 _DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call (a doubling@0 start: 3 calls, not 11)
@@ -140,7 +141,8 @@ def _interval_digit_prefix(spec, arcs, trials, seed, depth=PRECISION + 16):
     The m digit masses are computed once per row; digit d leads to the child
     (clip(m rel_lo - d), clip(m rel_hi - d)) at flat index row * m + d.  At the
     child (0, 1) a trial's cell lies inside the arc, the conditional law is
-    the unconditional one, and its remaining digits are its own stream digits.
+    the unconditional one, and its remaining digits are its own stream digits
+    (the jump map's bits, whose orbit words are its gaps, on ``rng.CH_BITS``).
     The other reached children, in flat order, make the next table unsorted.
     """
     w = spec.digit_weights
@@ -153,7 +155,10 @@ def _interval_digit_prefix(spec, arcs, trials, seed, depth=PRECISION + 16):
         mass = np.cumsum(np.diff(F(table), axis=1)[:, 0])
         u_arc = rng.uniforms(seed, rng.CH_INIT, ids, 0, 1)
         row = ((u_arc * mass[-1]) >= mass[:-1]).sum(axis=1)
-    prefix = _digit_block(spec, seed, ids, 0, depth, rng.CH_ORBIT)
+    if spec.kind == "dyadic_jump":
+        prefix = rng.bits(seed, rng.CH_BITS, ids, 0, depth)
+    else:
+        prefix = _digit_block(spec, seed, ids, 0, depth, rng.CH_ORBIT)
     inner = lambda t: (t[:, 0] > 0.0) | (t[:, 1] < 1.0)  # not (0, 1): the cell still meets an edge
     active = np.flatnonzero(inner(table)[row])
     row = row[active]
@@ -179,14 +184,18 @@ def _interval_digit_prefix(spec, arcs, trials, seed, depth=PRECISION + 16):
 
 def _rts_prefix(spec, target, trials, seed):
     """Per-trial stream prefix realizing a start inside the target (None for
-    a target of measure 1: the starts are unconditional)."""
+    a target of measure 1: the starts are unconditional).  The jump map's
+    start bits become its gaps here, once."""
     if target.measure >= 1.0:
         return None
-    if target.kind == "cylinder":
-        word = np.asarray(target.event.word, dtype=np.uint8)
-        return np.tile(word, (trials, 1))
-    if spec.kind in MAP_KINDS:
-        return _interval_digit_prefix(spec, target.event.arcs, trials, seed)
+    if target.kind == "cylinder" or spec.kind in MAP_KINDS:
+        if target.kind == "cylinder":
+            prefix = np.tile(np.asarray(target.event.word, dtype=np.uint8), (trials, 1))
+        else:
+            prefix = _interval_digit_prefix(spec, target.event.arcs, trials, seed)
+        if spec.kind == "dyadic_jump":
+            return _gap_prefix(prefix, seed, np.arange(trials, dtype=np.uint64))
+        return prefix
     if spec.kind == "ar1":
         # X_0 uniform conditioned on (u, 1]; engine stores its most
         # significant digit at position 63, so the descent is reversed.

@@ -16,9 +16,10 @@ sweeps over the same windows are bit-identical under any trial chunking.  A
 map point, though, is a backward scan from the end of its window: points of
 one step from windows that end at different steps agree only to a few ulps,
 so their exceedance masks agree unless a value lies within an ulp of an
-event edge.  The jump map consumes a variable number of bits per step: it
-carries each path's bit position from window to window, so its points, too,
-are a pure function of (seed, trial index, step) up to that last bit.
+event edge.  The jump map's digits are its gaps g_t (the point at step t has
+the bits 0^(g_t - 1)1 0^(g_{t+1} - 1)1 ...), each one plus the trailing zeros
+of one generator word (``rng.gaps``): Geom(1/2), exact up to 64, with the
+word 0 read as 65.  So the map carries no bit position.
 
 Sweeps are time-major.  The generator builds every draw as the ``.T`` view of
 a (positions, trials) buffer.  The digit scans (backward for the maps, forward
@@ -31,11 +32,9 @@ buffers.  Their public shape stays ``(trials, steps)``: the engine returns the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 
@@ -60,15 +59,8 @@ WEIGHT_TOL = 1e-12
 #: memory budget of one trial chunk of a sweep
 CHUNK_BUDGET = 192 << 20
 
-#: doublings of a jump-map bit draw that runs short before ``JumpDrawError``
-JUMP_TOPUPS = 8
-
 #: innovation slots of the moving-maximum kinds: X_t = max(Y_{t+s} for s in slots)
 SLOTS = {"iid_uniform": (0,), "mma2": (1, 3), "mma13": (0, 1, 3)}
-
-
-class JumpDrawError(RuntimeError):
-    """A jump-map path has too few 1 bits in its topped-up draw."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ class _Stream:
 
 
 class DigitStream(_Stream):
-    """Exact symbolic state: digits over {0..m-1}, immutable once generated."""
+    """Exact symbolic state: digits (jump map: gaps), immutable once generated."""
 
     def __init__(self, base, source):
         super().__init__(source, np.uint8)
@@ -226,7 +218,7 @@ class DigitStream(_Stream):
 
     @staticmethod
     def with_prefix(base, prefix, tail_stream):
-        p = np.asarray(prefix, dtype=np.uint8)[None]
+        p = np.asarray(prefix)[None]
         return DigitStream(base, lambda lo, hi: _with_prefix(tail_stream.block(lo, hi)[None], lo, p)[0])
 
 
@@ -245,9 +237,9 @@ class UniformStream(_Stream):
 class ProcessState:
     """Current simulation state: a stream plus a read cursor.
 
-    Map kinds expose the orbit point as the digit tail at the cursor; ar1
-    reads 64 digits most-significant-last; moving-maximum kinds read their
-    innovation window from the cursor.
+    Map kinds expose the orbit point as the digit (jump map: gap) tail at the
+    cursor; ar1 reads 64 digits most-significant-last; moving-maximum kinds
+    read their innovation window from the cursor.
     """
 
     spec: ProcessSpec
@@ -264,12 +256,6 @@ def sample_initial(spec, seed, trial=0):
 
 def step(spec, state):
     """Advance one time step (pure: returns a new state on the same stream)."""
-    if spec.kind == "dyadic_jump":
-        bound = PRECISION << JUMP_TOPUPS
-        for c in range(state.cursor, state.cursor + bound):
-            if state.stream[c] == 1:
-                return replace(state, cursor=c + 1)
-        raise JumpDrawError(f"no 1 bit in the {bound} bits from position {state.cursor}")
     return replace(state, cursor=state.cursor + 1)
 
 
@@ -283,8 +269,10 @@ def evaluate_point(spec, state, K=PRECISION):
     if K < 1:
         raise ValueError("K must be >= 1")
     c = state.cursor
-    if spec.kind in ("m_ary", "dyadic_jump"):
+    if spec.kind == "m_ary":
         return _digit_value(state.stream.block(c, c + K), spec.base, K)
+    if spec.kind == "dyadic_jump":  # the bits 0^(g-1)1 of each gap g
+        return float(np.ldexp(1.0, -np.cumsum(state.stream.block(c, c + K), dtype=np.int64)).sum())
     if spec.kind == "chebyshev":
         theta = _digit_value(state.stream.block(c, c + K), 2, K)
         return float(-np.cos(2.0 * np.pi * theta))
@@ -300,7 +288,9 @@ def evaluate_point(spec, state, K=PRECISION):
 
 
 def _digit_block(spec, seed, trials, lo, hi, channel):
-    """Digits at positions [lo, hi) for many trials."""
+    """Digits at positions [lo, hi) for many trials (the jump map's gaps)."""
+    if spec.kind == "dyadic_jump":
+        return rng.gaps(seed, channel, trials, lo, hi)
     if not spec.is_uniform:
         return rng.digits(seed, channel, trials, lo, hi, np.cumsum(spec.digit_weights))
     if spec.base == 2:
@@ -317,13 +307,28 @@ def _with_prefix(out, lo, prefix):
     return out
 
 
+def _gap_prefix(bits, seed, trials):
+    """The jump map's prefix of gaps for start bits (trials, K) on the orbit
+    channel: the k gaps that the bits' 1s end, then r + the trial's own gap
+    k, where r counts the trailing zeros (a gap is memoryless: given that it
+    exceeds r, it is r plus a fresh Geom(1/2) gap), then the trial's own gaps."""
+    n, K = bits.shape
+    at = np.cumsum(bits, axis=1, dtype=np.intp) - bits  # the gap that each bit lies in
+    at += np.arange(n)[:, None] * (K + 1)
+    g = np.bincount(at.ravel(), minlength=n * (K + 1)).reshape(n, K + 1)  # row: a_1..a_k, r, 0, ...
+    own = rng.gaps(seed, rng.CH_ORBIT, trials, 0, K + 1)
+    return np.where(np.arange(K + 1) >= np.count_nonzero(bits, axis=1)[:, None], g + own, g).astype(own.dtype)
+
+
 def _chunk_trials(spec, trials, stop):
     """Yield the trial ids 0, ..., trials - 1 of a sweep to ``stop`` in
     chunks sized so that one window of each trial fits ``CHUNK_BUDGET``.
 
     Bytes per trial-step: 4 for base-2 digit scans, 12 for other digit
-    bases, 36 for the jump map's bits, 1 positions and scale factors and for
-    the moving maxima's float innovations with their slot-max temporaries.
+    bases, 36 for the jump map's gap sweep (a word per step, its trailing
+    zeros, the gaps and their float scale factors: 28 measured for a window
+    of points) and for the moving maxima's float innovations with their
+    slot-max temporaries.
     """
     if spec.kind == "dyadic_jump" or spec.slots:
         per_step = 36
@@ -338,11 +343,10 @@ class PathEngine:
     """Sweep over an ensemble of paths of one process: the one entry point for
     exceedance masks and exposed points, for every process and event kind.
 
-    ``masks``/``points`` take increasing windows [t0, t1); steps skipped
-    between windows are stepped through where state is carried (ar1's value,
-    the jump map's bit cursor).  The digit kinds scan ``SCAN_BLOCK`` steps at
-    a time (see ``_scan``) and call ``mask_native`` once per block; results
-    do not depend on the block length.
+    ``masks``/``points`` take increasing windows [t0, t1); ar1 steps through
+    the steps skipped between windows, carrying its value.  The digit kinds
+    scan ``SCAN_BLOCK`` steps at a time (see ``_scan``) and call
+    ``mask_native`` once per block; results do not depend on the block length.
     ``windows`` loops over ``TIME_BLOCK`` windows, so a sweep holds one window
     of each path at any length.  ``select`` compacts the ensemble, carried
     state included, to the paths where ``keep`` is True, preserving per-path
@@ -356,7 +360,7 @@ class PathEngine:
         self.channel = channel
         self.prefix = prefix
         self._t = 0
-        self._carry = None  # ar1: the value at step self._t - 1; jump map: the bit cursor of step self._t
+        self._carry = None  # ar1: the value at step self._t - 1
 
     def _check_window(self, t0):
         if t0 < self._t:
@@ -406,17 +410,14 @@ class PathEngine:
         return x
 
     def _map_columns(self, t0, t1, consume):
-        # x_t = (d_t + x_{t+1}) / base, or for the jump map, where step t
-        # consumes the block 0^(k-1)1 at bits [q_t, q_{t+1}),
-        # x_t = (1 + x_{t+1}) * 2^-(q_{t+1} - q_t): scanned backward from 0
-        # through PRECISION lookahead digits (jump map: steps), the floats of
-        # a digitwise scan.  Scan row PRECISION + j is step t1 - 1 - j.
+        # x_t = (d_t + x_{t+1}) / base, or for the jump map, whose step t
+        # consumes the block 0^(g_t - 1)1, x_t = (1 + x_{t+1}) * 2^-g_t:
+        # scanned backward from 0 through PRECISION lookahead digits, the
+        # floats of a digitwise scan.  Scan row PRECISION + j is step t1 - 1 - j.
+        d = self._digits(t0, t1 + PRECISION).T[::-1]
         if self.spec.kind == "dyadic_jump":
-            q = self._jump_window(t0, t1)[1][t0 - self._t :][::-1]
-            scale = np.ldexp(1.0, q[1:] - q[:-1])
-            d = np.broadcast_to(np.uint8(1), scale.shape)
+            d, scale = np.broadcast_to(np.uint8(1), d.shape), np.ldexp(1.0, -d)
         else:
-            d = self._digits(t0, t1 + PRECISION).T[::-1]
             scale = [1.0 / self.spec.base] * len(d)
         n, x = t1 - t0, np.zeros(self.trials.size)
         self._scan(d, scale, x, PRECISION, lambda j, v: consume(n - j - len(v), v[::-1]))
@@ -441,33 +442,6 @@ class PathEngine:
         d = self._digits(lo + PRECISION - 1, t1 + PRECISION - 1).T
         self._carry = self._scan(d, [1.0 / r] * len(d), self._carry, t0 - lo, consume)
 
-    def _jump_window(self, t0, t1):
-        """Each path's bits from its cursor on, ``(trials, width)``, and the
-        bit positions from it of the points at steps self._t, ..., t1 +
-        PRECISION, time-major; carries the cursor of step t1.
-
-        The next point is one past the first 1 at or after a point.  The draw
-        spans the smallest to the largest cursor plus 2 bits per 1 wanted and
-        an 8-sigma margin, doubled at most ``JUMP_TOPUPS`` times if short."""
-        trials = self.trials.size
-        c = np.zeros(trials, dtype=np.int64) if self._carry is None else self._carry
-        k = t1 - self._t + PRECISION  # 1s wanted after each cursor
-        width = 2 * k + int(8 * math.sqrt(2 * k))
-        for _ in range(JUMP_TOPUPS + 1):
-            d = self._digits(int(c.min()), int(c.max()) + width)
-            bits = sliding_window_view(d, width, axis=1)[np.arange(trials), c - c.min()]
-            ones = np.flatnonzero(bits.view(bool))  # path i: [i * width, (i + 1) * width); fastest on bools
-            first = np.searchsorted(ones, np.arange(trials + 1) * width)
-            if np.diff(first).min() >= k:
-                break
-            width *= 2
-        else:
-            raise JumpDrawError(f"fewer than {k} 1 bits in the {width // 2} bits after a cursor")
-        q = np.zeros((k + 1, trials), dtype=np.int32)
-        np.subtract(sliding_window_view(ones, k)[first[:-1]].T, np.arange(trials) * width - 1, out=q[1:])
-        self._carry = c + q[t1 - self._t]
-        return bits, q
-
     def _columns(self, t0, t1, consume):
         """Values at steps [t0, t1), handed to ``consume(t - t0, time-major
         block of steps [t, t + L))``: the digit scans' blocks, or one block of
@@ -485,20 +459,23 @@ class PathEngine:
         consume(0, x)
 
     def _cylinder_rows(self, t0, t1, word):
-        """Time-major word matches at each step's orbit point: digit t, or
-        for the jump map the bit after each consumed 0^(k-1)1 block."""
+        """Time-major word matches at each step's orbit point: digits t, t + 1,
+        ... equal the word.  The jump map's digits are gaps: the word's 1s end
+        the gaps a and r zeros trail them, so gaps t, ... equal a and the next
+        gap exceeds r."""
         word = np.asarray(word, dtype=np.uint8)
-        if self.spec.kind == "dyadic_jump":  # words of up to PRECISION digits
-            t = self._t
-            bits, q = self._jump_window(t0, t1)
-            d, pos = bits.T, q[t0 - t : t1 - t]
-        else:
-            d = self._digits(t0, t1 + word.size - 1).T
-            pos = None
-        match = np.ones((d.shape[0] - word.size + 1, self.trials.size), dtype=bool)
+        jump = self.spec.kind == "dyadic_jump"
+        if jump:
+            ends = np.r_[-1, np.flatnonzero(word)]
+            word, r = np.diff(ends), word.size - 1 - ends[-1]
+        n = t1 - t0
+        d = self._digits(t0, t1 + word.size - 1 + jump).T
+        match = np.ones((n, self.trials.size), dtype=bool)
         for i, digit in enumerate(word):
-            match &= d[i : i + match.shape[0]] == digit
-        return match if pos is None else np.take_along_axis(match, pos, axis=0)
+            match &= d[i : i + n] == digit
+        if jump:
+            match &= d[word.size : word.size + n] > r
+        return match
 
     def masks(self, t0, t1, event):
         """Boolean exceedance matrix for steps [t0, t1); cylinder events match
@@ -539,8 +516,7 @@ class PathEngine:
 
 def point_values_at(spec, seed, trials, steps):
     """Exposed points at the given steps only, in increasing step order, from
-    one engine: one-step windows (ar1 and the jump map step through the
-    skipped steps)."""
+    one engine: one-step windows (ar1 steps through the skipped steps)."""
     steps = sorted(set(int(s) for s in steps))
     eng = PathEngine(spec, seed, trials)
     return np.stack([eng.points(s, s + 1)[:, 0] for s in steps], axis=1)

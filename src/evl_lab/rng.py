@@ -30,6 +30,7 @@ import numpy as np
 CH_ORBIT = 0      # main digit / innovation stream of a path
 CH_INIT = 1       # conditional-start entropy (hitting/return experiments)
 CH_HTS = 2        # stationary starts for hitting-time sampling
+CH_BITS = 3       # own bits of a jump-map start (the map's orbit words are its gaps)
 
 #: trial ids further apart than this start a new run: one generator reset and
 #: call (about 6 µs) costs about as much as one block for 150-250 trials, and
@@ -106,6 +107,17 @@ def bits(seed, channel, trials, lo, hi):
         np.bitwise_and(by, 1, out=b[:, k])
         by >>= 1
     return _rows(b)[lo - 64 * w0 : hi - 64 * w0].T
+
+
+def gaps(seed, channel, trials, lo, hi):
+    """Geom(1/2) gaps on {1, 2, ...} at positions [lo, hi), as int16: one plus
+    the trailing zeros of one word per position, so P(g = j) = 2**-j exactly
+    for j <= 64.  The word 0 reads 65, so gaps of 65 or more (probability
+    2**-64) read 65."""
+    w = raw_words(seed, channel, trials, lo, hi)
+    below = w - np.uint64(1)
+    below &= np.invert(w, out=w)  # ones at w's trailing zeros: all 64 for w = 0
+    return np.add(np.bitwise_count(below), 1, dtype=np.int16)
 
 
 def uniform_digits(seed, channel, trials, lo, hi, m):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from tests.oracles import ks_against  # also imported from here by test_acceptance
+from tests.oracles import ks_against
 
 
 @pytest.fixture

@@ -47,11 +47,24 @@ def escape_matrix(exceed, offsets):
     return q.T
 
 
+def jump_bits(state, n):
+    """The first n bits of a jump-map state's point: 0^(g-1)1 for each gap g."""
+    bits, c = [], state.cursor
+    while len(bits) < n:
+        bits += [0] * (int(state.stream[c]) - 1) + [1]
+        c += 1
+    return bits[:n]
+
+
 def exact_point(spec, state, K=PRECISION):
-    """Exact rational projection of a digit state (for exactness checks)."""
+    """Exact rational projection of a digit state (for exactness checks); K
+    gaps of a jump-map state."""
     if not spec.uses_digits or spec.kind == "chebyshev":
         raise ValueError("exact_point requires a plain digit-stream kind")
     c = state.cursor
+    if spec.kind == "dyadic_jump":
+        ends = np.cumsum(state.stream.block(c, c + K))
+        return sum(Fraction(1, 2 ** int(e)) for e in ends)
     if spec.kind == "ar1":
         digits = state.stream.block(c, c + 64)[::-1][:K]
     else:
@@ -66,7 +79,11 @@ def exact_point(spec, state, K=PRECISION):
 def contains_state(target, state):
     """Whether the lazy ``state`` lies in the ``TargetSet``'s event."""
     if target.kind == "cylinder":
-        got = state.stream.block(state.cursor, state.cursor + len(target.event.word))
+        n = len(target.event.word)
+        if target.spec.kind == "dyadic_jump":
+            got = jump_bits(state, n)
+        else:
+            got = state.stream.block(state.cursor, state.cursor + n)
         return all(int(a) == b for a, b in zip(got, target.event.word))
     if target.spec.kind == "chebyshev":  # the event lies on the doubling coordinate theta
         digits = state.stream.block(state.cursor, state.cursor + PRECISION)

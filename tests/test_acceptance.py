@@ -24,7 +24,7 @@ import evl_lab as ev
 from evl_lab import cli, escapes, estimators, hts_rts, symbolic, theory
 from evl_lab.observables import LevelSchedule, ObservableSpec, level_for_tau, marginal_cdf
 from evl_lab.processes import Ensemble, ProcessSpec, point_values_at
-from tests.conftest import ks_against
+from tests.oracles import ks_against
 
 END = ObservableSpec(family="distance", form="weibull", anchor=None)
 BALL0 = ObservableSpec(family="ball_measure", form="gumbel", anchor="0")

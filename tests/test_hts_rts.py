@@ -226,7 +226,9 @@ def test_first_hits_engine_matches_scalar_cylinder_and_jump():
         (DOUB, TargetSet.cylinder(DOUB, "0110"), 300),
         (jump, TargetSet.ball(jump, "01", 2.0**-5), 300),
         (jump, TargetSet.cylinder(jump, "0110"), 300),
-        # hits in later windows: the alive paths carry their bit cursors
+        (jump, TargetSet.cylinder(jump, "0100"), 300),  # r = 2 trailing zeros
+        (jump, TargetSet.cylinder(jump, "000"), 300),  # no 1: the gap exceeds 3
+        # hits in later windows, after select has dropped the paths that hit
         (jump, TargetSet.ball(jump, "01", 2.0**-12), 3 * TIME_BLOCK),
         (jump, TargetSet.cylinder(jump, "01101011010"), 3 * TIME_BLOCK),
     ):
@@ -329,7 +331,7 @@ MAP_RTS_PREFIX_KAT = {
 def test_map_rts_prefix_known_answer_digest(name):
     tgt = _map_rts_targets()[name]
     prefix = _rts_prefix(tgt.spec, tgt, 1000, 2024)
-    assert prefix.dtype == np.uint8 and prefix.shape[0] == 1000
+    assert prefix.dtype == (np.int16 if tgt.spec.kind == "dyadic_jump" else np.uint8) and prefix.shape[0] == 1000
     assert hashlib.sha256(prefix.tobytes()).hexdigest() == MAP_RTS_PREFIX_KAT[name]
 
 

@@ -138,13 +138,23 @@ def test_shift_exactness_exact_arithmetic():
             mapped = (x * spec.m) % 1
             assert abs(y - mapped) < Fraction(spec.m) ** -(63)
             st = st2
+    # the jump map, f(x) = 2^k x - 1 on its branch (2^-k, 2^-(k-1)]
+    jump = ProcessSpec.dyadic_jump()
+    st = sample_initial(jump, seed=3, trial=1)
+    for _ in range(20):
+        x = exact_point(jump, st)
+        k = 1
+        while x <= Fraction(1, 2**k):
+            k += 1
+        st = step(jump, st)
+        assert abs(exact_point(jump, st) - (x * 2**k - 1)) < Fraction(2) ** -63
 
 
 def test_dyadic_jump_strips_branch_prefix():
     spec = ProcessSpec.dyadic_jump()
-    st = ProcessState(spec, DigitStream.periodic(2, [0, 0, 1, 1, 0, 1]), 0)
+    st = ProcessState(spec, DigitStream.periodic(2, [3, 1, 2]), 0)  # the gaps of the bits 001 1 01
     st2 = step(spec, st)
-    assert st2.cursor == 3  # skipped past 0,0,1
+    assert st2.cursor == 1  # skipped past the gap 0,0,1
     # f(x) = 2^k (x - 2^-k) on branch k=3
     x = evaluate_point(spec, st)
     fx = evaluate_point(spec, st2)
@@ -199,11 +209,11 @@ def test_points_across_window_ends(spec):
         assert np.abs(short - long).max() <= 4 * np.finfo(np.float64).eps
 
 
-def test_jump_draw_tops_up_past_a_zero_prefix():
-    # 400 zero bits: the first window's first draw holds too few 1s, so it
-    # is doubled until it does; the points still match lazy stepping
+def test_jump_points_past_a_400_zero_bit_prefix():
+    # 400 zero bits start a gap of 400 plus the path's own first gap; the
+    # points still match lazy stepping
     spec = ProcessSpec.dyadic_jump()
-    prefix = np.zeros((2, 400), dtype=np.uint8)
+    prefix = processes._gap_prefix(np.zeros((2, 400), dtype=np.uint8), 41, [0, 1])
     eng = PathEngine(spec, 41, [0, 1], prefix=prefix)
     pts = np.hstack([eng.points(0, 11), eng.points(11, 30)])
     assert pts[:, 0].max() < 2.0**-400
@@ -213,12 +223,25 @@ def test_jump_draw_tops_up_past_a_zero_prefix():
         for t in range(30):
             assert evaluate_point(spec, st, K=600) == pytest.approx(pts[trial, t], rel=1e-12, abs=0)
             st = step(spec, st)
-    # past JUMP_TOPUPS doublings a draw that still runs short is a named error,
-    # and so is a lazy step that finds no 1 bit
-    with pytest.raises(processes.JumpDrawError):
-        PathEngine(spec, 41, [0], prefix=np.zeros((1, 60000), dtype=np.uint8)).points(0, 1)
-    with pytest.raises(processes.JumpDrawError):
-        step(spec, ProcessState(spec, DigitStream.periodic(2, [0]), 0))
+
+
+def test_jump_draws_the_same_words_in_every_window(monkeypatch):
+    # one word per path and step: the words drawn for a TIME_BLOCK window do
+    # not grow with its index, so a sweep's memory is flat in the horizon
+    drawn = []
+    raw_words = rng.raw_words
+
+    def counted(seed, channel, trials, lo, hi):
+        drawn.append(np.size(trials) * (hi - lo))
+        return raw_words(seed, channel, trials, lo, hi)
+
+    monkeypatch.setattr(rng, "raw_words", counted)
+    eng = PathEngine(ProcessSpec.dyadic_jump(), 7, np.arange(500))
+    per_window = []
+    for _ in eng.windows(64 * processes.TIME_BLOCK, observables.ExceedanceEvent(((0.3, 0.55),))):
+        per_window.append(sum(drawn))
+        drawn.clear()
+    assert per_window == [500 * (processes.TIME_BLOCK + PRECISION)] * 64
 
 
 @pytest.mark.parametrize("spec", [ProcessSpec.ar1(2), ProcessSpec.dyadic_jump()], ids=lambda s: s.label)
@@ -411,6 +434,8 @@ def _engine_kat(spec, quantity, runs=ENGINE_KAT_RUNS, seed=2024):
         if k:
             cells = np.arange(len(trials) * k).reshape(len(trials), k)
             prefix = (cells * 7 % spec.base).astype(np.uint8) if spec.uses_digits else cells * 0.37 % 1.0
+            if spec.kind == "dyadic_jump":  # the prefix holds bits: run the start they make
+                prefix = processes._gap_prefix(prefix, seed, trials)
         eng = PathEngine(spec, seed, trials, prefix=prefix)
         for t0, t1 in windows:
             if quantity == "points":

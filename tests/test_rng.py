@@ -89,6 +89,17 @@ def test_bits_are_balanced_and_pairwise_clean():
     assert abs(lag1) < 5 / np.sqrt(n)
 
 
+def test_gaps_are_one_plus_trailing_zeros(monkeypatch):
+    g = rng.gaps(3, 0, np.arange(64), 0, 4096)
+    freq = np.bincount(g.ravel())[1:9] / g.size
+    p = 0.5 ** np.arange(1, 9)
+    assert np.all(np.abs(freq - p) < 4 * np.sqrt(p * (1 - p) / g.size))
+    # the rule on hand-picked words: the word 0 reads 65
+    words = np.array([[1, 2, 2**63, 0, 12]], dtype=np.uint64)
+    monkeypatch.setattr(rng, "raw_words", lambda seed, channel, trials, lo, hi: words[:, lo:hi])
+    assert rng.gaps(0, 0, [0], 0, 5).tolist() == [[1, 2, 64, 65, 3]]
+
+
 @pytest.mark.parametrize("weights", [[0.3, 0.7], [1 / 3, 1 / 3, 1 / 3], [0.1, 0.2, 0.3, 0.4]])
 def test_digit_frequencies(weights):
     d = rng.digits(5, 0, np.arange(50), 0, 4000, np.cumsum(weights))
