@@ -321,7 +321,7 @@ MAP_RTS_PREFIX_KAT = {
     "bernoulli(0.3)@0": "2b8901e388c88848f7a49c576051b12e74fa18dd9f74c0bb310d40a9d5c08dad",
     "m_ary(3)@12": "56a9c9436303710f751b97a6ff887e25ad7acb88bdd3208ab619f83b6c8ec28c",
     "chebyshev@0": "adfbdb2ac7c915c556364a2056e1ba1447ba2d450e565b740f86c573221dac30",
-    "dyadic_jump@01": "9e9ea0eb9c81bfed391ce2deec24b974a26af3a16d8b8add3f7931d6554100c8",
+    "dyadic_jump@01": "d9ceff27b923ebc88d9b4466271fca139a65aa27aa256ad8249437e5bec735ec",
     "ar1(2)": "c9781ea18f2aa67bae9a80c0c915cf144231e9b00bc3b244406d7e0a07117e0e",
     "ar1(3)": "f8764b537586da5daa450dfcd387ca88ddb97a8c683cf0b5b2d1e59f05636f84",
 }

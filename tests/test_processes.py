@@ -409,9 +409,9 @@ ENGINE_KAT = {
 }
 
 JUMP_KAT = {
-    "points": "3b92e0f4186b3a72ecdb6ddf60d9de4c306bb5cb1dec2a15737c2629417a09ac",
-    "interval": "46523a91f97d3c19a9f4e8f6fb19f5a793df7f8160e65d4fa6a8232c698335aa",
-    "cylinder": "7eb2d3c67f20a563363e3c3fa0b725936450810feaaf9e907f01da36fd90e8ed",
+    "points": "81199b01fd727ef960011b0f48e2a1334714df4100e0d9905e8b73700784b009",
+    "interval": "4f9b980607add9fec6f369c2c51ec724f25db7f48c6d04f234c0933a5af848e6",
+    "cylinder": "db02b10fb9014c1bdff1b9d539e1043042fef7853d53183e521fe7e1f1bc80d2",
 }
 
 
