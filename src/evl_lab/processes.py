@@ -469,7 +469,7 @@ class PathEngine:
             ends = np.r_[-1, np.flatnonzero(word)]
             word, r = np.diff(ends), word.size - 1 - ends[-1]
         n = t1 - t0
-        d = self._digits(t0, t1 + word.size - 1 + jump).T
+        d = self._digits(t0, t1 + word.size - 1 + jump).T  # the jump map also reads the gap after a
         match = np.ones((n, self.trials.size), dtype=bool)
         for i, digit in enumerate(word):
             match &= d[i : i + n] == digit
