@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import __version__, escapes, estimators, hts_rts, symbolic, theory
 from .observables import LevelSchedule, ObservableSpec, level_for_tau, tail_probability
-from .processes import MAP_KINDS, Ensemble, ProcessSpec, point_values_at
+from .processes import MAP_KINDS, Ensemble, ProcessSpec, _fork_map, point_values_at
 from .escapes import EscapeOffsets
 
 EXPERIMENTS = (
@@ -515,40 +513,21 @@ def _write_report(cfg, rep):
 
 
 def run_reproduce_paper(out_dir, seed, profile="full"):
-    """Run the bundled acceptance experiments in forked worker processes, one per
-    CPU, on Linux with more than one CPU; else in sequence.  Each experiment is a
-    pure function of its config, so either way writes the same files.  The first
-    failure in config order is raised once the running experiments end."""
+    """Run the bundled acceptance experiments in the forked worker pool of
+    ``processes._fork_map``: one worker per CPU, in sequence on one CPU.  Each
+    experiment is a pure function of its config, so either way writes the same
+    files.  The first failure in config order is raised once the running
+    experiments end; a sweep inside an experiment runs its chunks serially."""
     out = Path(out_dir)
     cfgs = [
         ExperimentConfig.from_dict({**sub, "seed": seed, "out": str(out / name)})
         for name, sub in reproduce_paper_configs(profile).items()
     ]
-    # sched_getaffinity exists only where fork does (Linux)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(cfgs))
-    if workers < 2:
-        for cfg in cfgs:
-            run_experiment(cfg)
-        return out
-    import multiprocessing  # imported here, so that importing the CLI stays cheap
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    todo, running, failed = iter(enumerate(cfgs)), {}, {}
-    # the executor forks all its workers before it starts a helper thread
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        while True:
-            for i, cfg in itertools.islice(todo, 0 if failed else workers - len(running)):
-                running[pool.submit(run_experiment, cfg)] = i
-            if not running:
-                break
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for f in done:
-                i = running.pop(f)
-                if f.exception() is not None:
-                    failed[i] = f.exception()
-    if failed:
-        raise failed[min(failed)]
+    def run(cfg):
+        run_experiment(cfg)  # the report stays in the worker: its files are the result
+
+    _fork_map(run, cfgs)
     return out
 
 

@@ -24,7 +24,8 @@ search on those keys finds every later escape of the same path, and
 Every statistic is a function of integer counts per path.  A sweep keeps
 each chunk's count arrays, ``_per_path`` joins them over all trials in
 trial order, and ``_ratio`` and ``_mean`` reduce them once, so the trial
-chunking cannot move a float.
+chunking cannot move a float, nor can the CPU count: a large sweep's chunk
+keys are built in forked workers and come back in trial order.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ MaxLaw, EscapeLaw and Runs, and the cylinder-mode MaxLaw, all read one sweep
 of the exceedance keys of ``Ensemble.mask_chunks``, ``_survey``: per path it
 notes whether any exceedance and any last-order escape occurs in [0, n), and
 per escape order it counts the escapes and the events they condition on; the
-runs ratios are reduced once from those counts over all trials.
+runs ratios are reduced once from those counts over all trials, so the trial
+chunking cannot move a float, nor can the CPU count that a large sweep's
+chunks are split over (``processes._fork_map``).
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .processes import (
     PathEngine,
     _chunk_trials,
     _digit_block,
+    _fork_map,
     _gap_prefix,
 )
 
@@ -88,23 +89,28 @@ class TimeSampleSet:
 
 
 def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None):
-    """Vectorized first-hit steps (>= 1): trial-chunked, windowed alive sweep."""
-    steps = np.full(trials, horizon + 1, dtype=np.int64)
+    """Vectorized first-hit steps (>= 1; horizon + 1 if none): a windowed
+    alive sweep per trial chunk, a large sweep's chunks in forked workers."""
     stop = horizon + 1
-    for alive_rows in _chunk_trials(spec, trials, stop):
-        eng = PathEngine(spec, seed, alive_rows, channel, None if prefix is None else prefix[alive_rows])
+
+    def first_hits(ids):
+        steps = np.full(ids.size, stop, dtype=np.int64)
+        alive = np.arange(ids.size)
+        eng = PathEngine(spec, seed, ids, channel, None if prefix is None else prefix[ids])
         for t, m in eng.windows(stop, target.event):
             if t == 0:
                 m[0] = False
             # hits listed step-major: unique's first entry per trial is its earliest
             at, rows = np.divmod(np.flatnonzero(m), m.shape[1])
             rows, first = np.unique(rows, return_index=True)
-            steps[alive_rows[rows]] = t + at[first]
-            keep = np.ones(alive_rows.size, dtype=bool)
+            steps[alive[rows]] = t + at[first]
+            keep = np.ones(alive.size, dtype=bool)
             keep[rows] = False
             eng.select(keep)
-            alive_rows = alive_rows[keep]
-    return steps
+            alive = alive[keep]
+        return steps
+
+    return np.concatenate(_fork_map(first_hits, _chunk_trials(spec, trials, stop)))
 
 
 def _time_samples(steps, horizon, mode, measure):

@@ -28,10 +28,19 @@ for AR(1)) read one contiguous row of digits per step into a
 one exceedance-mask call, or one copy, per block into ``(steps, trials)``
 buffers.  Their public shape stays ``(trials, steps)``: the engine returns the
 ``.T`` views.
+
+Large sweeps run their trial chunks in one pool of forked workers
+(``_fork_map``), which ``reproduce-paper`` also runs its experiments in.  A
+chunk's result is a pure function of its trial ids, and the chunks are joined
+in trial order, so the pool changes no result.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,8 +65,14 @@ SCAN_BLOCK = 16
 #: tolerance of the weight checks: the weights sum to 1, and are uniform
 WEIGHT_TOL = 1e-12
 
-#: memory budget of one trial chunk of a sweep
+#: memory budget of the trial chunks of a sweep that are in flight at once
 CHUNK_BUDGET = 192 << 20
+
+#: trial-steps from which a sweep splits its trials between the pool's
+#: workers (see ``_chunk_trials``): on two CPUs, surveys of 2,048 steps broke
+#: even there for ar1 and doubling (2^22 was up to 1.5x slower) and gained
+#: 25-40% at 2^25
+POOL_TRIAL_STEPS = 1 << 23
 
 #: innovation slots of the moving-maximum kinds: X_t = max(Y_{t+s} for s in slots)
 SLOTS = {"iid_uniform": (0,), "mma2": (1, 3), "mma13": (0, 1, 3)}
@@ -320,6 +335,123 @@ def _gap_prefix(bits, seed, trials):
     return np.where(np.arange(K + 1) >= np.count_nonzero(bits, axis=1)[:, None], g + own, g).astype(own.dtype)
 
 
+# ---------------------------------------------------------------------------
+# forked worker pool
+# ---------------------------------------------------------------------------
+
+#: set in a pool worker only (a forked process of its own), so that a pool
+#: run there runs serially: one pool level
+_IN_WORKER = False
+
+
+def _cpus():
+    """CPUs a pool may use, read at call time: 1 inside a pool worker, or
+    without ``sched_getaffinity`` (it exists only where ``fork`` does)."""
+    if _IN_WORKER or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _serve(fn, items, tasks, results):
+    """A pool worker's loop: read an item index from ``tasks``, send back the
+    pickled (True, fn(item)) or (False, its exception) on ``results``, and
+    stop when the parent closes ``tasks``."""
+    with open(results, "wb") as out:
+        while head := os.read(tasks, 8):  # 8 bytes < PIPE_BUF: written whole
+            try:
+                msg = pickle.dumps((True, fn(items[int.from_bytes(head, "little")])))
+            except Exception as e:  # the item's failure, raised in the parent
+                try:
+                    msg = pickle.dumps((False, e))
+                    pickle.loads(msg)
+                except Exception:
+                    msg = pickle.dumps((False, RuntimeError(repr(e))))
+            out.write(len(msg).to_bytes(8, "little") + msg)
+            out.flush()
+
+
+def _fork_map(fn, items):
+    """``[fn(x) for x in items]``, in item order, from one persistent forked
+    worker per CPU (at most one per item; the plain loop on one CPU or inside
+    a worker).
+
+    The workers inherit ``fn`` and ``items`` through the fork; item indices go
+    out over pipes as workers become free, and each result, or its exception,
+    comes back pickled.  Once an item fails, no further item is handed out,
+    and the first failure in item order is raised when the running items end.
+    A worker that dies is a ``RuntimeError`` naming its item, and an exception
+    that cannot be pickled comes back as a ``RuntimeError`` with its repr.
+    Every worker is reaped before this returns or raises.
+    """
+    global _IN_WORKER
+    items = list(items)
+    workers = min(_cpus(), len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    sys.stdout.flush()  # buffered output would be written again by each worker
+    sys.stderr.flush()
+    pool = {}  # result pipe -> (worker pid, task pipe)
+    results, failed, busy = [None] * len(items), {}, {}
+    todo = iter(range(len(items)))
+
+    def hand_out(f):
+        i = None if failed else next(todo, None)
+        if i is not None:
+            busy[f] = i
+            try:
+                os.write(pool[f][1], i.to_bytes(8, "little"))
+            except BrokenPipeError:  # the worker is gone: its result pipe says so
+                pass
+
+    try:
+        for _ in range(workers):
+            tasks_r, tasks_w = os.pipe()
+            results_r, results_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _IN_WORKER = True
+                    for f, (_, w) in pool.items():  # a sibling's task pipe must close with the parent's end
+                        f.close()
+                        os.close(w)
+                    os.close(tasks_w)
+                    os.close(results_r)
+                    _serve(fn, items, tasks_r, results_w)
+                    sys.stdout.flush()
+                    code = 0
+                finally:
+                    os._exit(code)  # never return into the caller's code
+            os.close(tasks_r)
+            os.close(results_w)
+            pool[open(results_r, "rb")] = (pid, tasks_w)
+        for f in list(pool):
+            hand_out(f)
+        while busy:
+            for f in select.select(list(busy), [], [])[0]:
+                i = busy.pop(f)
+                n = int.from_bytes(f.read(8), "little")
+                msg = f.read(n)
+                if not msg or len(msg) < n:  # end of file: the worker has exited
+                    pid, tasks_w = pool.pop(f)
+                    f.close()
+                    os.close(tasks_w)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    failed[i] = RuntimeError(f"a pool worker died (exit code {code}) running item {i}")
+                    continue
+                ok, value = pickle.loads(msg)
+                (results if ok else failed)[i] = value
+                hand_out(f)
+    finally:
+        for f, (pid, tasks_w) in pool.items():
+            f.close()
+            os.close(tasks_w)  # end of file: the worker exits
+            os.waitpid(pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def _chunk_trials(spec, trials, stop):
     """Yield the trial ids 0, ..., trials - 1 of a sweep to ``stop`` in
     chunks sized so that one window of each trial fits ``CHUNK_BUDGET``.
@@ -329,12 +461,24 @@ def _chunk_trials(spec, trials, stop):
     zeros, the gaps and their float scale factors: 28 measured for a window
     of points) and for the moving maxima's float innovations with their
     slot-max temporaries.
+
+    A sweep of at least ``POOL_TRIAL_STEPS`` trial-steps runs its chunks in
+    the w workers of ``_fork_map`` (w = ``_cpus()``): its chunks then hold at
+    most ceil(trials / w) trials and fit ``CHUNK_BUDGET`` / w each.  So the
+    chunk windows in flight at once take at most ``CHUNK_BUDGET`` bytes at any
+    n, with one exception: no chunk is cut below 256 trials, a window of
+    19 MB at 36 bytes per step, which exceeds ``CHUNK_BUDGET`` / w only for
+    w > 10.  A smaller sweep (w = 1) is chunked as on one CPU.
     """
     if spec.kind == "dyadic_jump" or spec.slots:
         per_step = 36
     else:
         per_step = 4 if spec.base == 2 else 12
-    step = max(256, CHUNK_BUDGET // (per_step * (min(TIME_BLOCK, stop) + 1)))
+    w = _cpus() if trials * stop >= POOL_TRIAL_STEPS else 1
+    if w > 1:  # rng's generator module loads on the first draw: once here, not in each worker
+        import numpy.random  # noqa: F401
+    fit = CHUNK_BUDGET // w // (per_step * (min(TIME_BLOCK, stop) + 1))
+    step = max(256, min(fit, -(-trials // w)))
     for lo in range(0, trials, step):
         yield np.arange(lo, min(lo + step, trials), dtype=np.uint64)
 
@@ -542,9 +686,16 @@ class Ensemble:
 
     def mask_chunks(self, event, extra=0):
         """Yield (trial ids, sorted keys step * ids.size + i of the exceedances
-        of path ids[i] in [0, length + extra)) per trial chunk, built one
-        engine window at a time: memory is flat in the length."""
+        of path ids[i] in [0, length + extra)) per trial chunk, in trial order,
+        built one engine window at a time: memory is flat in the length.  The
+        keys of a large sweep's chunks are built in the forked workers of
+        ``_fork_map`` (see ``_chunk_trials``); exceedances are rare, so the
+        keys that come back are small."""
         L = self.length + extra
-        for ids in _chunk_trials(self.spec, self.trials, L):
+
+        def keys(ids):
             windows = PathEngine(self.spec, self.seed, ids).windows(L, event)
-            yield ids, np.concatenate([np.flatnonzero(m) + t * ids.size for t, m in windows])
+            return np.concatenate([np.flatnonzero(m) + t * ids.size for t, m in windows])
+
+        chunks = list(_chunk_trials(self.spec, self.trials, L))
+        yield from zip(chunks, _fork_map(keys, chunks))
