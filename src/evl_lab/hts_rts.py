@@ -90,18 +90,20 @@ class TimeSampleSet:
 
 def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None):
     """Vectorized first-hit steps (>= 1; horizon + 1 if none): a windowed
-    alive sweep per trial chunk, a large sweep's chunks in forked workers."""
+    alive sweep per trial chunk, a large sweep's chunks in forked workers.
+    Each window's exceedance keys are step-major, so a path's first key is
+    its first hit; the paths that hit leave the sweep (``PathEngine.select``)."""
     stop = horizon + 1
 
     def first_hits(ids):
         steps = np.full(ids.size, stop, dtype=np.int64)
         alive = np.arange(ids.size)
         eng = PathEngine(spec, seed, ids, channel, None if prefix is None else prefix[ids])
-        for t, m in eng.windows(stop, target.event):
+        for t, keys in eng.windows(stop, target.event):
             if t == 0:
-                m[0] = False
-            # hits listed step-major: unique's first entry per trial is its earliest
-            at, rows = np.divmod(np.flatnonzero(m), m.shape[1])
+                keys = keys[keys >= alive.size]  # step 0 is the start
+            # keys are step-major: unique's first entry per trial is its earliest
+            at, rows = np.divmod(keys, alive.size)
             rows, first = np.unique(rows, return_index=True)
             steps[alive[rows]] = t + at[first]
             keep = np.ones(alive.size, dtype=bool)

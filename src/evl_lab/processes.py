@@ -27,7 +27,10 @@ for AR(1)) read one contiguous row of digits per step into a
 ``(SCAN_BLOCK, trials)`` block of values, and each block is handed on whole:
 one exceedance-mask call, or one copy, per block into ``(steps, trials)``
 buffers.  Their public shape stays ``(trials, steps)``: the engine returns the
-``.T`` views.
+``.T`` views.  A sweep (``PathEngine.windows``) hands on only the sorted keys
+of each window's exceedances.  Narrow arcs of the base-2 maps skip the scan
+and its mask calls: their keys are read off the digits packed 64 to a word,
+and equal the scan's mask bit for bit (``PathEngine._packed_keys``).
 
 Large sweeps run their trial chunks in one pool of forked workers
 (``_fork_map``), which ``reproduce-paper`` also runs its experiments in.  A
@@ -37,6 +40,7 @@ in trial order, so the pool changes no result.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import select
@@ -61,6 +65,20 @@ TIME_BLOCK = 2048
 #: steps per block of the digit scans: one exceedance-mask call per block
 #: (8 and 16 measured alike, 32 and 64 slower at 10,000 trials)
 SCAN_BLOCK = 16
+
+#: an event of the base-2 maps whose arcs have widths below 2**-PACKED_DEPTH
+#: is found on packed digit words (``PathEngine._packed_keys``); a wider arc's
+#: candidates are dense (at width 2**-6 both sweeps took the same time)
+PACKED_DEPTH = 7
+
+#: most prefix digits matched per candidate cell: a digit costs a shifted
+#: word per 64 steps, a candidate its 52-digit bracket (fair bits were
+#: fastest at 13-14, Bernoulli(0.3) at 18-20; 16 is within 20% of both)
+MATCH_DIGITS = 16
+
+#: paths per block of the prefix match, so that its words stay in cache
+#: (512 ran 2x as fast as one block of 10,000 paths)
+MATCH_BLOCK = 512
 
 #: tolerance of the weight checks: the weights sum to 1, and are uniform
 WEIGHT_TOL = 1e-12
@@ -335,6 +353,56 @@ def _gap_prefix(bits, seed, trials):
     return np.where(np.arange(K + 1) >= np.count_nonzero(bits, axis=1)[:, None], g + own, g).astype(own.dtype)
 
 
+def _pack(d):
+    """Time-major 0/1 digits (64 k, paths) as (k, paths) words: bit j of word
+    w is row 64 w + j.  (Shifted ORs of byte rows: ``np.packbits`` along
+    time took 5x as long on 10,000 paths.)"""
+    k, n = d.shape[0] // 64, d.shape[1]
+    rows = d.reshape(8 * k, 8, n)
+    by, spill = rows[:, 0].copy(), np.empty_like(rows[:, 0])
+    for j in range(1, 8):
+        by |= np.left_shift(rows[:, j], np.uint8(j), out=spill)
+    return by.reshape(k, 8, n).transpose(0, 2, 1).copy().view("<u8")[..., 0]
+
+
+def _match(now, nxt, cells):
+    """Words whose bit j is set where the digits from bit j of ``now`` on
+    (running into ``nxt``) begin with one of the (L, cell) ``cells``: per
+    cell, the AND of the digit streams shifted by its 1s, less the OR of
+    those shifted by its 0s.  Each shift is made once for all cells."""
+    ones = [np.full_like(now, np.uint64(2**64 - 1)) for _ in cells]
+    zeros = [np.zeros_like(now) for _ in cells]
+    shifted, spill = np.empty_like(now), np.empty_like(now)
+    for i in range(max((L for L, _ in cells), default=0)):
+        s = now  # the digits from offset i: bit j is digit j + i
+        if i:
+            np.right_shift(now, np.uint64(i), out=shifted)
+            s = np.bitwise_or(shifted, np.left_shift(nxt, np.uint64(64 - i), out=spill), out=shifted)
+        for (L, c), one, zero in zip(cells, ones, zeros):
+            if i < L and c >> (L - 1 - i) & 1:
+                one &= s
+            elif i < L:
+                zero |= s
+    hit = np.zeros_like(now)
+    for one, zero in zip(ones, zeros):
+        hit |= one & ~zero
+    return hit
+
+
+def _set_bits(words):
+    """(flat index, bit number) of every set bit of a uint64 array."""
+    at = np.flatnonzero(words)
+    x = words.ravel()[at]
+    where, bits = [at[:0]], [np.empty(0, dtype=np.uint8)]
+    while x.size:
+        low = x & (np.uint64(0) - x)
+        where.append(at)
+        bits.append(np.bitwise_count(low - np.uint64(1)))
+        x ^= low
+        at, x = at[x != 0], x[x != 0]
+    return np.concatenate(where), np.concatenate(bits)
+
+
 # ---------------------------------------------------------------------------
 # forked worker pool
 # ---------------------------------------------------------------------------
@@ -491,7 +559,9 @@ class PathEngine:
     the steps skipped between windows, carrying its value.  The digit kinds
     scan ``SCAN_BLOCK`` steps at a time (see ``_scan``) and call
     ``mask_native`` once per block; results do not depend on the block length.
-    ``windows`` loops over ``TIME_BLOCK`` windows, so a sweep holds one window
+    Narrow arcs of the base-2 maps are matched on packed digit words
+    instead (``_packed_keys``), with the same mask.  ``windows`` yields the
+    exceedance keys of ``TIME_BLOCK`` windows, so a sweep holds one window
     of each path at any length.  ``select`` compacts the ensemble, carried
     state included, to the paths where ``keep`` is True, preserving per-path
     streams.
@@ -623,7 +693,13 @@ class PathEngine:
 
     def masks(self, t0, t1, event):
         """Boolean exceedance matrix for steps [t0, t1); cylinder events match
-        their word on the digits, every other event reads the exposed values."""
+        their word on the digits, narrow base-2 arcs are found on packed
+        words, every other event reads the exposed values."""
+        cells = self._cells(event)
+        if cells is not None:
+            out = np.zeros((t1 - t0) * self.trials.size, dtype=bool)
+            out[self._packed_keys(t0, t1, event, cells)] = True
+            return out.reshape(t1 - t0, self.trials.size).T
         self._check_window(t0)
         if event.word:
             out = self._cylinder_rows(t0, t1, event.word)
@@ -633,14 +709,20 @@ class PathEngine:
         self._t = t1
         return out.T
 
+    def _values(self, t0, t1):
+        """Time-major values at steps [t0, t1) in the events' coordinate
+        (theta for chebyshev): the float scans."""
+        self._check_window(t0)
+        out = np.empty((t1 - t0, self.trials.size))
+        self._columns(t0, t1, lambda t, v: np.copyto(out[t : t + len(v)], v))
+        self._t = t1
+        return out
+
     def points(self, t0, t1):
         """Exposed process points at steps [t0, t1) (x-space for chebyshev)."""
-        self._check_window(t0)
-        out = np.empty((t1 - t0, self.trials.size))  # time-major
-        self._columns(t0, t1, lambda t, v: np.copyto(out[t : t + len(v)], v))
+        out = self._values(t0, t1)
         if self.spec.kind == "chebyshev":
             out = -np.cos(2.0 * np.pi * out)
-        self._t = t1
         return out.T
 
     def digit_matrix(self, t0, t1):
@@ -648,14 +730,107 @@ class PathEngine:
         read that neither checks nor moves the sweep's window or carry."""
         return self._digits(t0, t1)
 
+    # -- narrow arcs of the base-2 maps: keys from packed digit words ----------
+    def _cells(self, event):
+        """(L, cell) for the level-L dyadic cells (as L-digit integers) that
+        the arcs of ``event`` meet: an arc clipped to [0, 1], of width in
+        [2**-(D + 1), 2**-D), meets at most two, L = min(D, MATCH_DIGITS).
+        None unless the digits are base 2 (``m_ary`` with m = 2,
+        ``chebyshev``'s theta) and D >= PACKED_DEPTH for every arc."""
+        if event.word or self.spec.kind not in ("m_ary", "chebyshev") or self.spec.base != 2:
+            return None
+        cells = []
+        for lo, hi in event.arcs:
+            lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
+            if lo >= hi:
+                continue  # no value of [0, 1] lies in it
+            D = -math.frexp(hi - lo)[1]
+            if D < PACKED_DEPTH:
+                return None
+            L = min(D, MATCH_DIGITS)
+            cells += [(L, c) for c in range(math.floor(math.ldexp(lo, L)), math.ceil(math.ldexp(hi, L)))]
+        return cells
+
+    def _words(self, w0, w1):
+        """Digits [64 w0, 64 w1) packed along time, time-major ``(w1 - w0,
+        paths)``: bit j of word w is digit 64 w + j, as in ``rng.bits``.
+        Fair bits are the generator's words as they come; weighted digits,
+        and the words under a start prefix, are packed from ``_digits``."""
+        k = w1 if not self.spec.is_uniform else 0 if self.prefix is None else -(-self.prefix.shape[1] // 64)
+        k = min(max(k, w0), w1)  # words [w0, k) are packed from digits
+        words = np.empty((w1 - w0, self.trials.size), dtype=np.uint64)
+        words[: k - w0] = _pack(self._digits(64 * w0, 64 * k).T)
+        words[k - w0 :] = rng.raw_words(self.seed, self.channel, self.trials, k, w1).T
+        return words
+
+    def _packed_keys(self, t0, t1, event, cells):
+        """Sorted keys (t - t0) * paths + i of the exceedances of path i at
+        the steps t of [t0, t1), from packed digit words: the float scan's
+        mask, bit for bit.
+
+        Each scan step x_t = fl((x_{t+1} + d_t) / 2) is monotone in x_{t+1},
+        and every value lies in [0, 1].  So x_t lies between the scans of the
+        digits d_t ... d_{t+51} started from 0 and from 1, which are exact:
+        P * 2**-52 and (P + 1) * 2**-52, where P is the 52-digit integer
+        d_t ... d_{t+51}.  A step is a candidate iff its first L digits spell
+        one of ``cells`` (matched at all 64 offsets of a word at once), so a
+        step whose value lies in an arc is a candidate.  A candidate is in the
+        mask if its closed bracket lies inside an arc and out of it if the
+        bracket lies outside every arc; the rare one whose bracket holds an
+        arc end is decided by the float scan of its path (``_scan_mask_at``).
+        """
+        self._check_window(t0)
+        n = self.trials.size
+        w0, w1 = t0 >> 6, (t1 + 63) >> 6
+        words = self._words(w0, w1 + 1)
+        now, nxt = words[:-1], words[1:]
+        hit = np.empty_like(now)
+        for a in range(0, n, MATCH_BLOCK):
+            hit[:, a : a + MATCH_BLOCK] = _match(now[:, a : a + MATCH_BLOCK], nxt[:, a : a + MATCH_BLOCK], cells)
+        hit[0] &= np.uint64(2**64 - 2 ** (t0 - 64 * w0))  # no steps before t0
+        hit[-1] &= np.uint64(2 ** (t1 - 64 * w1 + 64) - 1)  # nor from t1 on
+        f, p = _set_bits(hit)
+        # the 52 digits from each candidate's step, from its word pair, then
+        # bit-reversed (d_t most significant): the integer x of its bracket
+        x = words.ravel()[f] >> p | words.ravel()[f + n] << np.uint64(1) << np.uint64(63) - p
+        for k, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
+            x = x >> np.uint64(k) & np.uint64(mask) | (x & np.uint64(mask)) << np.uint64(k)
+        x = (x.byteswap() >> np.uint64(12)).astype(np.float64)
+        yes, no = np.zeros(x.size, dtype=bool), np.ones(x.size, dtype=bool)
+        for lo, hi in event.arcs:  # the ends scaled by 2**52, exactly: the bracket is [x, x + 1]
+            lo, hi = lo * 2.0**52, hi * 2.0**52
+            yes |= (lo < x) & (x + 1.0 < hi)
+            no &= (x + 1.0 <= lo) | (x >= hi)
+        t, r = (f // n + w0) * 64 + p, f % n
+        open_ = ~(yes | no)
+        if open_.any():
+            yes[open_] = self._scan_mask_at(t0, t1, event, t[open_] - t0, r[open_])
+        self._t = t1
+        return np.sort((t - t0)[yes] * n + r[yes])
+
+    def _scan_mask_at(self, t0, t1, event, s, r):
+        """The float scan's mask at steps t0 + s of paths r: the scan of those
+        paths alone over the window [t0, t1), whose values are the full
+        scan's bit for bit."""
+        rows, col = np.unique(r, return_inverse=True)
+        prefix = None if self.prefix is None else self.prefix[rows]
+        values = PathEngine(self.spec, self.seed, self.trials[rows], self.channel, prefix)._values(t0, t1)
+        return event.mask_native(values[s, col])
+
     def windows(self, stop, event):
-        """Yield (t, time-major exceedance mask of steps [t, t1)) for the
-        ``TIME_BLOCK`` windows covering [0, stop).  Stops once ``select`` has
-        dropped every path."""
+        """Yield (t, sorted keys (s - t) * paths + i of the exceedances of path
+        i at the steps s of [t, t1)), the flat indices of the time-major mask,
+        for the ``TIME_BLOCK`` windows [t, t1) covering [0, stop).  Stops once
+        ``select`` has dropped every path."""
+        cells = self._cells(event)
         for t in range(0, stop, TIME_BLOCK):
             if not self.trials.size:
                 return
-            yield t, self.masks(t, min(t + TIME_BLOCK, stop), event).T
+            t1 = min(t + TIME_BLOCK, stop)
+            if cells is None:
+                yield t, np.flatnonzero(self.masks(t, t1, event).T)
+            else:
+                yield t, self._packed_keys(t, t1, event, cells)
 
 
 def point_values_at(spec, seed, trials, steps):
@@ -687,7 +862,8 @@ class Ensemble:
     def mask_chunks(self, event, extra=0):
         """Yield (trial ids, sorted keys step * ids.size + i of the exceedances
         of path ids[i] in [0, length + extra)) per trial chunk, in trial order,
-        built one engine window at a time: memory is flat in the length.  The
+        joined from the keys of the engine's windows (``PathEngine.windows``):
+        memory is flat in the length.  The
         keys of a large sweep's chunks are built in the forked workers of
         ``_fork_map`` (see ``_chunk_trials``); exceedances are rare, so the
         keys that come back are small."""
@@ -695,7 +871,7 @@ class Ensemble:
 
         def keys(ids):
             windows = PathEngine(self.spec, self.seed, ids).windows(L, event)
-            return np.concatenate([np.flatnonzero(m) + t * ids.size for t, m in windows])
+            return np.concatenate([k + t * ids.size for t, k in windows])
 
         chunks = list(_chunk_trials(self.spec, self.trials, L))
         yield from zip(chunks, _fork_map(keys, chunks))
