@@ -207,6 +207,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: required key is missing")
         v = {k: _convert(k, convert, d[k]) if k in d else default for k, (convert, default) in _KEYS.items()}
         kind = v["experiment"]
+        if kind in ("estimate-ei", "dichotomy") and 0.0 in v["tau"]:  # no maximum law to invert
+            raise ConfigError(f"tau: must be > 0 for {kind}, got 0.0")
         offsets = _convert("offsets", EscapeOffsets, tuple(v["offsets"]))
         zeta = None if v["zeta"] in ("", "endpoint") else v["zeta"]
         spec = parse_process(v["process"])

@@ -12,7 +12,9 @@ notes whether any exceedance and any last-order escape occurs in [0, n), and
 per escape order it counts the escapes and the events they condition on; the
 runs ratios are reduced once from those counts over all trials, so the trial
 chunking cannot move a float, nor can the CPU count that a large sweep's
-chunks are split over (``processes._fork_map``).
+chunks are split over (``processes._fork_map``).  ``estimate_ei_bundle`` runs
+its RtsAtom leg in the survey's trial chunks: each chunk draws its own return
+starts and sweeps them beside its survey paths, so one pool splits both legs.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hts_rts, symbolic
+from . import hts_rts, rng, symbolic
 from .escapes import EscapeOffsets, _escape_keys, _per_path, _ratio
 from .observables import ExceedanceEvent, exceedance_event, level_for_tau, omega_for_cylinder
-from .processes import Ensemble
+from .processes import Ensemble, _chunk_trials, _fork_map
 
 #: return times at most ATOM_EPS (normalized) count toward the atom at zero
 ATOM_EPS = 0.01
@@ -54,8 +56,10 @@ def _binomial_se(p, trials):
     return math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
 
 
-def _survey(ensemble, event, offsets):
-    """The one sweep of the estimator family over [0, n) of every path.
+def _survey(ensemble, event, offsets, chunks=None):
+    """The one sweep of the estimator family over [0, n) of every path, read
+    from the (trial ids, keys) ``chunks`` (those of ``Ensemble.mask_chunks``
+    with the offsets' span unless given).
 
     Returns (share of paths with no exceedance, share of paths with no
     last-order escape, per escape order k the runs (ratio, stderr, events)
@@ -63,12 +67,14 @@ def _survey(ensemble, event, offsets):
     at a time).
     """
     n = ensemble.length
-    chunks = []
-    for ids, keys in ensemble.mask_chunks(event, extra=offsets.span):
+    if chunks is None:
+        chunks = ensemble.mask_chunks(event, extra=offsets.span)
+    per_chunk = []
+    for ids, keys in chunks:
         paths = ids.size
         levels = _escape_keys(keys, paths, offsets)  # exact at steps below n at every order
-        chunks.append([np.bincount(k[k < n * paths] % paths, minlength=paths) for k in levels])
-    counts = _per_path(chunks)
+        per_chunk.append([np.bincount(k[k < n * paths] % paths, minlength=paths) for k in levels])
+    counts = _per_path(per_chunk)
     quiet_max, quiet_esc = (int((c == 0).sum()) / ensemble.trials for c in (counts[0], counts[-1]))
     runs = [(*_ratio(a, b), b.sum(dtype=np.float64)) for b, a in zip(counts, counts[1:])]
     return quiet_max, quiet_esc, runs
@@ -181,13 +187,30 @@ def estimate_ei_bundle(spec, obs, offsets, tau, n, trials, seed, rts_measure=2.0
     share a single simulated ensemble, RtsAtom samples its own returns at a
     target of measure ``rts_measure``, swept only to the normalized horizon
     ATOM_EPS (ceil(ATOM_EPS / mu) steps), the part of the return-time law it
-    reads."""
-    s = survey_max_and_escapes(spec, obs, offsets, tau, n, trials, seed)
-    out = [
-        ei_from_max(s["p_max"], tau, s["se_max"], "MaxLaw", n=n, trials=trials),
-        ei_from_max(s["p_escape"], tau, s["se_escape"], "EscapeLaw", n=n, trials=trials),
-        EIEstimate.clamp(s["runs_theta"], s["runs_se"], "Runs", n=n, tau=tau, trials=trials),
-    ]
+    reads.
+
+    Both legs run per trial chunk, in one pass of the worker pool
+    (``processes._fork_map``) over the chunks of the longer sweep: a chunk
+    returns its survey keys and the return steps of its own starts
+    (``hts_rts._first_hits``), and the parent joins them in trial order."""
+    offsets = EscapeOffsets.of(offsets)
+    u = level_for_tau(spec, obs, n, tau)
+    ens = Ensemble(spec, seed, trials, n)
+    event = exceedance_event(spec, obs, u)
     target = hts_rts.TargetSet.ball_of_measure(spec, obs, rts_measure)
-    out.append(ei_rts_atom(hts_rts._return_times(spec, target, trials, seed + 1, ATOM_EPS)))
-    return out
+    steps_h = int(math.ceil(ATOM_EPS / target.measure))
+
+    def legs(ids):
+        returns = hts_rts._first_hits(spec, target, seed + 1, steps_h, rng.CH_ORBIT, ids, starts=True)
+        return ens._keys(event, offsets.span, ids), returns
+
+    chunks = list(_chunk_trials(spec, trials, max(n + offsets.span, steps_h + 1)))
+    keys, steps = zip(*_fork_map(legs, chunks))
+    p_max, p_esc, runs = _survey(ens, event, offsets, zip(chunks, keys))
+    theta, se, _ = runs[-1]
+    return [
+        ei_from_max(p_max, tau, _binomial_se(p_max, trials), "MaxLaw", n=n, trials=trials),
+        ei_from_max(p_esc, tau, _binomial_se(p_esc, trials), "EscapeLaw", n=n, trials=trials),
+        EIEstimate.clamp(theta, se, "Runs", n=n, tau=tau, trials=trials),
+        ei_rts_atom(hts_rts._time_samples(np.concatenate(steps), steps_h, "rts", target.measure)),
+    ]

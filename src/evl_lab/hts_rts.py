@@ -8,6 +8,10 @@ for the moving-maximum models, the i.i.d. control being the one-slot case.
 A union of arcs has its digits drawn depth by depth from an unsorted table of
 at most two boundary states per arc (an arc seen from a trial's cell), so the
 conditional digit masses are computed once per state, never once per trial.
+A trial's start is a function of its id alone, so starts are drawn per trial
+chunk, by the same function that sweeps the chunk to its returns
+(``_first_hits``): in the forked workers of a large sample, and in those of
+the estimator bundle's survey chunks.
 """
 
 from __future__ import annotations
@@ -88,31 +92,35 @@ class TimeSampleSet:
     target_measure: float
 
 
-def _first_hits_engine(spec, target, trials, seed, horizon, channel, prefix=None):
-    """Vectorized first-hit steps (>= 1; horizon + 1 if none): a windowed
-    alive sweep per trial chunk, a large sweep's chunks in forked workers.
-    Each window's exceedance keys are step-major, so a path's first key is
-    its first hit; the paths that hit leave the sweep (``PathEngine.select``)."""
+def _first_hits(spec, target, seed, horizon, channel, ids, starts=False):
+    """First-hit steps (>= 1; horizon + 1 if none) of the paths ``ids``, from
+    return starts drawn for these ids (``_rts_prefix``) if ``starts``: a
+    windowed alive sweep.  Each window's exceedance keys are step-major, so a
+    path's first key is its first hit; the paths that hit leave the sweep
+    (``PathEngine.select``)."""
     stop = horizon + 1
+    steps = np.full(ids.size, stop, dtype=np.int64)
+    alive = np.arange(ids.size)
+    eng = PathEngine(spec, seed, ids, channel, _rts_prefix(spec, target, ids, seed) if starts else None)
+    for t, keys in eng.windows(stop, target.event):
+        if t == 0:
+            keys = keys[keys >= alive.size]  # step 0 is the start
+        # keys are step-major: unique's first entry per trial is its earliest
+        at, rows = np.divmod(keys, alive.size)
+        rows, first = np.unique(rows, return_index=True)
+        steps[alive[rows]] = t + at[first]
+        keep = np.ones(alive.size, dtype=bool)
+        keep[rows] = False
+        eng.select(keep)
+        alive = alive[keep]
+    return steps
 
-    def first_hits(ids):
-        steps = np.full(ids.size, stop, dtype=np.int64)
-        alive = np.arange(ids.size)
-        eng = PathEngine(spec, seed, ids, channel, None if prefix is None else prefix[ids])
-        for t, keys in eng.windows(stop, target.event):
-            if t == 0:
-                keys = keys[keys >= alive.size]  # step 0 is the start
-            # keys are step-major: unique's first entry per trial is its earliest
-            at, rows = np.divmod(keys, alive.size)
-            rows, first = np.unique(rows, return_index=True)
-            steps[alive[rows]] = t + at[first]
-            keep = np.ones(alive.size, dtype=bool)
-            keep[rows] = False
-            eng.select(keep)
-            alive = alive[keep]
-        return steps
 
-    return np.concatenate(_fork_map(first_hits, _chunk_trials(spec, trials, stop)))
+def _first_hits_engine(spec, target, trials, seed, horizon, channel, starts=False):
+    """``_first_hits`` of trials 0, ..., trials - 1 per trial chunk, a large
+    sweep's chunks in forked workers, joined in trial order."""
+    hits = lambda ids: _first_hits(spec, target, seed, horizon, channel, ids, starts)
+    return np.concatenate(_fork_map(hits, _chunk_trials(spec, trials, horizon + 1)))
 
 
 def _time_samples(steps, horizon, mode, measure):
@@ -136,9 +144,10 @@ def sample_hts(spec, target, trials, seed, horizon_factor=20):
 # ---------------------------------------------------------------------------
 
 
-def _interval_digit_prefix(spec, arcs, trials, seed, depth=PRECISION + 16):
+def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
     """Digits of points drawn from the invariant measure conditioned on the
-    union of the sorted disjoint open ``arcs``, clipped to [0, 1].
+    union of the sorted disjoint open ``arcs``, clipped to [0, 1], one row per
+    trial of ``ids``.
 
     Digit-by-digit conditional descent, each digit drawn with its exact
     conditional mass (fresh entropy per digit).  A trial carries only its row
@@ -152,13 +161,15 @@ def _interval_digit_prefix(spec, arcs, trials, seed, depth=PRECISION + 16):
     the unconditional one, and its remaining digits are its own stream digits
     (the jump map's bits, whose orbit words are its gaps, on ``rng.CH_BITS``).
     The other reached children, in flat order, make the next table unsorted.
+    Every draw is positional and a row's floats follow from its parent row's,
+    whichever trials reached it, so a trial's digits do not depend on the
+    other ids.
     """
     w = spec.digit_weights
     m = w.size
-    ids = np.arange(trials, dtype=np.uint64)
     F = (lambda t: np.clip(t, 0.0, 1.0)) if spec.is_uniform else (lambda t: bernoulli_cdf(t, w))
     table = np.clip(np.array(arcs, dtype=np.float64), 0.0, 1.0)
-    row = np.zeros(trials, dtype=np.intp)
+    row = np.zeros(ids.size, dtype=np.intp)
     if len(table) > 1:
         mass = np.cumsum(np.diff(F(table), axis=1)[:, 0])
         u_arc = rng.uniforms(seed, rng.CH_INIT, ids, 0, 1)
@@ -190,24 +201,25 @@ def _interval_digit_prefix(spec, arcs, trials, seed, depth=PRECISION + 16):
     return prefix
 
 
-def _rts_prefix(spec, target, trials, seed):
-    """Per-trial stream prefix realizing a start inside the target (None for
-    a target of measure 1: the starts are unconditional).  The jump map's
-    start bits become its gaps here, once."""
+def _rts_prefix(spec, target, ids, seed):
+    """Stream prefix realizing a start inside the target, one row per trial of
+    ``ids`` and a function of that trial alone (None for a target of measure
+    1: the starts are unconditional).  The jump map's start bits become its
+    gaps here, once."""
     if target.measure >= 1.0:
         return None
     if target.kind == "cylinder" or spec.kind in MAP_KINDS:
         if target.kind == "cylinder":
-            prefix = np.tile(np.asarray(target.event.word, dtype=np.uint8), (trials, 1))
+            prefix = np.tile(np.asarray(target.event.word, dtype=np.uint8), (ids.size, 1))
         else:
-            prefix = _interval_digit_prefix(spec, target.event.arcs, trials, seed)
+            prefix = _interval_digit_prefix(spec, target.event.arcs, ids, seed)
         if spec.kind == "dyadic_jump":
-            return _gap_prefix(prefix, seed, np.arange(trials, dtype=np.uint64))
+            return _gap_prefix(prefix, seed, ids)
         return prefix
     if spec.kind == "ar1":
         # X_0 uniform conditioned on (u, 1]; engine stores its most
         # significant digit at position 63, so the descent is reversed.
-        msb_first = _interval_digit_prefix(spec, target.event.arcs, trials, seed, depth=PRECISION)
+        msb_first = _interval_digit_prefix(spec, target.event.arcs, ids, seed, depth=PRECISION)
         return msb_first[:, ::-1].copy()
     # moving-maximum kinds: X_0 is the maximum M of the k window slots, so
     # given M > u it has the tail law (x^k - u^k) / (1 - u^k) on (u, 1]; M
@@ -216,12 +228,12 @@ def _rts_prefix(spec, target, trials, seed):
     # For the i.i.d. control (k = 1) the powers are exact: M = u + (1 - r)(1 - u).
     slots = np.array(spec.slots)
     k = slots.size
-    r = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, 3 + spec.slots[-1])
+    r = rng.uniforms(seed, rng.CH_INIT, ids, 0, 3 + spec.slots[-1])
     uk = max(target.event.arcs[0][0], 0.0) ** k  # the event is the half line (u, inf)
     top = (uk + (1.0 - r[:, 0]) * (1.0 - uk)) ** (1.0 / k)  # 1 - r in (0, 1]: top > u
     prefix = r[:, 2:].copy()
     prefix[:, slots] *= top[:, None]
-    prefix[np.arange(trials), slots[(r[:, 1] * k).astype(np.int64)]] = top
+    prefix[np.arange(ids.size), slots[(r[:, 1] * k).astype(np.int64)]] = top
     if not target.event.mask_native(prefix[:, slots].max(axis=1)).all():
         raise ConditionalStartError("a moving-maximum start lies outside the target")
     return prefix
@@ -241,10 +253,11 @@ def _return_times(spec, target, trials, seed, horizon):
 
     A return at step j <= ceil(horizon / mu) has the time j * mu, as in any
     longer sample (a map kind's mask can differ only where a value lies
-    within an ulp of the target's edge, see processes)."""
+    within an ulp of the target's edge, see processes).  Each trial chunk
+    draws its own starts and sweeps them (``_first_hits``), a large sample's
+    chunks in forked workers, so no process holds every trial's start."""
     steps_h = int(math.ceil(horizon / target.measure))
-    prefix = _rts_prefix(spec, target, trials, seed)
-    steps = _first_hits_engine(spec, target, trials, seed, steps_h, rng.CH_ORBIT, prefix=prefix)
+    steps = _first_hits_engine(spec, target, trials, seed, steps_h, rng.CH_ORBIT, starts=True)
     return _time_samples(steps, steps_h, "rts", target.measure)
 
 

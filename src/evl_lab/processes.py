@@ -35,7 +35,9 @@ and equal the scan's mask bit for bit (``PathEngine._packed_keys``).
 Large sweeps run their trial chunks in one pool of forked workers
 (``_fork_map``), which ``reproduce-paper`` also runs its experiments in.  A
 chunk's result is a pure function of its trial ids, and the chunks are joined
-in trial order, so the pool changes no result.
+in trial order, so the pool changes no result.  Return-time starts are drawn
+in their chunk too, and the estimator bundle's chunks run its survey and its
+return-time leg together (``Ensemble._keys``, ``hts_rts._first_hits``).
 """
 
 from __future__ import annotations
@@ -859,19 +861,17 @@ class Ensemble:
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
 
+    def _keys(self, event, extra, ids):
+        """Sorted keys step * ids.size + i of the exceedances of path ids[i] in
+        [0, length + extra), joined from the keys of the engine's windows
+        (``PathEngine.windows``): memory is flat in the length."""
+        windows = PathEngine(self.spec, self.seed, ids).windows(self.length + extra, event)
+        return np.concatenate([k + t * ids.size for t, k in windows])
+
     def mask_chunks(self, event, extra=0):
-        """Yield (trial ids, sorted keys step * ids.size + i of the exceedances
-        of path ids[i] in [0, length + extra)) per trial chunk, in trial order,
-        joined from the keys of the engine's windows (``PathEngine.windows``):
-        memory is flat in the length.  The
-        keys of a large sweep's chunks are built in the forked workers of
-        ``_fork_map`` (see ``_chunk_trials``); exceedances are rare, so the
-        keys that come back are small."""
-        L = self.length + extra
-
-        def keys(ids):
-            windows = PathEngine(self.spec, self.seed, ids).windows(L, event)
-            return np.concatenate([k + t * ids.size for t, k in windows])
-
-        chunks = list(_chunk_trials(self.spec, self.trials, L))
-        yield from zip(chunks, _fork_map(keys, chunks))
+        """Yield (trial ids, ``_keys`` of those ids) per trial chunk, in trial
+        order.  The keys of a large sweep's chunks are built in the forked
+        workers of ``_fork_map`` (see ``_chunk_trials``); exceedances are
+        rare, so the keys that come back are small."""
+        chunks = list(_chunk_trials(self.spec, self.trials, self.length + extra))
+        yield from zip(chunks, _fork_map(lambda ids: self._keys(event, extra, ids), chunks))

@@ -133,6 +133,10 @@ def test_hts_rts_config_errors_exit_before_running(tmp_path):
         (["rts", "--zeta", "0"], {"delta": True}, "delta"),
         (["rts", "--zeta", "0"], {"horizon_factor": True}, "horizon_factor"),
         (["dichotomy"], {"cylinder_n": True}, "cylinder_n"),
+        # tau = 0 leaves no maximum law to invert (conditions and tail-check accept it)
+        (["estimate-ei", "--process", "ar1:r=2", "--tau", "0"], {}, "tau"),
+        (["estimate-ei", "--process", "ar1:r=2"], {"tau": [1.0, 0]}, "tau"),
+        (["dichotomy", "--tau", "0"], {}, "tau"),
     ],
 )
 def test_bad_input_is_a_named_config_error(argv, config, key, tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_moving_max_start_law(ks):
     for spec, slots in ((ProcessSpec.mma2(), [1, 3]), (ProcessSpec.mma13(), [0, 1, 3])):
         tgt = TargetSet.ball_of_measure(spec, end, 2.0**-3)
         u, k = tgt.event.arcs[0][0], len(slots)
-        prefix = H._rts_prefix(spec, tgt, trials, seed=5)
+        prefix = H._rts_prefix(spec, tgt, np.arange(trials), seed=5)
         window = prefix[:, slots]
         top = window.max(axis=1)
         assert (top > u).all()
@@ -214,7 +214,7 @@ def test_moving_max_start_law(ks):
             assert ks(prefix[:, j], uniform) <= bound, (spec.label, j)
         unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
         with pytest.raises(H.ConditionalStartError):
-            H._rts_prefix(spec, unreachable, 10, seed=5)
+            H._rts_prefix(spec, unreachable, np.arange(10), seed=5)
 
 
 def test_first_hits_engine_matches_scalar_cylinder_and_jump():
@@ -249,15 +249,15 @@ def test_iid_start_law(ks, monkeypatch):
     end = ObservableSpec(family="distance", form="weibull", anchor=None)
     tgt = TargetSet.ball_of_measure(spec, end, 2.0**-3)
     u = tgt.event.arcs[0][0]
-    start = H._rts_prefix(spec, tgt, trials, seed=5)[:, 0]
+    start = H._rts_prefix(spec, tgt, np.arange(trials), seed=5)[:, 0]
     assert (start > u).all() and (start <= 1.0).all()
     assert ks(start, lambda x: np.clip((x - u) / (1.0 - u), 0.0, 1.0)) <= 1.63 / math.sqrt(trials)
     unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
     with pytest.raises(H.ConditionalStartError):
-        H._rts_prefix(spec, unreachable, 10, seed=5)
+        H._rts_prefix(spec, unreachable, np.arange(10), seed=5)
     # a zero uniform draw maps to the top of the target, not to its open end u
     monkeypatch.setattr(H.rng, "uniforms", lambda seed, ch, ids, lo, hi: np.zeros((ids.size, hi - lo)))
-    assert (H._rts_prefix(spec, tgt, 4, seed=5)[:, 0] == 1.0).all()
+    assert (H._rts_prefix(spec, tgt, np.arange(4), seed=5)[:, 0] == 1.0).all()
 
 
 # sha256 of the series kinds' return-time starts at 1,000 trials, seed 2024,
@@ -276,7 +276,7 @@ def test_series_rts_prefix_known_answer_digest(spec):
     from evl_lab.observables import ObservableSpec
 
     end = ObservableSpec(family="distance", form="weibull", anchor=None)
-    prefix = _rts_prefix(spec, TargetSet.ball_of_measure(spec, end, 2.0**-7), 1000, 2024)
+    prefix = _rts_prefix(spec, TargetSet.ball_of_measure(spec, end, 2.0**-7), np.arange(1000), 2024)
     assert prefix.shape == (1000, 1 if spec.kind == "iid_uniform" else 4)
     assert hashlib.sha256(prefix.tobytes()).hexdigest() == RTS_PREFIX_KAT[spec.label]
 
@@ -291,7 +291,7 @@ def test_whole_space_target_returns_at_step_one(spec, anchor, delta):
     # every path is back in the target at step 1
     tgt = TargetSet.ball(spec, anchor, delta)
     assert tgt.measure == 1.0
-    assert _rts_prefix(spec, tgt, 8, 5) is None
+    assert _rts_prefix(spec, tgt, np.arange(8), 5) is None
     rts = sample_rts(spec, tgt, 200, 5)
     assert not rts.censored.any() and np.all(rts.times == 1.0)
 
@@ -330,7 +330,7 @@ MAP_RTS_PREFIX_KAT = {
 @pytest.mark.parametrize("name", sorted(MAP_RTS_PREFIX_KAT))
 def test_map_rts_prefix_known_answer_digest(name):
     tgt = _map_rts_targets()[name]
-    prefix = _rts_prefix(tgt.spec, tgt, 1000, 2024)
+    prefix = _rts_prefix(tgt.spec, tgt, np.arange(1000), 2024)
     assert prefix.dtype == (np.int16 if tgt.spec.kind == "dyadic_jump" else np.uint8) and prefix.shape[0] == 1000
     assert hashlib.sha256(prefix.tobytes()).hexdigest() == MAP_RTS_PREFIX_KAT[name]
 
@@ -349,10 +349,10 @@ def test_arcs_ending_at_one_draw_no_side_uniform(monkeypatch):
     jump = ProcessSpec.dyadic_jump()
     tgt = TargetSet.ball(jump, "10", 0.4)  # (2/3 - 0.4, 2/3 + 0.4)
     assert tgt.event.arcs[0][1] > 1.0
-    _rts_prefix(jump, tgt, 100, 2024)
+    _rts_prefix(jump, tgt, np.arange(100), 2024)
     for name in ("ar1(2)", "ar1(3)"):
         tgt = _map_rts_targets()[name]
-        prefix = _rts_prefix(tgt.spec, tgt, 1000, 2024)
+        prefix = _rts_prefix(tgt.spec, tgt, np.arange(1000), 2024)
         assert hashlib.sha256(prefix.tobytes()).hexdigest() == MAP_RTS_PREFIX_KAT[name]
     assert (rng.CH_INIT, 1) in calls and (rng.CH_INIT, 0) not in calls
 
@@ -374,7 +374,7 @@ def test_weighted_arc_start_law(ks, name):
     spec, ev = tgt.spec, tgt.event
     m = spec.base
     x = np.zeros(trials)
-    for d in _rts_prefix(spec, tgt, trials, seed=5)[:, 59::-1].T:
+    for d in _rts_prefix(spec, tgt, np.arange(trials), seed=5)[:, 59::-1].T:
         x = (x + d) / m
     assert ev.mask_native(x).all()
     F = lambda t: bernoulli_cdf(t, spec.digit_weights)
@@ -440,7 +440,7 @@ def test_interval_descent_matches_per_trial_loops(data):
     sizes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(H, "bernoulli_cdf", lambda t, w: sizes.append(np.size(t)) or bernoulli_cdf(t, w))
-        prefix = H._interval_digit_prefix(spec, arcs, 20_000, seed=3)
+        prefix = H._interval_digit_prefix(spec, arcs, np.arange(20_000), seed=3)
     assert max(sizes, default=0) <= 2 * len(arcs) * m, (spec.label, arcs)
     want = _interval_prefix_by_loops(spec, arcs, 12, seed=3)
     assert np.array_equal(prefix[:12], want), (spec.label, arcs)

@@ -91,7 +91,7 @@ def test_start_prefix_and_select(spec, monkeypatch):
     # first two words; select keeps the prefix rows of the paths it keeps
     target = TargetSet.ball(spec, "0", 2.0**-12)
     ids = np.arange(300, dtype=np.uint64)
-    prefix = _rts_prefix(spec, target, ids.size, 5)
+    prefix = _rts_prefix(spec, target, ids, 5)
     assert prefix.shape[1] > 64
     event = target.event
     want = _scan_keys(spec, 5, ids, 0, 200, event, prefix)

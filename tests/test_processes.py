@@ -63,9 +63,9 @@ def test_near_uniform_weights_are_not_uniform(monkeypatch):
     assert np.array_equal(digits, rng.digits(3, rng.CH_ORBIT, [2], 0, 200, np.cumsum(near.weights))[0])
     calls = []
     monkeypatch.setattr(H, "bernoulli_cdf", lambda *a: calls.append(1) or observables.bernoulli_cdf(*a))
-    H._interval_digit_prefix(doub, ((0.2, 0.3),), 10, seed=1)
+    H._interval_digit_prefix(doub, ((0.2, 0.3),), np.arange(10), seed=1)
     assert not calls
-    H._interval_digit_prefix(near, ((0.2, 0.3),), 10, seed=1)
+    H._interval_digit_prefix(near, ((0.2, 0.3),), np.arange(10), seed=1)
     assert calls
 
 

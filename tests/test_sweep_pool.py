@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from evl_lab import cli, processes, rng
+from evl_lab import cli, hts_rts, processes, rng
 from evl_lab.escapes import EscapeOffsets, escape_statistics, periodicity_report
-from evl_lab.estimators import _survey
-from evl_lab.hts_rts import TargetSet, _first_hits_engine, _rts_prefix
+from evl_lab.estimators import _survey, estimate_ei_bundle
+from evl_lab.hts_rts import TargetSet, _first_hits_engine
 from evl_lab.observables import LevelSchedule, ObservableSpec, exceedance_event
 from evl_lab.processes import POOL_TRIAL_STEPS, Ensemble, ProcessSpec, _chunk_trials, _fork_map
 
@@ -84,9 +84,7 @@ def _sweeps():
         "periodicity": repr(list(periodicity_report(ens, offsets, 0.5, levels, N).rows())),
         "escapes": repr(escape_statistics(ens, offsets, N, levels)),
         "hts": _first_hits_engine(DOUB, target, TRIALS, 7, N, rng.CH_HTS).tolist(),
-        "rts": _first_hits_engine(
-            DOUB, target, TRIALS, 8, N, rng.CH_ORBIT, prefix=_rts_prefix(DOUB, target, TRIALS, 8)
-        ).tolist(),
+        "rts": _first_hits_engine(DOUB, target, TRIALS, 8, N, rng.CH_ORBIT, starts=True).tolist(),
     }
 
 
@@ -227,3 +225,53 @@ def test_sweep_inside_a_reproduce_worker_forks_nothing(monkeypatch, tmp_path, fo
     _no_children()
     _set_cpus(monkeypatch, 1)
     assert got.read_text(encoding="utf-8") == repr(_survey(ens, event, EscapeOffsets((1,))))
+
+
+def _bundle(seed=9):
+    """The estimator bundle at a size above the split constant."""
+    return repr(estimate_ei_bundle(DOUB, BALL0, EscapeOffsets((1,)), 1.0, N, TRIALS, seed))
+
+
+def test_bundle_identical_on_one_two_and_three_cpus(monkeypatch, forks):
+    # one pool per bundle runs both legs: w workers, none on one CPU
+    got = {}
+    for k in (1, 2, 3):
+        _set_cpus(monkeypatch, k)
+        before = len(forks())
+        got[k] = _bundle()
+        assert len(forks()) - before == (0 if k == 1 else k)
+        _no_children()
+    assert got[1] == got[2] == got[3]
+    assert set(forks()) == {os.getpid()}  # the workers forked nothing
+
+
+def test_bundle_start_failure_is_raised_in_the_parent(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    rts_prefix = hts_rts._rts_prefix
+
+    def failing(spec, target, ids, seed):
+        if int(ids[0]) != 0:
+            raise hts_rts.ConditionalStartError(f"no start for trials from {int(ids[0])}")
+        return rts_prefix(spec, target, ids, seed)
+
+    monkeypatch.setattr(hts_rts, "_rts_prefix", failing)
+    with pytest.raises(hts_rts.ConditionalStartError, match=f"^no start for trials from {TRIALS // 2}$"):
+        _bundle()
+    _no_children()
+
+
+def test_bundle_inside_a_reproduce_worker_forks_nothing(monkeypatch, tmp_path, forks):
+    _set_cpus(monkeypatch, 2)
+    got = tmp_path / "bundle"
+
+    def symbolic(cfg):  # the last experiment runs a bundle above the split constant
+        got.write_text(_bundle(), encoding="utf-8")
+        raise ValueError("stop here")
+
+    monkeypatch.setitem(cli._RUNNERS, "symbolic", symbolic)
+    with pytest.raises(ValueError, match="^stop here$"):
+        cli.run_reproduce_paper(tmp_path / "r", 7, "quick")
+    assert forks() == [os.getpid()] * 2  # the reproduce-paper pool's two workers
+    _no_children()
+    _set_cpus(monkeypatch, 1)
+    assert got.read_text(encoding="utf-8") == _bundle()
