@@ -4,16 +4,7 @@ condition diagnostics, and hitting/return time statistics."""
 
 __version__ = "0.1.0"
 
-from .processes import (
-    DigitStream,
-    Ensemble,
-    ProcessSpec,
-    ProcessState,
-    UniformStream,
-    evaluate_point,
-    sample_initial,
-    step,
-)
+from .processes import Ensemble, ProcessSpec
 from .observables import (
     ExceedanceEvent,
     LevelSchedule,

@@ -316,6 +316,8 @@ def _run_hts_rts(cfg, mode):
         eps = estimators.ATOM_EPS
         atom = float(((samples.times <= eps) & unc).mean())
         cont = np.sort(samples.times[(samples.times > eps) & unc])
+        if cont.size == 0:
+            raise ValueError(f"no uncensored return time past the atom (normalized time > {eps:g})")
         base = theory.theoretical_cdf("hts", th_law)
         f0 = float(base(eps))
         ks = float(hts_rts.ks_sup((np.asarray(base(cont)) - f0) / (1.0 - f0), cont.size))

@@ -243,22 +243,9 @@ def sample_rts(spec, target, trials, seed, horizon_factor=20):
     """Normalized return times: starts drawn from mu conditioned on the target."""
     if horizon_factor < 10:
         raise ValueError("horizon_factor must be >= 10 (truncation bias)")
-    return _return_times(spec, target, trials, seed, horizon_factor)
-
-
-def _return_times(spec, target, trials, seed, horizon):
-    """Return times censored at the normalized ``horizon``, without the
-    truncation-bias check of ``sample_rts``: a caller that reads only the
-    times up to ``horizon`` (the RtsAtom estimator) sweeps no further.
-
-    A return at step j <= ceil(horizon / mu) has the time j * mu, as in any
-    longer sample (a map kind's mask can differ only where a value lies
-    within an ulp of the target's edge, see processes).  Each trial chunk
-    draws its own starts and sweeps them (``_first_hits``), a large sample's
-    chunks in forked workers, so no process holds every trial's start."""
-    steps_h = int(math.ceil(horizon / target.measure))
-    steps = _first_hits_engine(spec, target, trials, seed, steps_h, rng.CH_ORBIT, starts=True)
-    return _time_samples(steps, steps_h, "rts", target.measure)
+    horizon = int(math.ceil(horizon_factor / target.measure))
+    steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_ORBIT, starts=True)
+    return _time_samples(steps, horizon, "rts", target.measure)
 
 
 # ---------------------------------------------------------------------------

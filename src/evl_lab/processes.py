@@ -47,7 +47,7 @@ import os
 import pickle
 import select
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,116 +205,6 @@ class ProcessSpec:
     @property
     def uses_digits(self):
         return not self.slots
-
-
-# ---------------------------------------------------------------------------
-# lazy deterministic streams (single-path API)
-# ---------------------------------------------------------------------------
-
-
-class _Stream:
-    """Append-only lazily extended sequence; re-reading an index is stable."""
-
-    def __init__(self, source, dtype):
-        self._source = source
-        self._buf = np.empty(0, dtype=dtype)
-
-    def _ensure(self, n):
-        if n > self._buf.size:
-            grow = max(n, 2 * self._buf.size, 256)
-            self._buf = np.concatenate([self._buf, self._source(self._buf.size, grow)])
-
-    def block(self, lo, hi):
-        self._ensure(hi)
-        return self._buf[lo:hi].copy()
-
-    def __getitem__(self, i):
-        self._ensure(i + 1)
-        return self._buf[i]
-
-
-class DigitStream(_Stream):
-    """Exact symbolic state: digits (jump map: gaps), immutable once generated."""
-
-    def __init__(self, base, source):
-        super().__init__(source, np.uint8)
-        self.base = base
-
-    @staticmethod
-    def random(spec, seed, trial=0):
-        src = lambda lo, hi: _digit_block(spec, seed, [trial], lo, hi, rng.CH_ORBIT)[0]
-        return DigitStream(spec.base, src)
-
-    @staticmethod
-    def periodic(base, word_digits):
-        w = np.asarray(word_digits, dtype=np.uint8)
-        src = lambda lo, hi: w[np.arange(lo, hi) % w.size]
-        return DigitStream(base, src)
-
-    @staticmethod
-    def with_prefix(base, prefix, tail_stream):
-        p = np.asarray(prefix)[None]
-        return DigitStream(base, lambda lo, hi: _with_prefix(tail_stream.block(lo, hi)[None], lo, p)[0])
-
-
-class UniformStream(_Stream):
-    """Lazily extended i.i.d. Uniform(0,1) innovations."""
-
-    def __init__(self, source):
-        super().__init__(source, np.float64)
-
-    @staticmethod
-    def random(seed, trial=0):
-        return UniformStream(lambda lo, hi: rng.uniforms(seed, rng.CH_ORBIT, [trial], lo, hi)[0])
-
-
-@dataclass
-class ProcessState:
-    """Current simulation state: a stream plus a read cursor.
-
-    Map kinds expose the orbit point as the digit (jump map: gap) tail at the
-    cursor; ar1 reads 64 digits most-significant-last; moving-maximum kinds
-    read their innovation window from the cursor.
-    """
-
-    spec: ProcessSpec
-    stream: object
-    cursor: int = 0
-
-
-def sample_initial(spec, seed, trial=0):
-    """State drawn from the invariant/stationary law of ``spec``."""
-    if spec.uses_digits:
-        return ProcessState(spec, DigitStream.random(spec, seed, trial), 0)
-    return ProcessState(spec, UniformStream.random(seed, trial), 0)
-
-
-def step(spec, state):
-    """Advance one time step (pure: returns a new state on the same stream)."""
-    return replace(state, cursor=state.cursor + 1)
-
-
-def _digit_value(digits, base, K):
-    digits = np.asarray(digits[:K], dtype=np.float64)
-    return float(digits @ (float(base) ** -(np.arange(1, digits.size + 1, dtype=np.float64))))
-
-
-def evaluate_point(spec, state, K=PRECISION):
-    """Float projection of the state; error at most base**-K (float64 capped)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    c = state.cursor
-    if spec.kind == "m_ary":
-        return _digit_value(state.stream.block(c, c + K), spec.base, K)
-    if spec.kind == "dyadic_jump":  # the bits 0^(g-1)1 of each gap g
-        return float(np.ldexp(1.0, -np.cumsum(state.stream.block(c, c + K), dtype=np.int64)).sum())
-    if spec.kind == "chebyshev":
-        theta = _digit_value(state.stream.block(c, c + K), 2, K)
-        return float(-np.cos(2.0 * np.pi * theta))
-    if spec.kind == "ar1":
-        msb_first = state.stream.block(c, c + 64)[::-1]
-        return _digit_value(msb_first, spec.r, K)
-    return float(max(state.stream[c + s] for s in spec.slots))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from evl_lab import rng
 from evl_lab.escapes import _escape_keys
-from evl_lab.processes import PRECISION, PathEngine, evaluate_point, step
+from evl_lab.processes import PRECISION, PathEngine, _digit_block
 
 
 def ks_against(values, cdf):
@@ -47,28 +48,60 @@ def escape_matrix(exceed, offsets):
     return q.T
 
 
-def jump_bits(state, n):
-    """The first n bits of a jump-map state's point: 0^(g-1)1 for each gap g."""
-    bits, c = [], state.cursor
+def path(spec, seed, trial, n):
+    """Positions [0, n) of one path, drawn through the engine's own stream:
+    its digits (the jump map's gaps) or its innovations."""
+    if spec.uses_digits:
+        return _digit_block(spec, seed, [trial], 0, n, rng.CH_ORBIT)[0]
+    return rng.uniforms(seed, rng.CH_ORBIT, [trial], 0, n)[0]
+
+
+def _window(seq, t, width):
+    """Positions [t, t + width) of the path ``seq``: a ValueError, not a short
+    slice, where the path ends before them."""
+    if len(seq) < t + width:
+        raise ValueError(f"step {t} reads {t + width} positions; the path holds {len(seq)}")
+    return np.asarray(seq[t : t + width])
+
+
+def point(spec, seq, t, K=PRECISION):
+    """Float projection of the path ``seq`` at step t; error at most base**-K
+    (float64 capped).  Map kinds read the digit (jump map: gap) tail from t;
+    ar1 reads 64 digits most-significant-last; moving-maximum kinds read
+    their innovation window from t."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if spec.kind == "dyadic_jump":  # the bits 0^(g-1)1 of each gap g
+        return float(np.ldexp(1.0, -np.cumsum(_window(seq, t, K), dtype=np.int64)).sum())
+    if not spec.uses_digits:
+        return float(_window(seq, t, spec.slots[-1] + 1)[list(spec.slots)].max())
+    digits = _window(seq, t, 64)[::-1][:K] if spec.kind == "ar1" else _window(seq, t, K)
+    x = float(digits.astype(np.float64) @ (float(spec.base) ** -np.arange(1, digits.size + 1, dtype=np.float64)))
+    return float(-np.cos(2.0 * np.pi * x)) if spec.kind == "chebyshev" else x
+
+
+def jump_bits(seq, t, n):
+    """The first n bits of the jump map's point at step t of the gaps ``seq``:
+    0^(g-1)1 for each gap g."""
+    bits = []
     while len(bits) < n:
-        bits += [0] * (int(state.stream[c]) - 1) + [1]
-        c += 1
+        bits += [0] * (int(seq[t]) - 1) + [1]
+        t += 1
     return bits[:n]
 
 
-def exact_point(spec, state, K=PRECISION):
-    """Exact rational projection of a digit state (for exactness checks); K
-    gaps of a jump-map state."""
+def exact_point(spec, seq, t, K=PRECISION):
+    """Exact rational projection of the path ``seq`` at step t (for
+    exactness checks); K gaps of a jump-map path."""
     if not spec.uses_digits or spec.kind == "chebyshev":
         raise ValueError("exact_point requires a plain digit-stream kind")
-    c = state.cursor
     if spec.kind == "dyadic_jump":
-        ends = np.cumsum(state.stream.block(c, c + K))
+        ends = np.cumsum(_window(seq, t, K))
         return sum(Fraction(1, 2 ** int(e)) for e in ends)
     if spec.kind == "ar1":
-        digits = state.stream.block(c, c + 64)[::-1][:K]
+        digits = _window(seq, t, 64)[::-1][:K]
     else:
-        digits = state.stream.block(c, c + K)
+        digits = _window(seq, t, K)
     b = spec.base
     num = 0
     for d in digits:
@@ -76,31 +109,30 @@ def exact_point(spec, state, K=PRECISION):
     return Fraction(num, b ** len(digits))
 
 
-def contains_state(target, state):
-    """Whether the lazy ``state`` lies in the ``TargetSet``'s event."""
+def contains_state(target, seq, t):
+    """Whether step t of the path ``seq`` lies in the ``TargetSet``'s event."""
     if target.kind == "cylinder":
         n = len(target.event.word)
         if target.spec.kind == "dyadic_jump":
-            got = jump_bits(state, n)
+            got = jump_bits(seq, t, n)
         else:
-            got = state.stream.block(state.cursor, state.cursor + n)
+            got = _window(seq, t, n)
         return all(int(a) == b for a, b in zip(got, target.event.word))
     if target.spec.kind == "chebyshev":  # the event lies on the doubling coordinate theta
-        digits = state.stream.block(state.cursor, state.cursor + PRECISION)
+        digits = _window(seq, t, PRECISION)
         x = sum(int(d) * 0.5 ** (i + 1) for i, d in enumerate(digits))
     else:
-        x = evaluate_point(target.spec, state)
+        x = point(target.spec, seq, t)
     return bool(target.event.mask_native(np.asarray(x)))
 
 
-def hitting_time(spec, target, state, horizon):
-    """Least j in 1..horizon with the orbit in the target at step j, else None."""
+def hitting_time(target, seq, t, horizon):
+    """Least j in 1..horizon with step t + j of the path ``seq`` in the
+    target, else None."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    s = state
     for j in range(1, horizon + 1):
-        s = step(spec, s)
-        if contains_state(target, s):
+        if contains_state(target, seq, t + j):
             return j
     return None
 

@@ -257,6 +257,19 @@ def test_numeric_failure_writes_error_row(tmp_path):
     assert text.startswith("error")
 
 
+def test_rts_without_returns_past_the_atom_writes_error_row(tmp_path):
+    # at seed 4 neither return lies past the atom, so there is no continuous
+    # part to compare: a named error row, not a numpy reduction error
+    rc = main(
+        [
+            "rts", "--process", "doubling", "--zeta", "0", "--delta", "1e-6",
+            "--trials", "2", "--seed", "4", "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert rc == 1
+    assert (tmp_path / "r" / "results.csv").read_text().startswith("error\nno uncensored return time past the atom")
+
+
 def test_reproduce_paper_quick_profile_is_scaled():
     cfgs = reproduce_paper_configs("quick")
     assert all(c["trials"] <= 5000 for c in cfgs.values())

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evl_lab import rng
 from evl_lab.escapes import EscapeOffsets, _ratio, escape_statistics, periodicity_report
 from evl_lab.estimators import (
     ATOM_EPS,
@@ -17,7 +18,7 @@ from evl_lab.estimators import (
     estimate_escape_law,
     survey_max_and_escapes,
 )
-from evl_lab.hts_rts import TargetSet, TimeSampleSet, _return_times, sample_rts
+from evl_lab.hts_rts import TargetSet, TimeSampleSet, _first_hits_engine, _time_samples, sample_rts
 from evl_lab.observables import (
     ExceedanceEvent,
     LevelSchedule,
@@ -213,7 +214,9 @@ def test_rts_atom_counts_returns_at_the_atom_edge():
     spec = ProcessSpec.doubling()
     target = TargetSet.ball(spec, "0", ATOM_EPS / 64)
     assert ATOM_EPS / target.measure == 32.0
-    short = _return_times(spec, target, 4000, 3, ATOM_EPS)
+    steps_h = math.ceil(ATOM_EPS / target.measure)
+    steps = _first_hits_engine(spec, target, 4000, 3, steps_h, rng.CH_ORBIT, starts=True)
+    short = _time_samples(steps, steps_h, "rts", target.measure)
     full = sample_rts(spec, target, 4000, 3)
     assert short.horizon == ATOM_EPS
     edge = (full.times == ATOM_EPS) & ~full.censored

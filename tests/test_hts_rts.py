@@ -17,30 +17,28 @@ from evl_lab.hts_rts import (
     sample_rts,
 )
 from evl_lab.observables import ExceedanceEvent, ObservableSpec, bernoulli_cdf
-from evl_lab.processes import PRECISION, TIME_BLOCK, DigitStream, ProcessSpec, ProcessState, sample_initial
+from evl_lab.processes import PRECISION, TIME_BLOCK, ProcessSpec
 from evl_lab.symbolic import champernowne_bits
-from tests.oracles import contains_state, hitting_time, rts_quantile
+from tests.oracles import contains_state, hitting_time, path, rts_quantile
 
 DOUB = ProcessSpec.doubling()
 
 
 def test_hitting_time_enters_at_step_three():
     # orbit digits 000110 000110 ...: the cylinder '11' is first entered at step 3
-    st = ProcessState(DOUB, DigitStream.periodic(2, [0, 0, 0, 1, 1, 0]), 0)
+    seq = np.resize([0, 0, 0, 1, 1, 0], 60)
     tgt = TargetSet.cylinder(DOUB, "11")
-    assert hitting_time(DOUB, tgt, st, 50) == 3
+    assert hitting_time(tgt, seq, 0, 50) == 3
     tgt1 = TargetSet.cylinder(DOUB, "111")
-    assert hitting_time(DOUB, tgt1, st, 50) is None  # never three ones in a row
+    assert hitting_time(tgt1, seq, 0, 50) is None  # never three ones in a row
 
 
 def test_hitting_time_start_in_target_censored():
-    # state inside the cylinder '01' whose orbit never returns to it
-    tail = DigitStream.periodic(2, [0])
-    stream = DigitStream.with_prefix(2, [0, 1], tail)
-    st = ProcessState(DOUB, stream, 0)
+    # a path inside the cylinder '01' whose orbit never returns to it
+    seq = np.r_[[0, 1], np.zeros(200, dtype=np.uint8)]
     tgt = TargetSet.cylinder(DOUB, "01")
-    assert contains_state(tgt, st)
-    assert hitting_time(DOUB, tgt, st, 200) is None
+    assert contains_state(tgt, seq, 0)
+    assert hitting_time(tgt, seq, 0, 200) is None
 
 
 def test_hitting_time_matches_engine():
@@ -50,8 +48,7 @@ def test_hitting_time_matches_engine():
 
     steps = _first_hits_engine(DOUB, tgt, 8, 55, 3000, rng.CH_ORBIT)
     for trial in range(8):
-        st = sample_initial(DOUB, 55, trial=trial)
-        assert hitting_time(DOUB, tgt, st, 3000) == int(steps[trial])
+        assert hitting_time(tgt, path(DOUB, 55, trial, 3001 + PRECISION), 0, 3000) == int(steps[trial])
 
 
 def test_kac_mean_return():
@@ -235,8 +232,7 @@ def test_first_hits_engine_matches_scalar_cylinder_and_jump():
         steps = _first_hits_engine(spec, tgt, 8, 57, horizon, rng.CH_ORBIT)
         assert (steps <= horizon).sum() >= 4
         for trial in range(8):
-            st = sample_initial(spec, 57, trial=trial)
-            hit = hitting_time(spec, tgt, st, horizon)
+            hit = hitting_time(tgt, path(spec, 57, trial, horizon + 1 + PRECISION), 0, horizon)
             assert (horizon + 1 if hit is None else hit) == int(steps[trial]), (spec.label, trial)
 
 
@@ -399,7 +395,7 @@ def _interval_prefix_by_loops(spec, arcs, trials, seed, depth=PRECISION + 16):
     u = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, depth + 1).tolist()
     out = []
     for trial in range(trials):
-        digits = DigitStream.random(spec, seed, trial).block(0, depth).tolist()
+        digits = path(spec, seed, trial, depth).tolist()
         a, b = arcs[sum(u[trial][0] * cum_mass[-1] >= c for c in cum_mass[1:-1])]
         for k in range(depth):
             if (a, b) == (0.0, 1.0):  # the cell lies inside: stream digits from here

@@ -8,19 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evl_lab import observables, processes, rng
-from evl_lab.processes import (
-    PRECISION,
-    DigitStream,
-    Ensemble,
-    PathEngine,
-    ProcessSpec,
-    ProcessState,
-    evaluate_point,
-    point_values_at,
-    sample_initial,
-    step,
-)
-from tests.oracles import exact_point, ks_against
+from evl_lab.processes import PRECISION, Ensemble, PathEngine, ProcessSpec, point_values_at
+from tests.oracles import exact_point, ks_against, path, point
 
 ALL_SPECS = [
     ProcessSpec.doubling(),
@@ -59,8 +48,7 @@ def test_near_uniform_weights_are_not_uniform(monkeypatch):
     obs = observables.ObservableSpec(family="distance", form="weibull", anchor="01")
     assert abs(observables.ball_measure(near, obs, 1 / 3) - observables.ball_measure(doub, obs, 1 / 3)) > 1e-9
     assert observables.marginal_cdf(near, 0.5) > 0.5 + 5e-8
-    digits = DigitStream.random(near, seed=3, trial=2).block(0, 200)
-    assert np.array_equal(digits, rng.digits(3, rng.CH_ORBIT, [2], 0, 200, np.cumsum(near.weights))[0])
+    assert np.array_equal(path(near, 3, 2, 200), rng.digits(3, rng.CH_ORBIT, [2], 0, 200, np.cumsum(near.weights))[0])
     calls = []
     monkeypatch.setattr(H, "bernoulli_cdf", lambda *a: calls.append(1) or observables.bernoulli_cdf(*a))
     H._interval_digit_prefix(doub, ((0.2, 0.3),), np.arange(10), seed=1)
@@ -69,19 +57,22 @@ def test_near_uniform_weights_are_not_uniform(monkeypatch):
     assert calls
 
 
-def test_digit_stream_is_stable_under_extension():
-    spec = ProcessSpec.bernoulli_doubling(0.3)
-    s = DigitStream.random(spec, seed=9, trial=4)
-    first = s.block(0, 50).copy()
-    s.block(0, 5000)  # extend
-    assert np.array_equal(s.block(0, 50), first)
-    assert s[17] == first[17]
-
-
-def test_doubling_step_shifts_bits():
-    st = ProcessState(ProcessSpec.doubling(), DigitStream.periodic(2, [0, 1, 1, 0]), 0)
-    st2 = step(st.spec, st)
-    assert list(st2.stream.block(st2.cursor, st2.cursor + 3)) == [1, 1, 0]
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_reference_paths_are_the_engine_stream(spec):
+    ids = np.array([0, 2, 5], dtype=np.uint64)
+    n = 300
+    if spec.uses_digits:
+        rows = PathEngine(spec, 3, ids).digit_matrix(0, n)
+    else:
+        rows = rng.uniforms(3, rng.CH_ORBIT, ids, 0, n)
+    for trial, row in zip(ids, rows):
+        assert np.array_equal(path(spec, 3, int(trial), n), row)
+    # the last step whose point the path holds; one position fewer is an error
+    seq = rows[0]
+    t = n - (spec.slots[-1] + 1 if spec.slots else PRECISION)
+    point(spec, seq, t)
+    with pytest.raises(ValueError):
+        point(spec, seq[:-1], t)
 
 
 def test_chebyshev_double_angle_conjugacy():
@@ -94,94 +85,70 @@ def test_chebyshev_double_angle_conjugacy():
 def test_ar1_step_arithmetic():
     # X_{n-1} = 0.5, eps_n = 0.5 (digit 1 base 2) -> X_n = 0.75
     spec = ProcessSpec.ar1(2)
-    digits = [0] * 63 + [1] + [1]  # X_0 = 0.5 (MSB at position 63), next digit 1
-    st = ProcessState(spec, DigitStream.periodic(2, digits), 0)
-    assert abs(evaluate_point(spec, st) - 0.5) < 1e-12
-    st2 = step(spec, st)
-    assert abs(evaluate_point(spec, st2) - 0.75) < 1e-12
+    seq = np.array([0] * 63 + [1] + [1])  # X_0 = 0.5 (MSB at position 63), next digit 1
+    assert abs(point(spec, seq, 0) - 0.5) < 1e-12
+    assert abs(point(spec, seq, 1) - 0.75) < 1e-12
 
 
 def test_evaluate_examples():
     spec = ProcessSpec.doubling()
-    st = ProcessState(spec, DigitStream.periodic(2, [1] + [0] * 63), 0)
-    assert abs(evaluate_point(spec, st) - 0.5) < 2e-16
+    assert abs(point(spec, np.array([1] + [0] * 63), 0) - 0.5) < 2e-16
     spec3 = ProcessSpec.m_ary(3)
-    st3 = ProcessState(spec3, DigitStream.periodic(3, [2, 1] + [0] * 62), 0)
-    assert abs(evaluate_point(spec3, st3, K=2) - (2 / 3 + 1 / 9)) < 1e-12
+    assert abs(point(spec3, np.array([2, 1] + [0] * 62), 0, K=2) - (2 / 3 + 1 / 9)) < 1e-12
 
 
 def test_mma_buffer_evaluation():
-    from evl_lab.processes import UniformStream
-
     spec = ProcessSpec.mma2()
     # innovation window Y_{n-2}=0.3, Y_{n-1}=0.9, Y_n=0.4: the lag-1 value is
     # skipped, so X_n = max(0.3, 0.4) = 0.4
-    us = UniformStream(lambda lo, hi: np.array([0.0, 0.3, 0.9, 0.4, 0.0][lo:hi]))
-    st = ProcessState(spec, us, 0)
-    assert evaluate_point(spec, st) == pytest.approx(0.4)
-    spec13 = ProcessSpec.mma13()
-    us13 = UniformStream(lambda lo, hi: np.array([0.2, 0.3, 0.9, 0.4, 0.0][lo:hi]))
-    st13 = ProcessState(spec13, us13, 0)
+    assert point(spec, np.array([0.0, 0.3, 0.9, 0.4, 0.0]), 0) == pytest.approx(0.4)
     # X_n = max(Y_{n-3}, Y_{n-2}, Y_n) = max(0.2, 0.3, 0.4)
-    assert evaluate_point(spec13, st13) == pytest.approx(0.4)
+    assert point(ProcessSpec.mma13(), np.array([0.2, 0.3, 0.9, 0.4, 0.0]), 0) == pytest.approx(0.4)
 
 
 def test_shift_exactness_exact_arithmetic():
-    # evaluate(step(s)) equals the map of evaluate(s) within m**-(K-1), checked
-    # over the exact rationals carried by the digits themselves.
+    # the point at step t + 1 equals the map of the point at step t within
+    # m**-(K-1), checked over the exact rationals carried by the digits themselves.
     for spec in (ProcessSpec.doubling(), ProcessSpec.m_ary(3), ProcessSpec.bernoulli_doubling(0.3)):
-        st = sample_initial(spec, seed=3, trial=1)
-        for _ in range(20):
-            x = exact_point(spec, st)
-            st2 = step(spec, st)
-            y = exact_point(spec, st2)
-            mapped = (x * spec.m) % 1
-            assert abs(y - mapped) < Fraction(spec.m) ** -(63)
-            st = st2
+        seq = path(spec, 3, 1, 21 + PRECISION)
+        for t in range(20):
+            mapped = (exact_point(spec, seq, t) * spec.m) % 1
+            assert abs(exact_point(spec, seq, t + 1) - mapped) < Fraction(spec.m) ** -(63)
     # the jump map, f(x) = 2^k x - 1 on its branch (2^-k, 2^-(k-1)]
     jump = ProcessSpec.dyadic_jump()
-    st = sample_initial(jump, seed=3, trial=1)
-    for _ in range(20):
-        x = exact_point(jump, st)
+    seq = path(jump, 3, 1, 21 + PRECISION)
+    for t in range(20):
+        x = exact_point(jump, seq, t)
         k = 1
         while x <= Fraction(1, 2**k):
             k += 1
-        st = step(jump, st)
-        assert abs(exact_point(jump, st) - (x * 2**k - 1)) < Fraction(2) ** -63
+        assert abs(exact_point(jump, seq, t + 1) - (x * 2**k - 1)) < Fraction(2) ** -63
 
 
 def test_dyadic_jump_strips_branch_prefix():
     spec = ProcessSpec.dyadic_jump()
-    st = ProcessState(spec, DigitStream.periodic(2, [3, 1, 2]), 0)  # the gaps of the bits 001 1 01
-    st2 = step(spec, st)
-    assert st2.cursor == 1  # skipped past the gap 0,0,1
-    # f(x) = 2^k (x - 2^-k) on branch k=3
-    x = evaluate_point(spec, st)
-    fx = evaluate_point(spec, st2)
-    assert abs(fx - (2**3) * (x - 2**-3)) < 1e-12
+    seq = np.resize([3, 1, 2], 1 + PRECISION)  # the gaps of the bits 001 1 01
+    # step 1 starts past the gap 0,0,1: f(x) = 2^k (x - 2^-k) on branch k=3
+    x = point(spec, seq, 0)
+    assert abs(point(spec, seq, 1) - (2**3) * (x - 2**-3)) < 1e-12
 
 
 def test_ar1_digit_model_matches_exact_recursion():
     spec = ProcessSpec.ar1(3)
-    st = sample_initial(spec, seed=5)
-    x = exact_point(spec, st)
-    series = [evaluate_point(spec, st)]
+    seq = path(spec, 5, 0, 1000 + 64)
+    x = exact_point(spec, seq, 0)
     for k in range(1000):
-        eps = Fraction(int(st.stream[64 + k]), 3)
-        x = x / 3 + eps
-        st = step(spec, st)
-        series.append(evaluate_point(spec, st))
-        assert abs(float(x) - series[-1]) < 1e-12
+        x = x / 3 + Fraction(int(seq[64 + k]), 3)
+        assert abs(float(x) - point(spec, seq, k + 1)) < 1e-12
 
 
 def test_engine_matches_scalar_stepping():
     for spec in ALL_SPECS:
         pts = PathEngine(spec, 31, [0, 1, 2]).points(0, 60)
         for trial in range(3):
-            st = sample_initial(spec, 31, trial=trial)
+            seq = path(spec, 31, trial, 60 + PRECISION)
             for t in range(60):
-                assert evaluate_point(spec, st) == pytest.approx(pts[trial, t], abs=1e-12)
-                st = step(spec, st)
+                assert point(spec, seq, t) == pytest.approx(pts[trial, t], abs=1e-12)
 
 
 def test_engine_windows_are_positional():
@@ -211,18 +178,16 @@ def test_points_across_window_ends(spec):
 
 def test_jump_points_past_a_400_zero_bit_prefix():
     # 400 zero bits start a gap of 400 plus the path's own first gap; the
-    # points still match lazy stepping
+    # points still match the scalar projection
     spec = ProcessSpec.dyadic_jump()
     prefix = processes._gap_prefix(np.zeros((2, 400), dtype=np.uint8), 41, [0, 1])
     eng = PathEngine(spec, 41, [0, 1], prefix=prefix)
     pts = np.hstack([eng.points(0, 11), eng.points(11, 30)])
     assert pts[:, 0].max() < 2.0**-400
     for trial in range(2):
-        tail = DigitStream.random(spec, 41, trial)
-        st = ProcessState(spec, DigitStream.with_prefix(2, prefix[trial], tail), 0)
+        seq = np.r_[prefix[trial], path(spec, 41, trial, 30 + 600)[prefix.shape[1] :]]
         for t in range(30):
-            assert evaluate_point(spec, st, K=600) == pytest.approx(pts[trial, t], rel=1e-12, abs=0)
-            st = step(spec, st)
+            assert point(spec, seq, t, K=600) == pytest.approx(pts[trial, t], rel=1e-12, abs=0)
 
 
 def test_jump_draws_the_same_words_in_every_window(monkeypatch):

@@ -2,11 +2,13 @@
 depend on the other trials of its chunk, so return times are the same under
 any chunking."""
 
+import math
+
 import numpy as np
 import pytest
 
 import evl_lab.hts_rts as H
-from evl_lab.hts_rts import TargetSet, _return_times, _rts_prefix
+from evl_lab.hts_rts import TargetSet, _first_hits_engine, _rts_prefix, _time_samples
 from evl_lab.observables import ObservableSpec
 from evl_lab.processes import ProcessSpec
 
@@ -49,10 +51,12 @@ def test_chunk_starts_are_rows_of_the_whole_set(name, chunk):
 @pytest.mark.parametrize("name", list(TARGETS))
 def test_return_times_are_the_same_in_one_two_and_three_chunks(name, monkeypatch):
     tgt = TARGETS[name]()
+    steps_h = math.ceil(0.5 / tgt.measure)  # the normalized horizon 0.5
     got = []
     for k in (1, 2, 3):
         monkeypatch.setattr(H, "_chunk_trials", lambda spec, trials, stop: np.array_split(np.arange(trials), k))
-        rts = _return_times(tgt.spec, tgt, 500, 17, 0.5)
+        steps = _first_hits_engine(tgt.spec, tgt, 500, 17, steps_h, H.rng.CH_ORBIT, starts=True)
+        rts = _time_samples(steps, steps_h, "rts", tgt.measure)
         got.append((rts.times.tobytes(), rts.censored.tobytes()))
     assert got[0] == got[1] == got[2]
     assert not rts.censored.all()  # some paths return within the horizon

@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evl_lab.processes import DigitStream
 from evl_lab.symbolic import (
     SymbolicWord,
     champernowne_bits,
@@ -136,9 +135,7 @@ def test_periodic_points():
     assert w.periodic_value() == Fraction(1, 7) and len(w.primitive_root()) == 3
     assert SymbolicWord.parse("1").periodic_value() == 0  # 1 identified with 0 on the circle
     root = SymbolicWord.parse("0101").primitive_root()
-    assert len(root) == 2  # primitive root length
-    # the stream actually cycles the word
-    assert list(DigitStream.periodic(2, root.digits).block(0, 6)) == [0, 1, 0, 1, 0, 1]
+    assert len(root) == 2 and root.digits == (0, 1)  # the primitive root
 
 
 def test_min_weak_period():
