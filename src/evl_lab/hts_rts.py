@@ -40,7 +40,7 @@ from .processes import (
     _gap_prefix,
 )
 
-_DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call (a doubling@0 start: 3 calls, not 11)
+_DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call, made at a block's first unforced depth
 
 
 class ConditionalStartError(RuntimeError):
@@ -161,9 +161,12 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
     the unconditional one, and its remaining digits are its own stream digits
     (the jump map's bits, whose orbit words are its gaps, on ``rng.CH_BITS``).
     The other reached children, in flat order, make the next table unsorted.
-    Every draw is positional and a row's floats follow from its parent row's,
-    whichever trials reached it, so a trial's digits do not depend on the
-    other ids.
+    At a forced depth every row has one child of positive mass: the digit is
+    read off the table, whatever the uniform, and none is drawn (the 11
+    depths of a doubling@0 start of measure 2**-10 are all forced; its one
+    draw picks the arc).  Every draw is positional, depth k reading position
+    k + 1, and a row's floats follow from its parent row's, whichever trials
+    reached it, so a trial's digits do not depend on the other ids.
     """
     w = spec.digit_weights
     m = w.size
@@ -184,17 +187,26 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
     for k in range(depth):
         if active.size == 0:
             break
-        if k % _DRAW_DEPTHS == 0:  # positional draws: those of later depths are drawn ahead
-            u_ahead = rng.uniforms(seed, rng.CH_INIT, ids[active], k + 1, k + 1 + _DRAW_DEPTHS)
+        if k % _DRAW_DEPTHS == 0:
+            u_ahead = None  # this block's draws are not made yet
         child = np.clip(m * table[:, None, :] - np.arange(m)[:, None], 0.0, 1.0).reshape(-1, 2)
-        cum = np.cumsum(w * (F(child[:, 1]) - F(child[:, 0])).reshape(-1, m), axis=1)[row]
-        u = u_ahead[:, k % _DRAW_DEPTHS]
-        d = np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
+        mass = w * (F(child[:, 1]) - F(child[:, 0])).reshape(-1, m)
+        if (mass >= 0.0).all() and (np.count_nonzero(mass, axis=1) == 1).all():  # forced: u picks no digit
+            d = np.argmax(mass, axis=1)[row]
+        else:
+            if u_ahead is None:  # positional draws: the block's later depths are drawn ahead
+                k0 = k - k % _DRAW_DEPTHS
+                u_ahead = rng.uniforms(seed, rng.CH_INIT, ids[active], k0 + 1, k0 + 1 + _DRAW_DEPTHS)
+            cum = np.cumsum(mass, axis=1)[row]
+            u = u_ahead[:, k % _DRAW_DEPTHS]
+            d = np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
         prefix[active, k] = d
         # trials at child (0, 1) leave; the other reached children are the next table
         row = row * m + d
         keep = inner(child)[row]
-        active, row, u_ahead = active[keep], row[keep], u_ahead[keep]
+        active, row = active[keep], row[keep]
+        if u_ahead is not None:
+            u_ahead = u_ahead[keep]
         reached = np.zeros(child.shape[0], dtype=bool)
         reached[row] = True
         table, row = child[reached], (np.cumsum(reached) - 1)[row]

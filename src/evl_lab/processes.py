@@ -257,25 +257,45 @@ def _pack(d):
     return by.reshape(k, 8, n).transpose(0, 2, 1).copy().view("<u8")[..., 0]
 
 
-def _match(now, nxt, cells):
-    """Words whose bit j is set where the digits from bit j of ``now`` on
-    (running into ``nxt``) begin with one of the (L, cell) ``cells``: per
-    cell, the AND of the digit streams shifted by its 1s, less the OR of
-    those shifted by its 0s.  Each shift is made once for all cells."""
-    ones = [np.full_like(now, np.uint64(2**64 - 1)) for _ in cells]
-    zeros = [np.zeros_like(now) for _ in cells]
-    shifted, spill = np.empty_like(now), np.empty_like(now)
-    for i in range(max((L for L, _ in cells), default=0)):
+def _match(words, cells):
+    """Words whose bit j is set where the digits from bit j of a row of
+    ``words`` on (running into the next row) begin with one of the (L, cell)
+    ``cells``, one row fewer than ``words``.  A run (a cell of L equal
+    digits) is matched by doubling: x holds the digits, or their complements,
+    and x &= x shifted by s (carrying in from the next row) extends the run
+    found at each bit from a to a + s digits, s = min(a, L - a); a run of 13
+    takes 4 steps.  Per other cell, the AND of the digit streams shifted by
+    its 1s, less the OR of those shifted by its 0s; each shift is made once
+    for all of those cells."""
+    now, nxt = words[:-1], words[1:]
+    hit = np.zeros_like(now)
+    spill, carry = np.empty_like(words), np.empty_like(now)
+    for L, c in cells:
+        if c in (0, 2**L - 1):
+            x = words.copy() if c else ~words
+            a = 1
+            while a < L:
+                s = min(a, L - a)
+                np.right_shift(x, np.uint64(s), out=spill)
+                # the last row shifts in 0s: a row above reads only its first L - 1 bits
+                spill[:-1] |= np.left_shift(x[1:], np.uint64(64 - s), out=carry)
+                x &= spill
+                a += s
+            hit |= x[:-1]
+    other = [(L, c) for L, c in cells if c not in (0, 2**L - 1)]
+    ones = [np.full_like(now, np.uint64(2**64 - 1)) for _ in other]
+    zeros = [np.zeros_like(now) for _ in other]
+    shifted = spill[:-1]
+    for i in range(max((L for L, _ in other), default=0)):
         s = now  # the digits from offset i: bit j is digit j + i
         if i:
             np.right_shift(now, np.uint64(i), out=shifted)
-            s = np.bitwise_or(shifted, np.left_shift(nxt, np.uint64(64 - i), out=spill), out=shifted)
-        for (L, c), one, zero in zip(cells, ones, zeros):
+            s = np.bitwise_or(shifted, np.left_shift(nxt, np.uint64(64 - i), out=carry), out=shifted)
+        for (L, c), one, zero in zip(other, ones, zeros):
             if i < L and c >> (L - 1 - i) & 1:
                 one &= s
             elif i < L:
                 zero |= s
-    hit = np.zeros_like(now)
     for one, zero in zip(ones, zeros):
         hit |= one & ~zero
     return hit
@@ -675,10 +695,9 @@ class PathEngine:
         n = self.trials.size
         w0, w1 = t0 >> 6, (t1 + 63) >> 6
         words = self._words(w0, w1 + 1)
-        now, nxt = words[:-1], words[1:]
-        hit = np.empty_like(now)
+        hit = np.empty_like(words[:-1])
         for a in range(0, n, MATCH_BLOCK):
-            hit[:, a : a + MATCH_BLOCK] = _match(now[:, a : a + MATCH_BLOCK], nxt[:, a : a + MATCH_BLOCK], cells)
+            hit[:, a : a + MATCH_BLOCK] = _match(words[:, a : a + MATCH_BLOCK], cells)
         hit[0] &= np.uint64(2**64 - 2 ** (t0 - 64 * w0))  # no steps before t0
         hit[-1] &= np.uint64(2 ** (t1 - 64 * w1 + 64) - 1)  # nor from t1 on
         f, p = _set_bits(hit)

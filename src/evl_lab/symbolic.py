@@ -168,16 +168,12 @@ def return_structure(word, n, j_max):
         periodic = all(d[k] == d[k + j] for k in range(n - j))
         witnesses = []
         if base**j <= 1 << 20:
-            for ext in range(base**j):
-                alpha = []
-                e = ext
-                for _ in range(j):
-                    alpha.append(e % base)
-                    e //= base
-                alpha.reverse()
-                w = d + tuple(alpha)
-                if all(w[j + k] == d[k] for k in range(n)):
-                    witnesses.append(SymbolicWord(w, base))
+            ext = np.arange(base**j)
+            w = np.empty((ext.size, n + j), dtype=np.uint8)  # row e: d, then the j digits of e
+            w[:, :n] = d
+            for i in range(j):
+                w[:, n + i] = ext // base ** (j - 1 - i) % base
+            witnesses = [SymbolicWord(tuple(w[e].tolist()), base) for e in np.flatnonzero((w[:, j:] == d).all(axis=1))]
             if periodic != (len(witnesses) == 1) or len(witnesses) > 1:
                 raise AssertionError("enumeration disagrees with the construction")
         if periodic:

@@ -353,6 +353,23 @@ def test_arcs_ending_at_one_draw_no_side_uniform(monkeypatch):
     assert (rng.CH_INIT, 1) in calls and (rng.CH_INIT, 0) not in calls
 
 
+def test_forced_descent_depths_draw_no_uniform(monkeypatch):
+    # the 11 descent depths of a doubling@0 start of measure 2**-10 each have
+    # one child of positive mass: the digits are read off the table, and the
+    # one CH_INIT draw is the position-0 arc pick; the starts are as pinned
+    import evl_lab.hts_rts as H
+
+    calls = []
+    uniforms = H.rng.uniforms
+    monkeypatch.setattr(
+        H.rng, "uniforms", lambda seed, ch, ids, lo, hi: calls.append((ch, lo, hi)) or uniforms(seed, ch, ids, lo, hi)
+    )
+    tgt = _map_rts_targets()["doubling@0"]
+    prefix = _rts_prefix(DOUB, tgt, np.arange(1000), 2024)
+    assert hashlib.sha256(prefix.tobytes()).hexdigest() == MAP_RTS_PREFIX_KAT["doubling@0"]
+    assert [c for c in calls if c[0] == rng.CH_INIT] == [(rng.CH_INIT, 0, 1)]
+
+
 def _two_arc_target():
     """A Bernoulli(0.3) target made of two arcs that do not wrap."""
     spec = ProcessSpec.bernoulli_doubling(0.3)
@@ -421,9 +438,12 @@ def test_interval_descent_matches_per_trial_loops(data):
     spec = ProcessSpec.m_ary(m, [x / sum(raw) for x in raw] if data.draw(st.booleans()) else None)
 
     def endpoint():
-        k = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 12))
         if data.draw(st.booleans()):
-            return data.draw(st.integers(0, m**k)) / m**k  # on a digit boundary
+            # on a digit boundary: an arc between two close ones starts with
+            # a run of forced digits, up to 12 long, across a draw block
+            # (_DRAW_DEPTHS = 8)
+            return data.draw(st.integers(0, m**k)) / m**k
         return data.draw(st.floats(0.0, 1.0))
 
     # 1 to 3 sorted disjoint arcs; with ends at -inf and inf, the first and
@@ -438,8 +458,8 @@ def test_interval_descent_matches_per_trial_loops(data):
         mp.setattr(H, "bernoulli_cdf", lambda t, w: sizes.append(np.size(t)) or bernoulli_cdf(t, w))
         prefix = H._interval_digit_prefix(spec, arcs, np.arange(20_000), seed=3)
     assert max(sizes, default=0) <= 2 * len(arcs) * m, (spec.label, arcs)
-    want = _interval_prefix_by_loops(spec, arcs, 12, seed=3)
-    assert np.array_equal(prefix[:12], want), (spec.label, arcs)
+    want = _interval_prefix_by_loops(spec, arcs, 20, seed=3)
+    assert np.array_equal(prefix[:20], want), (spec.label, arcs)
 
 
 def test_collapsed_ball_is_a_named_error():

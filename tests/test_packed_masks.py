@@ -27,6 +27,7 @@ EVENTS = {
     "across 1/2": ExceedanceEvent(((0.5 - 3e-3, 0.5 + 1e-3),)),
     "edges at 2**-10": ExceedanceEvent.circle_arc(-(2.0**-10), 2.0**-10),
     "two arcs": ExceedanceEvent(((0.1, 0.1 + 2.0**-9), (0.7 - 1e-4, 0.7 + 2.0**-12))),
+    "arcs at 0 and 0.3": ExceedanceEvent(((0.0, 1.5e-3), (0.3 - 1e-3, 0.3 + 1e-3))),  # a run cell and others
     "below the cut": ExceedanceEvent(((0.2, 0.2 + 0.99 * _CUT),)),
     "above the cut": ExceedanceEvent(((0.2, 0.2 + 1.01 * _CUT),)),
 }
@@ -133,12 +134,45 @@ def test_undecided_bracket_runs_the_float_scan(monkeypatch):
     assert len(calls) == 2 and min(calls) >= 1
 
 
+def _match_by_offsets(digits, cells):
+    """``_match`` of the packed 0/1 ``digits`` (paths, 64 (k + 1)), one offset
+    at a time: bit j of word row w is set iff the L digits from 64 w + j spell
+    one of the (L, cell) ``cells``."""
+    paths, n = digits.shape
+    hit = np.zeros((paths, n - 64), dtype=bool)
+    for t in range(n - 64):
+        for L, c in cells:
+            hit[:, t] |= (digits[:, t : t + L] == [c >> (L - 1 - i) & 1 for i in range(L)]).all(axis=1)
+    return np.packbits(hit, axis=1, bitorder="little").view("<u8").T
+
+
+@pytest.mark.parametrize("L", range(processes.PACKED_DEPTH, processes.MATCH_DIGITS + 1))
+def test_runs_match_by_doubling(L):
+    # runs of random lengths, and a run of L 1s and one of L 0s laid across
+    # each word boundary: 0**L and 1**L (matched by doubling), alone and with
+    # a cell that is no run (matched by shifts), equal the per-offset match
+    rs = np.random.default_rng(L)
+    runs = np.repeat(np.arange(60) % 2, rs.integers(1, 2 * L, size=60))
+    digits = np.array([np.roll(runs, -s)[: 64 * 4] for s in rs.integers(0, runs.size, size=40)], dtype=np.uint8)
+    for b in (64, 128, 192):
+        at = b - 1 - L // 2
+        digits[0, at - 1 : at + L + 1] = [0] + [1] * L + [0]
+        digits[1, at - 1 : at + L + 1] = [1] + [0] * L + [1]
+    words = np.packbits(digits, axis=1, bitorder="little").view("<u8").T.copy()
+    for cells in ([(L, 0)], [(L, 2**L - 1)], [(L, 0), (L, 2**L - 1), (L, 2**L // 3), (L - 3, 1)]):
+        got = processes._match(words, cells)
+        want = _match_by_offsets(digits, cells)
+        assert got.tobytes() == want.tobytes(), cells
+    assert processes._match(words, [(L, 2**L - 1)])[:, 0].all()  # the laid runs are found
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_random_narrow_arcs(spec, data):
-    # narrow arcs of width 2**-k, anywhere on the circle or around a scanned
-    # value (wrapped through 0 or not), random trial chunks and random windows
+    # narrow arcs of width 2**-k, anywhere on the circle, around a scanned
+    # value (wrapped through 0 or not) or from 0 or to 1 (runs of 0s or 1s:
+    # see _match), random trial chunks and random windows
     k = data.draw(st.integers(6, 30))
     seed = data.draw(st.integers(0, 2**32))
     first = data.draw(st.integers(0, 5000))
@@ -146,10 +180,13 @@ def test_random_narrow_arcs(spec, data):
     t0 = data.draw(st.integers(0, 300))
     t1 = t0 + data.draw(st.integers(1, 400))
     values = PathEngine(spec, seed, ids)._values(t0, t1)
+    where = data.draw(st.sampled_from(["anywhere", "around a value", "at an end"]))
     lo = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-    if data.draw(st.booleans()):
+    if where == "around a value":
         x = values[data.draw(st.integers(0, t1 - t0 - 1)), data.draw(st.integers(0, ids.size - 1))]
         lo = x - data.draw(st.floats(0.0, 1.0)) * 2.0**-k
+    elif where == "at an end":
+        lo = data.draw(st.sampled_from([0.0, 1.0 - 2.0**-k]))
     event = ExceedanceEvent.circle_arc(lo, lo + 2.0**-k)
     if k > processes.PACKED_DEPTH + 1:  # width 2**-k, or one ulp more
         assert PathEngine(spec, seed, ids)._cells(event) is not None
