@@ -169,11 +169,13 @@ def return_structure(word, n, j_max):
         witnesses = []
         if base**j <= 1 << 20:
             ext = np.arange(base**j)
-            w = np.empty((ext.size, n + j), dtype=np.uint8)  # row e: d, then the j digits of e
-            w[:, :n] = d
+            alpha = np.empty((ext.size, j), dtype=np.uint8)  # row e: the j digits of e
             for i in range(j):
-                w[:, n + i] = ext // base ** (j - 1 - i) % base
-            witnesses = [SymbolicWord(tuple(w[e].tolist()), base) for e in np.flatnonzero((w[:, j:] == d).all(axis=1))]
+                alpha[:, i] = ext // base ** (j - 1 - i) % base
+            match = np.ones(ext.size, dtype=bool)
+            for k in range(n):  # digit j + k of d + alpha is digit k of d
+                match &= (d[j + k] if j + k < n else alpha[:, j + k - n]) == d[k]
+            witnesses = [SymbolicWord(d + tuple(alpha[e].tolist()), base) for e in np.flatnonzero(match)]
             if periodic != (len(witnesses) == 1) or len(witnesses) > 1:
                 raise AssertionError("enumeration disagrees with the construction")
         if periodic:
