@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, symbolic
+from . import processes, rng, symbolic
 from .observables import (
     ExceedanceEvent,
     ObservableSpec,
@@ -95,24 +95,23 @@ class TimeSampleSet:
 def _first_hits(spec, target, seed, horizon, channel, ids, starts=False):
     """First-hit steps (>= 1; horizon + 1 if none) of the paths ``ids``, from
     return starts drawn for these ids (``_rts_prefix``) if ``starts``: a
-    windowed alive sweep.  Each window's exceedance keys are step-major, so a
-    path's first key is its first hit; the paths that hit leave the sweep
-    (``PathEngine.select``)."""
+    windowed alive sweep from step 1.  Each window's keys are step-major, so
+    a path's first key is its first hit; the paths that hit leave the sweep
+    (``PathEngine.select``) while windows are left."""
     stop = horizon + 1
     steps = np.full(ids.size, stop, dtype=np.int64)
     alive = np.arange(ids.size)
     eng = PathEngine(spec, seed, ids, channel, _rts_prefix(spec, target, ids, seed) if starts else None)
-    for t, keys in eng.windows(stop, target.event):
-        if t == 0:
-            keys = keys[keys >= alive.size]  # step 0 is the start
+    for t, keys in eng.windows(stop, target.event, start=1):
         # keys are step-major: unique's first entry per trial is its earliest
         at, rows = np.divmod(keys, alive.size)
         rows, first = np.unique(rows, return_index=True)
         steps[alive[rows]] = t + at[first]
-        keep = np.ones(alive.size, dtype=bool)
-        keep[rows] = False
-        eng.select(keep)
-        alive = alive[keep]
+        if t + processes.TIME_BLOCK < stop:
+            keep = np.ones(alive.size, dtype=bool)
+            keep[rows] = False
+            eng.select(keep)
+            alive = alive[keep]
     return steps
 
 
@@ -164,9 +163,12 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
     At a forced depth every row has one child of positive mass: the digit is
     read off the table, whatever the uniform, and none is drawn (the 11
     depths of a doubling@0 start of measure 2**-10 are all forced; its one
-    draw picks the arc).  Every draw is positional, depth k reading position
-    k + 1, and a row's floats follow from its parent row's, whichever trials
-    reached it, so a trial's digits do not depend on the other ids.
+    draw picks the arc).  While no trial leaves, forced depths move the table
+    alone (row r's child is row r), and their digits reach the trials in one
+    gather and scatter, where a trial leaves or a digit is drawn.  Every draw
+    is positional, depth k reading position k + 1, and a row's floats follow
+    from its parent row's, whichever trials reached it, so a trial's digits
+    do not depend on the other ids.
     """
     w = spec.digit_weights
     m = w.size
@@ -184,6 +186,14 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
     inner = lambda t: (t[:, 0] > 0.0) | (t[:, 1] < 1.0)  # not (0, 1): the cell still meets an edge
     active = np.flatnonzero(inner(table)[row])
     row = row[active]
+    every = np.bincount(row, minlength=len(table)).all()  # every table row is some trial's
+    forced = []  # per table row, the digits of the forced depths not yet written
+
+    def lay(end):  # the forced digits before depth ``end``, read off the trials' rows
+        if forced:
+            prefix[active, end - len(forced) : end] = np.stack(forced, axis=1)[row]
+        forced.clear()
+
     for k in range(depth):
         if active.size == 0:
             break
@@ -192,17 +202,25 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
         child = np.clip(m * table[:, None, :] - np.arange(m)[:, None], 0.0, 1.0).reshape(-1, 2)
         mass = w * (F(child[:, 1]) - F(child[:, 0])).reshape(-1, m)
         if (mass >= 0.0).all() and (np.count_nonzero(mass, axis=1) == 1).all():  # forced: u picks no digit
-            d = np.argmax(mass, axis=1)[row]
+            forced.append(np.argmax(mass, axis=1))
+            to = np.arange(len(table)) * m + forced[-1]  # each row's one child
+            if every and inner(child)[to].all():  # no trial leaves: row r's child is row r of the next table
+                table = child[to]
+                continue
+            lay(k + 1)
+            row = to[row]
         else:
+            lay(k)
             if u_ahead is None:  # positional draws: the block's later depths are drawn ahead
                 k0 = k - k % _DRAW_DEPTHS
                 u_ahead = rng.uniforms(seed, rng.CH_INIT, ids[active], k0 + 1, k0 + 1 + _DRAW_DEPTHS)
             cum = np.cumsum(mass, axis=1)[row]
             u = u_ahead[:, k % _DRAW_DEPTHS]
             d = np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
-        prefix[active, k] = d
+            prefix[active, k] = d
+            row = row * m + d
         # trials at child (0, 1) leave; the other reached children are the next table
-        row = row * m + d
+        every = True
         keep = inner(child)[row]
         active, row = active[keep], row[keep]
         if u_ahead is not None:
@@ -210,6 +228,7 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
         reached = np.zeros(child.shape[0], dtype=bool)
         reached[row] = True
         table, row = child[reached], (np.cumsum(reached) - 1)[row]
+    lay(depth)
     return prefix
 
 

@@ -338,8 +338,8 @@ def tail_probability(spec, obs, u):
 
 def level_for_tau(spec, obs, n, tau):
     """u_n with n * P(X_0 > u_n) = tau (exact analytic inversion)."""
-    if n < 1 or tau < 0:
-        raise ValueError("need n >= 1 and tau >= 0")
+    if n < 1 or not tau >= 0:  # a NaN tau fails the second test too
+        raise ValueError(f"need n >= 1 and tau >= 0, got n = {n}, tau = {tau}")
     p = tau / n
     if p > 1.0:
         raise ValueError(f"tau/n = {p} > 1: no valid level")

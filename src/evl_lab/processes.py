@@ -260,28 +260,33 @@ def _pack(d):
 def _match(words, cells):
     """Words whose bit j is set where the digits from bit j of a row of
     ``words`` on (running into the next row) begin with one of the (L, cell)
-    ``cells``, one row fewer than ``words``.  A run (a cell of L equal
-    digits) is matched by doubling: x holds the digits, or their complements,
-    and x &= x shifted by s (carrying in from the next row) extends the run
-    found at each bit from a to a + s digits, s = min(a, L - a); a run of 13
-    takes 4 steps.  Per other cell, the AND of the digit streams shifted by
-    its 1s, less the OR of those shifted by its 0s; each shift is made once
-    for all of those cells."""
+    ``cells``, one row fewer than ``words``.  A run (a cell of L >= 2 equal
+    digits) starts at bit j iff bits j ... j + L - 2 of the equal-neighbour
+    word e (bit j: digit j equals digit j + 1) are set and digit j is the
+    run's.  Doubling finds those ones: x &= x shifted by s (carrying in from
+    the next row) extends them at each bit from a to a + s, s = min(a, L -
+    1 - a), so 12 take 4 steps.  One pass per L serves 0**L and 1**L, ANDed
+    with the digits or their complements unless both are cells.  Per other
+    cell, the AND of the digit streams shifted by its 1s, less the OR of
+    those shifted by its 0s; each shift is made once for all of them."""
     now, nxt = words[:-1], words[1:]
     hit = np.zeros_like(now)
     spill, carry = np.empty_like(words), np.empty_like(now)
-    for L, c in cells:
-        if c in (0, 2**L - 1):
-            x = words.copy() if c else ~words
-            a = 1
-            while a < L:
-                s = min(a, L - a)
-                np.right_shift(x, np.uint64(s), out=spill)
-                # the last row shifts in 0s: a row above reads only its first L - 1 bits
-                spill[:-1] |= np.left_shift(x[1:], np.uint64(64 - s), out=carry)
-                x &= spill
-                a += s
-            hit |= x[:-1]
+    runs = [(L, c & 1) for L, c in cells if c in (0, 2**L - 1)]  # (L, digit) of the run cells
+    for L in dict.fromkeys(L for L, _ in runs):  # the last rows shift in 0s: a row above reads L - 1 bits
+        ends = {b for M, b in runs if M == L}
+        x, a = np.right_shift(words, np.uint64(1)), 1  # the next digits, then e
+        x[:-1] |= np.left_shift(nxt, np.uint64(63), out=carry)
+        np.invert(np.bitwise_xor(x, words, out=x), out=x)
+        while a < L - 1:
+            s = min(a, L - 1 - a)
+            np.right_shift(x, np.uint64(s), out=spill)
+            spill[:-1] |= np.left_shift(x[1:], np.uint64(64 - s), out=carry)
+            x &= spill
+            a += s
+        if len(ends) == 1:
+            x[:-1] &= now if 1 in ends else ~now
+        hit |= x[:-1]
     other = [(L, c) for L, c in cells if c not in (0, 2**L - 1)]
     ones = [np.full_like(now, np.uint64(2**64 - 1)) for _ in other]
     zeros = [np.zeros_like(now) for _ in other]
@@ -666,13 +671,19 @@ class PathEngine:
     def _words(self, w0, w1):
         """Digits [64 w0, 64 w1) packed along time, time-major ``(w1 - w0,
         paths)``: bit j of word w is digit 64 w + j, as in ``rng.bits``.
-        Fair bits are the generator's words as they come; weighted digits,
-        and the words under a start prefix, are packed from ``_digits``."""
-        k = w1 if not self.spec.is_uniform else 0 if self.prefix is None else -(-self.prefix.shape[1] // 64)
-        k = min(max(k, w0), w1)  # words [w0, k) are packed from digits
-        words = np.empty((w1 - w0, self.trials.size), dtype=np.uint64)
-        words[: k - w0] = _pack(self._digits(64 * w0, 64 * k).T)
-        words[k - w0 :] = rng.raw_words(self.seed, self.channel, self.trials, k, w1).T
+        Fair bits are the generator's time-major buffer as it comes, with the
+        start prefix's digits in it laid over the bits they replace; weighted
+        digits are packed from ``_digits``."""
+        if not self.spec.is_uniform:
+            return _pack(self._digits(64 * w0, 64 * w1).T)
+        words = rng.raw_words(self.seed, self.channel, self.trials, w0, w1).T
+        K = 0 if self.prefix is None else min(self.prefix.shape[1], 64 * w1) - 64 * w0  # prefix digits here
+        if K > 0:
+            k = -(-K // 64)
+            d = np.zeros((64 * k, self.trials.size), dtype=np.uint8)
+            d[:K] = self.prefix[:, 64 * w0 : 64 * w0 + K].T
+            laid = np.array([(1 << min(64, K - 64 * i)) - 1 for i in range(k)], dtype=np.uint64)[:, None]
+            words[:k] = words[:k] & ~laid | _pack(d)
         return words
 
     def _packed_keys(self, t0, t1, event, cells):
@@ -728,20 +739,25 @@ class PathEngine:
         values = PathEngine(self.spec, self.seed, self.trials[rows], self.channel, prefix)._values(t0, t1)
         return event.mask_native(values[s, col])
 
-    def windows(self, stop, event):
+    def windows(self, stop, event, start=0):
         """Yield (t, sorted keys (s - t) * paths + i of the exceedances of path
-        i at the steps s of [t, t1)), the flat indices of the time-major mask,
-        for the ``TIME_BLOCK`` windows [t, t1) covering [0, stop).  Stops once
-        ``select`` has dropped every path."""
+        i at the steps s >= start of [t, t1)), the flat indices of the
+        time-major mask, for the ``TIME_BLOCK`` windows [t, t1) covering
+        [start, stop): on the grid of the sweep from 0, whose keys they are,
+        less those before ``start``.  Stops once ``select`` has dropped every
+        path."""
+        if not 0 <= start <= stop:
+            raise ValueError(f"start {start} must lie in [0, stop = {stop}]")
         cells = self._cells(event)
-        for t in range(0, stop, TIME_BLOCK):
-            if not self.trials.size:
+        for t in range(start - start % TIME_BLOCK, stop, TIME_BLOCK):
+            t0, t1 = max(t, start), min(t + TIME_BLOCK, stop)
+            if not self.trials.size or t0 == t1:  # t0 == t1: start == stop
                 return
-            t1 = min(t + TIME_BLOCK, stop)
             if cells is None:
-                yield t, np.flatnonzero(self.masks(t, t1, event).T)
+                keys = np.flatnonzero(self.masks(t0, t1, event).T)
             else:
-                yield t, self._packed_keys(t, t1, event, cells)
+                keys = self._packed_keys(t0, t1, event, cells)
+            yield t, keys + (t0 - t) * self.trials.size if t0 > t else keys
 
 
 def point_values_at(spec, seed, trials, steps):

@@ -10,6 +10,7 @@ from evl_lab import rng, theory
 from evl_lab.hts_rts import (
     TargetSet,
     TimeSampleSet,
+    _interval_digit_prefix,
     _rts_prefix,
     check_integral_relation,
     ks_distance,
@@ -460,6 +461,42 @@ def test_interval_descent_matches_per_trial_loops(data):
     assert max(sizes, default=0) <= 2 * len(arcs) * m, (spec.label, arcs)
     want = _interval_prefix_by_loops(spec, arcs, 20, seed=3)
     assert np.array_equal(prefix[:20], want), (spec.label, arcs)
+
+
+@pytest.mark.parametrize(
+    "spec, arcs",
+    [
+        (DOUB, ((0.3, 0.33),)),  # ends share 3 digits: drawn depths from 3, in the first draw block
+        (DOUB, ((0.3, 0.31),)),  # 6 digits
+        (DOUB, ((0.3, 0.3 + 1e-4),)),  # 12 digits: the forced run crosses into the second block
+        (DOUB, ((0.25, 0.375), (0.6, 0.6 + 1e-4))),  # the first arc's trials leave at depth 3, mid-run
+        (ProcessSpec.m_ary(3, (0.2, 0.3, 0.5)), ((0.5, 0.5 + 3.0**-5),)),
+        (ProcessSpec.bernoulli_doubling(0.3), ((-math.inf, 1e-3), (0.7, 0.7 + 2e-3))),
+    ],
+    ids=lambda x: getattr(x, "label", None),
+)
+def test_forced_runs_then_drawn_depths(spec, arcs):
+    # depths forced for every row move only the table; the trials' digits of
+    # such a run are written when a trial leaves or a digit is drawn
+    prefix = _interval_digit_prefix(spec, arcs, np.arange(2000), seed=8)
+    assert np.array_equal(prefix[:30], _interval_prefix_by_loops(spec, arcs, 30, seed=8)), arcs
+
+
+def test_unreached_arc_leaves_the_table(monkeypatch):
+    # no trial of these 200 picks the tiny second arc, whose ends split at
+    # depth 1; the table keeps only reached rows, so the first arc's forced
+    # depths draw nothing until it splits, in the second draw block
+    import evl_lab.hts_rts as H
+
+    calls = []
+    uniforms = H.rng.uniforms
+    monkeypatch.setattr(
+        H.rng, "uniforms", lambda seed, ch, ids, lo, hi: calls.append((lo, hi)) or uniforms(seed, ch, ids, lo, hi)
+    )
+    arcs = ((0.1, 0.1 + 2.0**-10), (0.75 - 1e-6, 0.75 + 1e-6))
+    prefix = _interval_digit_prefix(DOUB, arcs, np.arange(200), seed=4)
+    assert calls == [(0, 1), (9, 17), (17, 25)]
+    assert np.array_equal(prefix[:20], _interval_prefix_by_loops(DOUB, arcs, 20, seed=4))
 
 
 def test_collapsed_ball_is_a_named_error():

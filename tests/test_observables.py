@@ -93,6 +93,15 @@ def test_level_errors():
         level_for_tau(DOUB, BALL_G1, 1, 2.0)  # tau/n > 1
 
 
+@pytest.mark.parametrize("obs", [BALL_G1, CHEB_OBS], ids=["ball_measure", "distance"])
+def test_nan_tau_is_a_named_error(obs):
+    # tau < 0 is False for NaN: the level would read NaN, and a later step
+    # would fail on a NaN measure instead of naming tau
+    for tau in (math.nan, -1.0):
+        with pytest.raises(ValueError, match=f"tau = {tau}"):
+            level_for_tau(DOUB, obs, 1000, tau)
+
+
 def test_levels_nondecreasing_in_n():
     sched = LevelSchedule(DOUB, BALL_G1, tau=1.0)
     us = [sched.u(n) for n in (10, 100, 1000, 10000)]

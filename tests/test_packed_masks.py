@@ -159,7 +159,17 @@ def test_runs_match_by_doubling(L):
         digits[0, at - 1 : at + L + 1] = [0] + [1] * L + [0]
         digits[1, at - 1 : at + L + 1] = [1] + [0] * L + [1]
     words = np.packbits(digits, axis=1, bitorder="little").view("<u8").T.copy()
-    for cells in ([(L, 0)], [(L, 2**L - 1)], [(L, 0), (L, 2**L - 1), (L, 2**L // 3), (L - 3, 1)]):
+    M = processes.MATCH_DIGITS
+    for cells in (
+        [(L, 0)],
+        [(L, 2**L - 1)],
+        [(L, 0), (L, 2**L - 1), (L, 2**L // 3), (L - 3, 1)],
+        # both runs at one length and one at another (one pass serves a pair)
+        [(L, 0), (L, 2**L - 1), (L - 2, 0)],
+        [(L - 1, 2 ** (L - 1) - 1), (L, 2**L - 1), (L, 0), (L - 2, 5)],
+        [(M, 0)],  # a lone run of MATCH_DIGITS
+        [(M, 2**M - 1), (L, 0)],
+    ):
         got = processes._match(words, cells)
         want = _match_by_offsets(digits, cells)
         assert got.tobytes() == want.tobytes(), cells

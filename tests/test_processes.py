@@ -209,6 +209,52 @@ def test_jump_draws_the_same_words_in_every_window(monkeypatch):
     assert per_window == [500 * (processes.TIME_BLOCK + PRECISION)] * 64
 
 
+_BALL0 = observables.ExceedanceEvent.circle_arc(-1e-3, 1e-3)  # narrow: packed keys
+_WIDE = observables.ExceedanceEvent(((0.3, 0.55),))  # the float scan
+_START_CASES = {
+    "doubling, float scan": (ProcessSpec.doubling(), _WIDE),
+    "doubling, packed": (ProcessSpec.doubling(), _BALL0),
+    "doubling, cylinder": (ProcessSpec.doubling(), observables.ExceedanceEvent(word=(0, 1, 1))),
+    "bernoulli, packed": (ProcessSpec.bernoulli_doubling(0.3), _BALL0),
+    "jump": (ProcessSpec.dyadic_jump(), _WIDE),
+    "ar1(2)": (ProcessSpec.ar1(2), observables.ExceedanceEvent(((0.9, math.inf),))),
+    "mma13": (ProcessSpec.mma13(), observables.ExceedanceEvent(((0.9, math.inf),))),
+    "doubling, packed, start prefix": (ProcessSpec.doubling(), _BALL0),
+    "doubling, float scan, start prefix": (ProcessSpec.doubling(), _WIDE),
+}
+
+
+@pytest.mark.parametrize("block", [processes.TIME_BLOCK, 40])
+@pytest.mark.parametrize("case", list(_START_CASES))
+def test_windows_from_step_one(case, block, monkeypatch):
+    # a sweep from step 1 yields the same windows, on the same grid, with
+    # the keys of step 0 left out; a 40-step block ends inside the first word
+    from evl_lab.hts_rts import TargetSet, _rts_prefix
+
+    spec, event = _START_CASES[case]
+    ids = np.arange(3, 403, dtype=np.uint64)
+    prefix = None
+    if case.endswith("start prefix"):
+        prefix = _rts_prefix(spec, TargetSet.ball(spec, "0", 2.0**-12), ids, 5)
+    monkeypatch.setattr(processes, "TIME_BLOCK", block)
+    stop = 2 * block + 37
+    whole = list(PathEngine(spec, 9, ids, prefix=prefix).windows(stop, event))
+    ones = list(PathEngine(spec, 9, ids, prefix=prefix).windows(stop, event, start=1))
+    assert [t for t, _ in ones] == [t for t, _ in whole] == list(range(0, stop, block))
+    assert sum(k.size for _, k in ones) > 0
+    for (t, got), (_, want) in zip(ones, whole):
+        want = want[want >= ids.size] if t == 0 else want
+        assert got.tolist() == want.tolist(), t
+
+
+def test_windows_start_outside_the_sweep_is_a_named_error():
+    eng = PathEngine(ProcessSpec.doubling(), 9, np.arange(10))
+    assert list(eng.windows(50, _WIDE, start=50)) == []
+    for start in (-1, 51):
+        with pytest.raises(ValueError, match=f"start {start} must lie in"):
+            list(eng.windows(50, _WIDE, start=start))
+
+
 @pytest.mark.parametrize("spec", [ProcessSpec.ar1(2), ProcessSpec.dyadic_jump()], ids=lambda s: s.label)
 def test_digit_matrix_leaves_the_sweep_carry_alone(spec):
     # a raw digit read between two windows neither moves nor skips the

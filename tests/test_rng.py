@@ -60,6 +60,26 @@ def test_gathered_trials_match_per_trial_draws():
         assert np.array_equal(row, rng.raw_words(99, 1, [t], 3, 30)[0])
 
 
+def test_increasing_ids_are_drawn_as_given(monkeypatch):
+    # strictly increasing ids (contiguous, or with gaps on either side of
+    # RUN_GAP) skip the sort; a sorted set that repeats an id takes it
+    g = rng.RUN_GAP
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    cases = {
+        "contiguous": (np.arange(40, 90), 0),
+        "gapped": (np.array([0, 1, 1 + g, 2 + 2 * g, 3 + 3 * g, 4 + 3 * g, 1 << 40]), 0),
+        "repeated": (np.array([2, 2, 7, 7 + g, 8 + 3 * g, 8 + 3 * g]), 1),
+    }
+    for name, (ids, calls) in cases.items():
+        sorts.clear()
+        w = rng.raw_words(99, 1, ids, 5, 19)
+        assert len(sorts) == calls, name
+        for row, t in zip(w, ids):
+            assert np.array_equal(row, rng.raw_words(99, 1, [t], 5, 19)[0]), name
+
+
 def test_long_sparse_run_is_cut():
     # gaps within RUN_GAP, spanning more ids than one generator call holds;
     # rows ids.size // 3 and the next lie on either side of the first cut
