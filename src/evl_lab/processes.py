@@ -273,7 +273,7 @@ def _match(words, cells):
     hit = np.zeros_like(now)
     spill, carry = np.empty_like(words), np.empty_like(now)
     runs = [(L, c & 1) for L, c in cells if c in (0, 2**L - 1)]  # (L, digit) of the run cells
-    for L in dict.fromkeys(L for L, _ in runs):  # the last rows shift in 0s: a row above reads L - 1 bits
+    for L in dict.fromkeys(L for L, _ in runs):  # last rows shift in 0s: rows above read their first L - 1 bits
         ends = {b for M, b in runs if M == L}
         x, a = np.right_shift(words, np.uint64(1)), 1  # the next digits, then e
         x[:-1] |= np.left_shift(nxt, np.uint64(63), out=carry)
