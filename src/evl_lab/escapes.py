@@ -31,6 +31,7 @@ keys are built in forked workers and come back in trial order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,10 @@ class EscapeOffsets:
     offsets: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.offsets) == 0 or any(p < 1 for p in self.offsets):
-            raise ValueError("offsets must be positive integers")
+        # an integral float is an integer; a boolean, 1.5 or "2" is not
+        integer = lambda p: isinstance(p, numbers.Integral) or isinstance(p, float) and p.is_integer()
+        if not self.offsets or not all(integer(p) and not isinstance(p, bool) and p >= 1 for p in self.offsets):
+            raise ValueError(f"offsets must be positive integers, got {self.offsets!r}")
         object.__setattr__(self, "offsets", tuple(int(p) for p in self.offsets))
 
     @staticmethod
@@ -60,8 +63,12 @@ class EscapeOffsets:
 
     @staticmethod
     def of(offsets):
-        """The offsets themselves, or order 1 at period p for an int p."""
-        return EscapeOffsets.single(offsets) if isinstance(offsets, int) else offsets
+        """The offsets themselves, or order 1 at period p for an integer p."""
+        if isinstance(offsets, EscapeOffsets):
+            return offsets
+        if isinstance(offsets, numbers.Integral):
+            return EscapeOffsets.single(offsets)
+        raise TypeError(f"offsets must be an EscapeOffsets or an integer, got {offsets!r}")
 
     @property
     def order(self):

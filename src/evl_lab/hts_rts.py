@@ -40,7 +40,7 @@ from .processes import (
     _gap_prefix,
 )
 
-_DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call, made at a block's first unforced depth
+_DRAW_DEPTHS = 8  #: descent depths per CH_INIT uniforms call, made at a block's first drawn depth
 
 
 class ConditionalStartError(RuntimeError):
@@ -49,12 +49,10 @@ class ConditionalStartError(RuntimeError):
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Shrinking target: a metric ball around an anchor, or a cylinder."""
+    """Shrinking target of measure ``measure``: the ``event`` of a metric ball
+    around an anchor, or a cylinder, whose event is its word."""
 
     spec: object
-    kind: str                    # "ball" | "cylinder"
-    anchor: str | None
-    delta: float
     measure: float
     event: ExceedanceEvent
 
@@ -65,7 +63,7 @@ class TargetSet:
         mu = float(ball_measure(spec, obs, delta))
         if mu <= 0.0:
             raise ValueError("target has measure zero")
-        return TargetSet(spec, "ball", anchor, delta, mu, ev)
+        return TargetSet(spec, mu, ev)
 
     @staticmethod
     def ball_of_measure(spec, obs, measure):
@@ -76,8 +74,7 @@ class TargetSet:
     def cylinder(spec, word):
         w = symbolic.SymbolicWord.parse(word, spec.base)
         mu = symbolic.cylinder_measure(w, spec.digit_weights)
-        ev = ExceedanceEvent(word=tuple(w.digits))
-        return TargetSet(spec, "cylinder", str(w), 0.0, mu, ev)
+        return TargetSet(spec, mu, ExceedanceEvent(word=tuple(w.digits)))
 
 
 @dataclass
@@ -129,13 +126,23 @@ def _time_samples(steps, horizon, mode, measure):
     return TimeSampleSet(times, censored, mode, horizon * measure, measure)
 
 
-def sample_hts(spec, target, trials, seed, horizon_factor=20):
-    """Normalized first hitting times from stationary starts."""
+def _sample(spec, target, trials, seed, horizon_factor, mode):
+    """Normalized first-hit times of ``trials`` paths, censored past
+    ``horizon_factor / mu(U)`` steps: hitting times ("hts") or return times
+    from starts drawn from mu conditioned on the target ("rts")."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
     if horizon_factor < 10:
         raise ValueError("horizon_factor must be >= 10 (truncation bias)")
     horizon = int(math.ceil(horizon_factor / target.measure))
-    steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_HTS)
-    return _time_samples(steps, horizon, "hts", target.measure)
+    rts = mode == "rts"
+    steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_ORBIT if rts else rng.CH_HTS, rts)
+    return _time_samples(steps, horizon, mode, target.measure)
+
+
+def sample_hts(spec, target, trials, seed, horizon_factor=20):
+    """Normalized first hitting times from stationary starts."""
+    return _sample(spec, target, trials, seed, horizon_factor, "hts")
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +157,24 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
 
     Digit-by-digit conditional descent, each digit drawn with its exact
     conditional mass (fresh entropy per digit).  A trial carries only its row
-    in a per-depth table of states (rel_lo, rel_hi), an arc seen from the
-    trial's cell: first one row per arc, picked when there are several by the
-    position-0 uniform against the arcs' cumulative masses; then the common
-    prefix of an arc's ends, or once they split its lo edge and its hi edge.
-    The m digit masses are computed once per row; digit d leads to the child
-    (clip(m rel_lo - d), clip(m rel_hi - d)) at flat index row * m + d.  At the
-    child (0, 1) a trial's cell lies inside the arc, the conditional law is
-    the unconditional one, and its remaining digits are its own stream digits
-    (the jump map's bits, whose orbit words are its gaps, on ``rng.CH_BITS``).
-    The other reached children, in flat order, make the next table unsorted.
-    At a forced depth every row has one child of positive mass: the digit is
-    read off the table, whatever the uniform, and none is drawn (the 11
-    depths of a doubling@0 start of measure 2**-10 are all forced; its one
-    draw picks the arc).  While no trial leaves, forced depths move the table
-    alone (row r's child is row r), and their digits reach the trials in one
-    gather and scatter, where a trial leaves or a digit is drawn.  Every draw
-    is positional, depth k reading position k + 1, and a row's floats follow
-    from its parent row's, whichever trials reached it, so a trial's digits
-    do not depend on the other ids.
+    in a per-depth table of states (rel_lo, rel_hi), an arc seen from a cell;
+    row r also carries ``path[r]``, the digits that lead to it.  The first
+    rows are the arcs, a trial's picked when there are several by its
+    position-0 uniform against their cumulative masses.  The m digit masses
+    are computed once per row; digit d leads to the child
+    (clip(m rel_lo - d), clip(m rel_hi - d)).  Where each row has one child of
+    positive mass, its digit is read off the table whatever the uniform, none
+    is drawn, and row r's child is row r (all 11 depths of a doubling@0 start
+    of measure 2**-10 are such; its one draw picks the arc).  Otherwise each
+    trial draws its digit and the children inherit their parent's path plus
+    the digit.  A trial is written once, with its row's path: when the row
+    reaches (0, 1), where its cell lies inside the arc, the conditional law is
+    the unconditional one and its remaining digits are its own stream digits
+    (the jump map's bits, whose orbit words are its gaps, on ``rng.CH_BITS``);
+    or at the last depth.  The table keeps only the rows that trials reach.
+    Each draw is positional, depth k reading position k + 1, and a row's
+    floats follow from its parent row's, whichever trials reached it, so a
+    trial's digits do not depend on the other ids.
     """
     w = spec.digit_weights
     m = w.size
@@ -185,15 +191,9 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
         prefix = _digit_block(spec, seed, ids, 0, depth, rng.CH_ORBIT)
     inner = lambda t: (t[:, 0] > 0.0) | (t[:, 1] < 1.0)  # not (0, 1): the cell still meets an edge
     active = np.flatnonzero(inner(table)[row])
-    row = row[active]
-    every = np.bincount(row, minlength=len(table)).all()  # every table row is some trial's
-    forced = []  # per table row, the digits of the forced depths not yet written
-
-    def lay(end):  # the forced digits before depth ``end``, read off the trials' rows
-        if forced:
-            prefix[active, end - len(forced) : end] = np.stack(forced, axis=1)[row]
-        forced.clear()
-
+    row, path = row[active], np.empty((len(table), depth), dtype=prefix.dtype)
+    reached = np.bincount(row, minlength=len(table)) > 0  # the table keeps only the rows trials reach
+    table, path, row = table[reached], path[reached], (np.cumsum(reached) - 1)[row]
     for k in range(depth):
         if active.size == 0:
             break
@@ -201,34 +201,29 @@ def _interval_digit_prefix(spec, arcs, ids, seed, depth=PRECISION + 16):
             u_ahead = None  # this block's draws are not made yet
         child = np.clip(m * table[:, None, :] - np.arange(m)[:, None], 0.0, 1.0).reshape(-1, 2)
         mass = w * (F(child[:, 1]) - F(child[:, 0])).reshape(-1, m)
-        if (mass >= 0.0).all() and (np.count_nonzero(mass, axis=1) == 1).all():  # forced: u picks no digit
-            forced.append(np.argmax(mass, axis=1))
-            to = np.arange(len(table)) * m + forced[-1]  # each row's one child
-            if every and inner(child)[to].all():  # no trial leaves: row r's child is row r of the next table
-                table = child[to]
+        if (mass >= 0.0).all() and (np.count_nonzero(mass, axis=1) == 1).all():  # one child per row: u picks no digit
+            path[:, k] = np.argmax(mass, axis=1)
+            table = child[np.arange(len(table)) * m + path[:, k]]  # row r's child is row r
+            if inner(table).all():
                 continue
-            lay(k + 1)
-            row = to[row]
         else:
-            lay(k)
             if u_ahead is None:  # positional draws: the block's later depths are drawn ahead
                 k0 = k - k % _DRAW_DEPTHS
                 u_ahead = rng.uniforms(seed, rng.CH_INIT, ids[active], k0 + 1, k0 + 1 + _DRAW_DEPTHS)
             cum = np.cumsum(mass, axis=1)[row]
             u = u_ahead[:, k % _DRAW_DEPTHS]
-            d = np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
-            prefix[active, k] = d
-            row = row * m + d
-        # trials at child (0, 1) leave; the other reached children are the next table
-        every = True
-        keep = inner(child)[row]
+            row = row * m + np.minimum(((u * cum[:, -1])[:, None] >= cum).sum(axis=1), m - 1)
+            table, path = child, np.repeat(path, m, axis=0)
+            path[:, k] = np.arange(len(path)) % m
+        # trials at (0, 1) take their row's digits and leave; the table keeps the rows still reached
+        keep = inner(table)[row]
+        prefix[active[~keep], : k + 1] = path[row[~keep], : k + 1]
         active, row = active[keep], row[keep]
         if u_ahead is not None:
             u_ahead = u_ahead[keep]
-        reached = np.zeros(child.shape[0], dtype=bool)
-        reached[row] = True
-        table, row = child[reached], (np.cumsum(reached) - 1)[row]
-    lay(depth)
+        reached = np.bincount(row, minlength=len(table)) > 0
+        table, path, row = table[reached], path[reached], (np.cumsum(reached) - 1)[row]
+    prefix[active] = path[row]
     return prefix
 
 
@@ -239,8 +234,8 @@ def _rts_prefix(spec, target, ids, seed):
     gaps here, once."""
     if target.measure >= 1.0:
         return None
-    if target.kind == "cylinder" or spec.kind in MAP_KINDS:
-        if target.kind == "cylinder":
+    if target.event.word or spec.kind in MAP_KINDS:
+        if target.event.word:
             prefix = np.tile(np.asarray(target.event.word, dtype=np.uint8), (ids.size, 1))
         else:
             prefix = _interval_digit_prefix(spec, target.event.arcs, ids, seed)
@@ -272,11 +267,7 @@ def _rts_prefix(spec, target, ids, seed):
 
 def sample_rts(spec, target, trials, seed, horizon_factor=20):
     """Normalized return times: starts drawn from mu conditioned on the target."""
-    if horizon_factor < 10:
-        raise ValueError("horizon_factor must be >= 10 (truncation bias)")
-    horizon = int(math.ceil(horizon_factor / target.measure))
-    steps = _first_hits_engine(spec, target, trials, seed, horizon, rng.CH_ORBIT, starts=True)
-    return _time_samples(steps, horizon, "rts", target.measure)
+    return _sample(spec, target, trials, seed, horizon_factor, "rts")
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def exact_point(spec, seq, t, K=PRECISION):
 
 def contains_state(target, seq, t):
     """Whether step t of the path ``seq`` lies in the ``TargetSet``'s event."""
-    if target.kind == "cylinder":
+    if target.event.word:
         n = len(target.event.word)
         if target.spec.kind == "dyadic_jump":
             got = jump_bits(seq, t, n)

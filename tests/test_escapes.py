@@ -74,6 +74,35 @@ def test_higher_order_escape_recursion():
     assert not bool(q2[0])
 
 
+@pytest.mark.parametrize("offsets", [(1.5,), (True,), (2, 0), (), ("2",)])
+def test_offsets_not_positive_integers_are_a_named_error(offsets):
+    with pytest.raises(ValueError, match="offsets must be positive integers"):
+        EscapeOffsets(offsets)
+
+
+def test_offsets_of_integers_and_offsets_only():
+    assert EscapeOffsets.of(np.int64(2)) == EscapeOffsets.of(2) == EscapeOffsets((2,))
+    assert EscapeOffsets((np.int64(1), 3.0)).offsets == (1, 3)
+    offs = EscapeOffsets((1, 3))
+    assert EscapeOffsets.of(offs) is offs
+    for bad in ([1], (1, 3), 2.0, "1", None):
+        with pytest.raises(TypeError, match="offsets must be an EscapeOffsets or an integer"):
+            EscapeOffsets.of(bad)
+
+
+def test_bundle_rejects_offsets_of_another_type():
+    from evl_lab.estimators import estimate_ei_bundle
+
+    doub = ProcessSpec.doubling()
+    ball = ObservableSpec(family="distance", form="weibull", anchor="0")
+    for bad in ([1], (1, 3)):
+        with pytest.raises(TypeError, match="offsets"):
+            estimate_ei_bundle(doub, ball, bad, 1.0, 100, 50, seed=1)
+    assert estimate_ei_bundle(doub, ball, np.int64(1), 1.0, 100, 50, seed=1) == estimate_ei_bundle(
+        doub, ball, EscapeOffsets((1,)), 1.0, 100, 50, seed=1
+    )
+
+
 def test_ar1_periodicity_report_matches_exact_law():
     spec = ProcessSpec.ar1(2)
     levels = LevelSchedule(spec, AR1_OBS, tau=1.0)

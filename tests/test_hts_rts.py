@@ -118,6 +118,13 @@ def test_censoring_mass_matches_survival():
         sample_hts(DOUB, tgt, 100, seed=91, horizon_factor=3)
 
 
+@pytest.mark.parametrize("sample", [sample_hts, sample_rts])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_no_trials_is_a_named_error(sample, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sample(DOUB, TargetSet.ball(DOUB, "0", 2.0**-6), trials, seed=5)
+
+
 def test_ks_distance_quantile_construction():
     n = 1000
     q = (np.arange(1, n + 1) - 0.5) / n
@@ -210,7 +217,7 @@ def test_moving_max_start_law(ks):
             assert ks(rest, uniform) <= 1.63 / math.sqrt(rest.size), (spec.label, slots[j])
         for j in sorted(set(range(4)) - set(slots)):
             assert ks(prefix[:, j], uniform) <= bound, (spec.label, j)
-        unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
+        unreachable = TargetSet(spec, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
         with pytest.raises(H.ConditionalStartError):
             H._rts_prefix(spec, unreachable, np.arange(10), seed=5)
 
@@ -249,7 +256,7 @@ def test_iid_start_law(ks, monkeypatch):
     start = H._rts_prefix(spec, tgt, np.arange(trials), seed=5)[:, 0]
     assert (start > u).all() and (start <= 1.0).all()
     assert ks(start, lambda x: np.clip((x - u) / (1.0 - u), 0.0, 1.0)) <= 1.63 / math.sqrt(trials)
-    unreachable = TargetSet(spec, "ball", None, 0.0, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
+    unreachable = TargetSet(spec, 1e-9, ExceedanceEvent(((1.5, math.inf),)))
     with pytest.raises(H.ConditionalStartError):
         H._rts_prefix(spec, unreachable, np.arange(10), seed=5)
     # a zero uniform draw maps to the top of the target, not to its open end u
@@ -376,7 +383,7 @@ def _two_arc_target():
     spec = ProcessSpec.bernoulli_doubling(0.3)
     event = ExceedanceEvent(((0.1, 0.25), (0.6, 0.7)))
     mu = sum(np.diff(bernoulli_cdf(np.array(event.arcs), spec.digit_weights), axis=1)[:, 0])
-    return TargetSet(spec, "ball", None, 0.0, float(mu), event)
+    return TargetSet(spec, float(mu), event)
 
 
 @pytest.mark.parametrize("name", ["bernoulli(0.3)@01", "bernoulli(0.3)@0", "m_ary(3)@12", "bernoulli(0.3)@two arcs"])
@@ -401,7 +408,8 @@ def _interval_prefix_by_loops(spec, arcs, trials, seed, depth=PRECISION + 16):
     """Conditional-start digits one trial at a time: each trial picks its arc
     by its position-0 uniform against the arcs' cumulative masses, then
     carries its own (rel_lo, rel_hi) and sums its m conditional digit masses
-    in a plain loop over the digits."""
+    in a plain loop over the digits.  Its stream digits are the path's, or
+    the jump map's start bits on CH_BITS."""
     w = spec.digit_weights.tolist()
     m = len(w)
     F = (lambda t: t) if spec.is_uniform else (lambda t: bernoulli_cdf(t, spec.digit_weights))
@@ -413,7 +421,10 @@ def _interval_prefix_by_loops(spec, arcs, trials, seed, depth=PRECISION + 16):
     u = rng.uniforms(seed, rng.CH_INIT, np.arange(trials, dtype=np.uint64), 0, depth + 1).tolist()
     out = []
     for trial in range(trials):
-        digits = path(spec, seed, trial, depth).tolist()
+        if spec.kind == "dyadic_jump":  # start bits: its orbit words are gaps
+            digits = rng.bits(seed, rng.CH_BITS, [trial], 0, depth)[0].tolist()
+        else:
+            digits = path(spec, seed, trial, depth).tolist()
         a, b = arcs[sum(u[trial][0] * cum_mass[-1] >= c for c in cum_mass[1:-1])]
         for k in range(depth):
             if (a, b) == (0.0, 1.0):  # the cell lies inside: stream digits from here
@@ -472,12 +483,14 @@ def test_interval_descent_matches_per_trial_loops(data):
         (DOUB, ((0.25, 0.375), (0.6, 0.6 + 1e-4))),  # the first arc's trials leave at depth 3, mid-run
         (ProcessSpec.m_ary(3, (0.2, 0.3, 0.5)), ((0.5, 0.5 + 3.0**-5),)),
         (ProcessSpec.bernoulli_doubling(0.3), ((-math.inf, 1e-3), (0.7, 0.7 + 2e-3))),
+        (ProcessSpec.dyadic_jump(), ((0.3, 0.3 + 1e-4),)),  # start bits from CH_BITS
+        (ProcessSpec.chebyshev(), ((-math.inf, 1e-3), (1.0 - 1e-3, math.inf))),  # a wrapped theta arc
     ],
     ids=lambda x: getattr(x, "label", None),
 )
 def test_forced_runs_then_drawn_depths(spec, arcs):
-    # depths forced for every row move only the table; the trials' digits of
-    # such a run are written when a trial leaves or a digit is drawn
+    # depths forced for every row move only the table; a trial's digits are
+    # its row's, written when the trial leaves or at the last depth
     prefix = _interval_digit_prefix(spec, arcs, np.arange(2000), seed=8)
     assert np.array_equal(prefix[:30], _interval_prefix_by_loops(spec, arcs, 30, seed=8)), arcs
 
