@@ -58,21 +58,13 @@ class EscapeOffsets:
         object.__setattr__(self, "offsets", tuple(int(p) for p in self.offsets))
 
     @staticmethod
-    def single(p):
-        return EscapeOffsets((p,))
-
-    @staticmethod
     def of(offsets):
         """The offsets themselves, or order 1 at period p for an integer p."""
         if isinstance(offsets, EscapeOffsets):
             return offsets
         if isinstance(offsets, numbers.Integral):
-            return EscapeOffsets.single(offsets)
+            return EscapeOffsets((offsets,))
         raise TypeError(f"offsets must be an EscapeOffsets or an integer, got {offsets!r}")
-
-    @property
-    def order(self):
-        return len(self.offsets)
 
     @property
     def period(self):

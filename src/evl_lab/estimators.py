@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hts_rts, rng, symbolic
+from . import hts_rts, rng
 from .escapes import EscapeOffsets, _escape_keys, _per_path, _ratio
-from .observables import ExceedanceEvent, exceedance_event, level_for_tau, omega_for_cylinder
+from .observables import exceedance_event, level_for_tau, omega_for_cylinder
 from .processes import Ensemble, _chunk_trials, _fork_map
 
 #: return times at most ATOM_EPS (normalized) count toward the atom at zero
@@ -171,15 +171,12 @@ def ball_annulus_gap(spec, obs, offsets, tau, n, trials, seed):
 def cylinder_ei(spec, word, tau, trials, seed):
     """Cylinder-mode extremal index: survival of the maximum over the horizon
     floor(tau / mu(Z_n)) with exceedance set the anchor cylinder itself."""
-    w = symbolic.SymbolicWord.parse(word, spec.base)
-    omega = omega_for_cylinder(spec, w, tau)
+    omega = omega_for_cylinder(spec, word, tau)
     if omega < 1:
         raise ValueError("tau too small: empty observation window")
-    mu = symbolic.cylinder_measure(w, spec.digit_weights)
-    tau_eff = omega * mu
-    event = ExceedanceEvent(word=tuple(w.digits))
-    p, _, _ = _survey(Ensemble(spec, seed, trials, omega), event, EscapeOffsets.single(1))
-    return ei_from_max(p, tau_eff, _binomial_se(p, trials), "MaxLaw", n=omega, trials=trials)
+    target = hts_rts.TargetSet.cylinder(spec, word)
+    p, _, _ = _survey(Ensemble(spec, seed, trials, omega), target.event, EscapeOffsets((1,)))
+    return ei_from_max(p, omega * target.measure, _binomial_se(p, trials), "MaxLaw", n=omega, trials=trials)
 
 
 def estimate_ei_bundle(spec, obs, offsets, tau, n, trials, seed, rts_measure=2.0**-10):

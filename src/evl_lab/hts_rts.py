@@ -130,6 +130,7 @@ def _sample(spec, target, trials, seed, horizon_factor, mode):
     """Normalized first-hit times of ``trials`` paths, censored past
     ``horizon_factor / mu(U)`` steps: hitting times ("hts") or return times
     from starts drawn from mu conditioned on the target ("rts")."""
+    processes._check_trials(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if horizon_factor < 10:

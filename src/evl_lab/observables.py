@@ -26,24 +26,6 @@ _TREE_LEVELS = 6
 _CDF_BLOCK = 1024  #: values per bernoulli_cdf block (its tables: 1.5 KiB a value); 512 to 2048 ran alike
 
 
-def _g_apply(form, alpha, d, s):
-    s = np.asarray(s, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        if form == "gumbel":
-            return -np.log(s)
-        if form == "frechet":
-            return s ** (-1.0 / alpha)
-        return d - s ** (1.0 / alpha)
-
-
-def _g_inverse(form, alpha, d, u):
-    if form == "gumbel":
-        return math.exp(-u)
-    if form == "frechet":
-        return u ** (-alpha)
-    return (d - u) ** alpha
-
-
 @dataclass(frozen=True)
 class ObservableSpec:
     """g-family observable anchored at ``anchor`` (a symbolic word, or None
@@ -64,10 +46,20 @@ class ObservableSpec:
             raise ValueError("alpha must be > 0")
 
     def g(self, s):
-        return _g_apply(self.form, self.alpha, self.d, s)
+        s = np.asarray(s, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            if self.form == "gumbel":
+                return -np.log(s)
+            if self.form == "frechet":
+                return s ** (-1.0 / self.alpha)
+            return self.d - s ** (1.0 / self.alpha)
 
     def g_inverse(self, u):
-        return _g_inverse(self.form, self.alpha, self.d, u)
+        if self.form == "gumbel":
+            return math.exp(-u)
+        if self.form == "frechet":
+            return u ** (-self.alpha)
+        return (self.d - u) ** self.alpha
 
     @property
     def top(self):
@@ -175,7 +167,7 @@ def ball_measure(spec, obs, radius):
         out = (np.arcsin(b) - np.arcsin(a)) / math.pi
     else:
         # series kinds anchored at the endpoint 1: ball = {X > 1 - r}
-        out = marginal_tail(spec, 1.0 - r)
+        out = 1.0 - marginal_cdf(spec, 1.0 - r)
     return float(out[0]) if scalar else out
 
 
@@ -215,10 +207,6 @@ def marginal_cdf(spec, x):
         return 0.5 + np.arcsin(np.clip(x, -1.0, 1.0)) / math.pi
     # a moving maximum of k uniform slots has CDF x^k; dyadic_jump and ar1 are uniform
     return np.clip(x, 0.0, 1.0) ** max(len(spec.slots), 1)
-
-
-def marginal_tail(spec, u):
-    return 1.0 - marginal_cdf(spec, u)
 
 
 # ---------------------------------------------------------------------------

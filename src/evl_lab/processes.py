@@ -43,6 +43,7 @@ return-time leg together (``Ensemble._keys``, ``hts_rts._first_hits``).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import select
@@ -437,6 +438,12 @@ def _fork_map(fn, items):
     return results
 
 
+def _check_trials(trials):
+    """A trial count is an integer, numpy's too: True or 2.5 is a named error."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+
+
 def _chunk_trials(spec, trials, stop):
     """Yield the trial ids 0, ..., trials - 1 of a sweep to ``stop`` in
     chunks sized so that one window of each trial fits ``CHUNK_BUDGET``.
@@ -476,18 +483,18 @@ class PathEngine:
     the steps skipped between windows, carrying its value.  The digit kinds
     scan ``SCAN_BLOCK`` steps at a time (see ``_scan``) and call
     ``mask_native`` once per block; results do not depend on the block length.
-    Narrow arcs of the base-2 maps are matched on packed digit words
-    instead (``_packed_keys``), with the same mask.  ``windows`` yields the
-    exceedance keys of ``TIME_BLOCK`` windows, so a sweep holds one window
-    of each path at any length.  ``select`` compacts the ensemble, carried
-    state included, to the paths where ``keep`` is True, preserving per-path
-    streams.
+    Narrow arcs of the base-2 maps are matched on packed digit words instead
+    (``_packed_keys``), with the same mask; ``_window_keys`` picks the route.
+    ``windows`` yields the exceedance keys of ``TIME_BLOCK`` windows, so a
+    sweep holds one window of each path at any length.  ``select`` compacts
+    the ensemble, carried state included, to the paths where ``keep`` is
+    True, preserving per-path streams.
     """
 
     def __init__(self, spec, seed, trials, channel=rng.CH_ORBIT, prefix=None):
         self.spec = spec
         self.seed = seed
-        self.trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
+        self.trials = rng.trial_ids(trials)
         self.channel = channel
         self.prefix = prefix
         self._t = 0
@@ -500,9 +507,6 @@ class PathEngine:
     def _digits(self, lo, hi):
         d = _digit_block(self.spec, self.seed, self.trials, lo, hi, self.channel)
         return _with_prefix(d, lo, self.prefix)
-
-    def _uniforms(self, lo, hi):
-        return _with_prefix(rng.uniforms(self.seed, self.channel, self.trials, lo, hi), lo, self.prefix)
 
     def select(self, keep):
         self.trials = self.trials[keep]
@@ -582,7 +586,7 @@ class PathEngine:
         slots = self.spec.slots
         if not slots:
             return self._map_columns(t0, t1, consume)
-        u = self._uniforms(t0, t1 + slots[-1]).T
+        u = _with_prefix(rng.uniforms(self.seed, self.channel, self.trials, t0, t1 + slots[-1]), t0, self.prefix).T
         y = [u[s : s + t1 - t0] for s in slots]
         x = y[0] if len(y) == 1 else np.maximum(y[0], y[1])
         for z in y[2:]:
@@ -608,23 +612,28 @@ class PathEngine:
             match &= d[word.size : word.size + n] > r
         return match
 
-    def masks(self, t0, t1, event):
-        """Boolean exceedance matrix for steps [t0, t1); cylinder events match
-        their word on the digits, narrow base-2 arcs are found on packed
-        words, every other event reads the exposed values."""
+    def _window_keys(self, t0, t1, event):
+        """Sorted keys (t - t0) * paths + i of the exceedances of path i at the
+        steps t of [t0, t1), by the one route choice: packed words for narrow
+        base-2 arcs, the digit match for words, else the exposed values."""
+        self._check_window(t0)
         cells = self._cells(event)
         if cells is not None:
-            out = np.zeros((t1 - t0) * self.trials.size, dtype=bool)
-            out[self._packed_keys(t0, t1, event, cells)] = True
-            return out.reshape(t1 - t0, self.trials.size).T
-        self._check_window(t0)
-        if event.word:
-            out = self._cylinder_rows(t0, t1, event.word)
+            keys = self._packed_keys(t0, t1, event, cells)
+        elif event.word:
+            keys = np.flatnonzero(self._cylinder_rows(t0, t1, event.word))
         else:
-            out = np.empty((t1 - t0, self.trials.size), dtype=bool)  # time-major
+            out = np.empty((t1 - t0, self.trials.size), dtype=bool)
             self._columns(t0, t1, lambda t, v: event.mask_native(v, out=out[t : t + len(v)]))
+            keys = np.flatnonzero(out)
         self._t = t1
-        return out.T
+        return keys
+
+    def masks(self, t0, t1, event):
+        """Boolean (trials, t1 - t0) exceedance matrix: ``_window_keys`` scattered."""
+        out = np.zeros((t1 - t0) * self.trials.size, dtype=bool)
+        out[self._window_keys(t0, t1, event)] = True
+        return out.reshape(t1 - t0, self.trials.size).T
 
     def _values(self, t0, t1):
         """Time-major values at steps [t0, t1) in the events' coordinate
@@ -702,7 +711,6 @@ class PathEngine:
         bracket lies outside every arc; the rare one whose bracket holds an
         arc end is decided by the float scan of its path (``_scan_mask_at``).
         """
-        self._check_window(t0)
         n = self.trials.size
         w0, w1 = t0 >> 6, (t1 + 63) >> 6
         words = self._words(w0, w1 + 1)
@@ -727,7 +735,6 @@ class PathEngine:
         open_ = ~(yes | no)
         if open_.any():
             yes[open_] = self._scan_mask_at(t0, t1, event, t[open_] - t0, r[open_])
-        self._t = t1
         return np.sort((t - t0)[yes] * n + r[yes])
 
     def _scan_mask_at(self, t0, t1, event, s, r):
@@ -748,15 +755,11 @@ class PathEngine:
         path."""
         if not 0 <= start <= stop:
             raise ValueError(f"start {start} must lie in [0, stop = {stop}]")
-        cells = self._cells(event)
         for t in range(start - start % TIME_BLOCK, stop, TIME_BLOCK):
             t0, t1 = max(t, start), min(t + TIME_BLOCK, stop)
             if not self.trials.size or t0 == t1:  # t0 == t1: start == stop
                 return
-            if cells is None:
-                keys = np.flatnonzero(self.masks(t0, t1, event).T)
-            else:
-                keys = self._packed_keys(t0, t1, event, cells)
+            keys = self._window_keys(t0, t1, event)
             yield t, keys + (t0 - t) * self.trials.size if t0 > t else keys
 
 
@@ -783,6 +786,7 @@ class Ensemble:
     obs: object = None
 
     def __post_init__(self):
+        _check_trials(self.trials)
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
 

@@ -52,6 +52,14 @@ def _runs(ids):
             s = cut
 
 
+def trial_ids(trials):
+    """Trial ids as uint64: integers in [0, 2**56); any other id is a ValueError."""
+    ids = np.atleast_1d(np.asarray(trials))
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= 1 << 56):
+        raise ValueError(f"trial ids must be integers that fit in 56 bits, got {trials!r}")
+    return ids.astype(np.uint64, copy=False)
+
+
 def raw_words(seed, channel, trials, lo, hi):
     """uint64 words at positions [lo, hi) for each trial, shape (len(trials), hi-lo).
 
@@ -59,9 +67,7 @@ def raw_words(seed, channel, trials, lo, hi):
     ranges and overlapping trial sets agree.  Ids that are not strictly
     increasing (the engine's always are) are generated sorted and unique.
     """
-    trials = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    if trials.size and int(trials.max()) >= 1 << 56:
-        raise ValueError("trial index must fit in 56 bits")
+    trials = trial_ids(trials)
     if hi <= lo:
         return np.empty((trials.size, 0), dtype=np.uint64)
     ids, inv = (trials, None) if (trials[1:] > trials[:-1]).all() else np.unique(trials, return_inverse=True)

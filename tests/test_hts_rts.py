@@ -125,6 +125,20 @@ def test_no_trials_is_a_named_error(sample, trials):
         sample(DOUB, TargetSet.ball(DOUB, "0", 2.0**-6), trials, seed=5)
 
 
+@pytest.mark.parametrize("sample", [sample_hts, sample_rts])
+@pytest.mark.parametrize("trials", [True, 2.5, 5.0, "5"])
+def test_non_integer_trials_is_a_named_error(sample, trials):
+    # True once gave one sample, 2.5 a TypeError deep in the trial chunking
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        sample(DOUB, TargetSet.ball(DOUB, "0", 2.0**-6), trials, seed=5)
+
+
+def test_numpy_integer_trials_sample_as_ints():
+    tgt = TargetSet.ball(DOUB, "0", 2.0**-6)
+    got, want = sample_hts(DOUB, tgt, np.int64(5), seed=5), sample_hts(DOUB, tgt, 5, seed=5)
+    assert got.times.tobytes() == want.times.tobytes() and got.times.size == 5
+
+
 def test_ks_distance_quantile_construction():
     n = 1000
     q = (np.arange(1, n + 1) - 0.5) / n

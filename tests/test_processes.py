@@ -25,6 +25,46 @@ ALL_SPECS = [
 ]
 
 
+@pytest.mark.parametrize("ids", [[1.5, 2.7], np.array([1.0]), [True, False], np.array([1], dtype=object)])
+def test_engine_rejects_non_integer_trial_ids(ids):
+    # [1.5, 2.7] was once truncated to trials [1, 2]
+    with pytest.raises(ValueError, match="trial ids must be integers"):
+        PathEngine(ProcessSpec.doubling(), 3, ids)
+
+
+@pytest.mark.parametrize("trials", [2.5, 3.0, True, "3"])
+def test_ensemble_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        Ensemble(ProcessSpec.doubling(), 1, trials, 10)
+
+
+def test_ensemble_takes_numpy_integer_trials():
+    assert Ensemble(ProcessSpec.doubling(), 1, np.int64(3), 10).trials == 3
+
+
+@pytest.mark.parametrize(
+    "event, packed",
+    [
+        (observables.ExceedanceEvent(((0.25, 0.25 + 2.0**-9),)), True),
+        (observables.ExceedanceEvent(word=(0, 1, 1)), False),
+        (observables.ExceedanceEvent(((0.3, 0.55),)), False),
+    ],
+    ids=["packed", "cylinder", "scan"],
+)
+def test_windows_must_increase_on_every_route(event, packed):
+    eng = PathEngine(ProcessSpec.doubling(), 3, np.arange(20))
+    assert (eng._cells(event) is not None) == packed
+    eng.masks(0, 100, event)
+    with pytest.raises(ValueError, match="engine windows must be increasing"):
+        eng.masks(50, 150, event)
+    with pytest.raises(ValueError, match="engine windows must be increasing"):
+        eng.points(99, 120)
+    eng.masks(100, 120, event)  # the window is not moved by a refused read
+    eng.points(120, 130)
+    with pytest.raises(ValueError, match="engine windows must be increasing"):
+        eng.masks(125, 140, event)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProcessSpec.m_ary(1)

@@ -95,6 +95,21 @@ def test_trial_id_beyond_56_bits_is_rejected():
         rng.raw_words(1, 0, [0, 1 << 56], 0, 4)
 
 
+@pytest.mark.parametrize("ids", [[1.5], np.array([1.0]), [True], np.array([0, 1], dtype=bool), [2**70], [-1]])
+def test_non_integer_trial_ids_are_rejected(ids):
+    # a float id was once cast to uint64: [1.5] drew trial 1's words
+    with pytest.raises(ValueError, match="trial ids must be integers"):
+        rng.raw_words(1, 0, ids, 0, 2)
+
+
+def test_integer_trial_ids_draw_alike():
+    want = rng.raw_words(1, 0, np.array([1, 4], dtype=np.uint64), 0, 2)
+    for ids in ([1, 4], np.array([1, 4], dtype=np.int32), (np.int64(1), np.uint8(4))):
+        assert rng.raw_words(1, 0, ids, 0, 2).tobytes() == want.tobytes()
+    assert rng.raw_words(1, 0, 4, 0, 2).tobytes() == want[1:].tobytes()
+    assert rng.raw_words(1, 0, [], 0, 2).shape == (0, 2)
+
+
 def test_uniforms_pass_ks():
     u = rng.uniforms(11, 0, np.arange(100), 0, 2000).ravel()
     assert 0.0 <= u.min() and u.max() < 1.0
