@@ -28,9 +28,11 @@ for AR(1)) read one contiguous row of digits per step into a
 one exceedance-mask call, or one copy, per block into ``(steps, trials)``
 buffers.  Their public shape stays ``(trials, steps)``: the engine returns the
 ``.T`` views.  A sweep (``PathEngine.windows``) hands on only the sorted keys
-of each window's exceedances.  Narrow arcs of the base-2 maps skip the scan
-and its mask calls: their keys are read off the digits packed 64 to a word,
-and equal the scan's mask bit for bit (``PathEngine._packed_keys``).
+of each window's exceedances.  Words of at most 64 bits, and narrow arcs of
+the base-2 maps and of ar1 with r = 2 (whose newest digit leads), skip the
+scan and its mask calls: their keys are read off the digits packed 64 to a
+word, and equal the digit match's and the scan's masks bit for bit
+(``PathEngine._packed_keys``).
 
 Large sweeps run their trial chunks in one pool of forked workers
 (``_fork_map``), which ``reproduce-paper`` also runs its experiments in.  A
@@ -79,9 +81,9 @@ PACKED_DEPTH = 7
 #: fastest at 13-14, Bernoulli(0.3) at 18-20; 16 is within 20% of both)
 MATCH_DIGITS = 16
 
-#: paths per block of the prefix match, so that its words stay in cache
-#: (512 ran 2x as fast as one block of 10,000 paths)
-MATCH_BLOCK = 512
+#: words per block of the prefix match, so that they stay in cache (512 paths
+#: of a 2,048-step window ran 2x as fast as one block of 10,000 paths)
+MATCH_WORDS = 512 * 34
 
 #: tolerance of the weight checks: the weights sum to 1, and are uniform
 WEIGHT_TOL = 1e-12
@@ -273,7 +275,8 @@ def _match(words, cells):
     now, nxt = words[:-1], words[1:]
     hit = np.zeros_like(now)
     spill, carry = np.empty_like(words), np.empty_like(now)
-    runs = [(L, c & 1) for L, c in cells if c in (0, 2**L - 1)]  # (L, digit) of the run cells
+    run = [(L, c) for L, c in cells if L > 1 and c in (0, 2**L - 1)]
+    runs = [(L, c & 1) for L, c in run]  # (L, digit) of the run cells
     for L in dict.fromkeys(L for L, _ in runs):  # last rows shift in 0s: rows above read their first L - 1 bits
         ends = {b for M, b in runs if M == L}
         x, a = np.right_shift(words, np.uint64(1)), 1  # the next digits, then e
@@ -288,7 +291,7 @@ def _match(words, cells):
         if len(ends) == 1:
             x[:-1] &= now if 1 in ends else ~now
         hit |= x[:-1]
-    other = [(L, c) for L, c in cells if c not in (0, 2**L - 1)]
+    other = [cell for cell in cells if cell not in run]
     ones = [np.full_like(now, np.uint64(2**64 - 1)) for _ in other]
     zeros = [np.zeros_like(now) for _ in other]
     shifted = spill[:-1]
@@ -438,10 +441,10 @@ def _fork_map(fn, items):
     return results
 
 
-def _check_trials(trials):
-    """A trial count is an integer, numpy's too: True or 2.5 is a named error."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
+def _check_integer(value, name):
+    """A count is an integer, numpy's too: True or 2.5 is a named error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _chunk_trials(spec, trials, stop):
@@ -483,8 +486,11 @@ class PathEngine:
     the steps skipped between windows, carrying its value.  The digit kinds
     scan ``SCAN_BLOCK`` steps at a time (see ``_scan``) and call
     ``mask_native`` once per block; results do not depend on the block length.
-    Narrow arcs of the base-2 maps are matched on packed digit words instead
-    (``_packed_keys``), with the same mask; ``_window_keys`` picks the route.
+    Words of at most 64 bits and narrow arcs of bits (the base-2 maps, ar1
+    with r = 2) are matched on packed digit words instead (``_packed_keys``),
+    with the same keys, and other words on byte digits (``_cylinder_rows``);
+    ``_window_keys`` picks the route.  A packed window drops ar1's carried
+    value, so a float read after it rebuilds the value from step 0.
     ``windows`` yields the exceedance keys of ``TIME_BLOCK`` windows, so a
     sweep holds one window of each path at any length.  ``select`` compacts
     the ensemble, carried state included, to the paths where ``keep`` is
@@ -614,12 +620,14 @@ class PathEngine:
 
     def _window_keys(self, t0, t1, event):
         """Sorted keys (t - t0) * paths + i of the exceedances of path i at the
-        steps t of [t0, t1), by the one route choice: packed words for narrow
-        base-2 arcs, the digit match for words, else the exposed values."""
+        steps t of [t0, t1), by the one route choice: packed words for base-2
+        words and narrow base-2 arcs (``_cells``), the digit match for other
+        words, else the exposed values."""
         self._check_window(t0)
         cells = self._cells(event)
         if cells is not None:
             keys = self._packed_keys(t0, t1, event, cells)
+            self._carry = None  # ar1: a later float read rebuilds its value from step 0
         elif event.word:
             keys = np.flatnonzero(self._cylinder_rows(t0, t1, event.word))
         else:
@@ -656,26 +664,34 @@ class PathEngine:
         read that neither checks nor moves the sweep's window or carry."""
         return self._digits(t0, t1)
 
-    # -- narrow arcs of the base-2 maps: keys from packed digit words ----------
+    # -- words and narrow arcs of bits: keys from packed digit words ----------
     def _cells(self, event):
-        """(L, cell) for the level-L dyadic cells (as L-digit integers) that
-        the arcs of ``event`` meet: an arc clipped to [0, 1], of width in
-        [2**-(D + 1), 2**-D), meets at most two, L = min(D, MATCH_DIGITS).
-        None unless the digits are base 2 (``m_ary`` with m = 2,
-        ``chebyshev``'s theta) and D >= PACKED_DEPTH for every arc."""
-        if event.word or self.spec.kind not in ("m_ary", "chebyshev") or self.spec.base != 2:
+        """(L, cell) for the L-digit cells (L-digit integers, first digit most
+        significant) that a step's digits must spell to be a candidate: a word
+        of at most 64 digits, or the level-L dyadic cells of the value's
+        leading digits that the arcs of ``event`` meet.  An arc clipped to [0,
+        1], of width in [2**-(D + 1), 2**-D), meets at most two; L = min(D,
+        MATCH_DIGITS) over the arcs.  ar1's leading digits are its newest, at
+        positions t + 63 down to t + 64 - L, so its arc cells are reversed
+        (``_packed_keys`` reads them from t + 64 - L on).  None unless the
+        digits are bits (``m_ary`` with m = 2, ``chebyshev``'s theta, ar1 with
+        r = 2) and D >= PACKED_DEPTH for every arc."""
+        spec = self.spec
+        if not spec.uses_digits or spec.kind == "dyadic_jump" or spec.base != 2:
             return None
-        cells = []
-        for lo, hi in event.arcs:
-            lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
-            if lo >= hi:
-                continue  # no value of [0, 1] lies in it
-            D = -math.frexp(hi - lo)[1]
-            if D < PACKED_DEPTH:
-                return None
-            L = min(D, MATCH_DIGITS)
-            cells += [(L, c) for c in range(math.floor(math.ldexp(lo, L)), math.ceil(math.ldexp(hi, L)))]
-        return cells
+        if event.word:
+            word = "".join(map(str, event.word))
+            return [(len(word), int(word, 2))] if len(word) <= 64 else None
+        arcs = [(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)) for lo, hi in event.arcs]
+        arcs = [(lo, hi) for lo, hi in arcs if lo < hi]  # no value of [0, 1] lies in the others
+        D = min((-math.frexp(hi - lo)[1] for lo, hi in arcs), default=MATCH_DIGITS)
+        if D < PACKED_DEPTH:
+            return None
+        L = min(D, MATCH_DIGITS)
+        cells = [c for lo, hi in arcs for c in range(math.floor(math.ldexp(lo, L)), math.ceil(math.ldexp(hi, L)))]
+        if spec.kind == "ar1":
+            cells = [int(f"{c:0{L}b}"[::-1], 2) for c in cells]
+        return [(L, c) for c in cells]
 
     def _words(self, w0, w1):
         """Digits [64 w0, 64 w1) packed along time, time-major ``(w1 - w0,
@@ -697,41 +713,52 @@ class PathEngine:
 
     def _packed_keys(self, t0, t1, event, cells):
         """Sorted keys (t - t0) * paths + i of the exceedances of path i at
-        the steps t of [t0, t1), from packed digit words: the float scan's
-        mask, bit for bit.
+        the steps t of [t0, t1), from packed digit words: the exact matches
+        of a word, or the float scan's mask of narrow arcs, bit for bit.
 
-        Each scan step x_t = fl((x_{t+1} + d_t) / 2) is monotone in x_{t+1},
-        and every value lies in [0, 1].  So x_t lies between the scans of the
-        digits d_t ... d_{t+51} started from 0 and from 1, which are exact:
-        P * 2**-52 and (P + 1) * 2**-52, where P is the 52-digit integer
-        d_t ... d_{t+51}.  A step is a candidate iff its first L digits spell
-        one of ``cells`` (matched at all 64 offsets of a word at once), so a
-        step whose value lies in an arc is a candidate.  A candidate is in the
-        mask if its closed bracket lies inside an arc and out of it if the
-        bracket lies outside every arc; the rare one whose bracket holds an
-        arc end is decided by the float scan of its path (``_scan_mask_at``).
+        A step is a candidate iff its leading L digits spell one of ``cells``
+        (matched at all 64 offsets of a word at once, from position t, or
+        from t + 64 - L for ar1), so a step whose value lies in an arc is a
+        candidate.  Each scan step, x_t = fl((x_{t+1} + d_t) / 2) for the maps
+        and fl((x_{t-1} + d_{t+63}) / 2) for ar1, is monotone in the value it
+        reads, and every value lies in [0, 1].  So x_t lies between the scans
+        of its 52 leading digits started from 0 and from 1, which are exact:
+        P * 2**-52 and (P + 1) * 2**-52, where P is the 52-digit integer d_t
+        ... d_{t+51} (the maps) or d_{t+63} ... d_{t+12} (ar1).  A candidate
+        is in the mask if its closed bracket lies inside an arc and out of it
+        if the bracket lies outside every arc; the rare one whose bracket
+        holds an arc end is decided by the float scan of its path
+        (``_scan_mask_at``; from step 0 for ar1, which carries its value).
         """
         n = self.trials.size
-        w0, w1 = t0 >> 6, (t1 + 63) >> 6
-        words = self._words(w0, w1 + 1)
-        hit = np.empty_like(words[:-1])
-        for a in range(0, n, MATCH_BLOCK):
-            hit[:, a : a + MATCH_BLOCK] = _match(words[:, a : a + MATCH_BLOCK], cells)
-        hit[0] &= np.uint64(2**64 - 2 ** (t0 - 64 * w0))  # no steps before t0
-        hit[-1] &= np.uint64(2 ** (t1 - 64 * w1 + 64) - 1)  # nor from t1 on
+        lag = 64 - cells[0][0] if cells and self.spec.kind == "ar1" and not event.word else 0
+        w0, v0, v1 = t0 >> 6, (t0 + lag) >> 6, (t1 + lag + 63) >> 6  # the steps' and the matches' words
+        words = self._words(w0, v1 + 1)
+        match = words[v0 - w0 :]
+        hit = np.empty_like(match[:-1])
+        block = max(1, MATCH_WORDS // len(match))
+        for a in range(0, n, block):
+            hit[:, a : a + block] = _match(match[:, a : a + block], cells)
+        hit[0] &= np.uint64(2**64 - 2 ** (t0 + lag - 64 * v0))  # no steps before t0
+        hit[-1] &= np.uint64(2 ** (t1 + lag - 64 * v1 + 64) - 1)  # nor from t1 on
         f, p = _set_bits(hit)
-        # the 52 digits from each candidate's step, from its word pair, then
-        # bit-reversed (d_t most significant): the integer x of its bracket
-        x = words.ravel()[f] >> p | words.ravel()[f + n] << np.uint64(1) << np.uint64(63) - p
-        for k, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
-            x = x >> np.uint64(k) & np.uint64(mask) | (x & np.uint64(mask)) << np.uint64(k)
-        x = (x.byteswap() >> np.uint64(12)).astype(np.float64)
+        t, r = (f // n + v0) * 64 + p - lag, f % n
+        if event.word:
+            return np.sort((t - t0) * n + r)
+        # the 64 digits from each candidate's step, from its word pair, then
+        # the 52 digits of P: for the maps bit-reversed (d_t most significant)
+        g, b = ((t >> 6) - w0) * n + r, (t & 63).astype(np.uint64)
+        x = words.ravel()[g] >> b | words.ravel()[g + n] << np.uint64(1) << np.uint64(63) - b
+        if self.spec.kind != "ar1":
+            for k, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
+                x = x >> np.uint64(k) & np.uint64(mask) | (x & np.uint64(mask)) << np.uint64(k)
+            x = x.byteswap()
+        x = (x >> np.uint64(12)).astype(np.float64)
         yes, no = np.zeros(x.size, dtype=bool), np.ones(x.size, dtype=bool)
         for lo, hi in event.arcs:  # the ends scaled by 2**52, exactly: the bracket is [x, x + 1]
             lo, hi = lo * 2.0**52, hi * 2.0**52
             yes |= (lo < x) & (x + 1.0 < hi)
             no &= (x + 1.0 <= lo) | (x >= hi)
-        t, r = (f // n + w0) * 64 + p, f % n
         open_ = ~(yes | no)
         if open_.any():
             yes[open_] = self._scan_mask_at(t0, t1, event, t[open_] - t0, r[open_])
@@ -786,9 +813,12 @@ class Ensemble:
     obs: object = None
 
     def __post_init__(self):
-        _check_trials(self.trials)
+        _check_integer(self.trials, "trials")
+        _check_integer(self.length, "length")
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
+        if self.length < 1:
+            raise ValueError(f"length must be >= 1, got {self.length}")
 
     def _keys(self, event, extra, ids):
         """Sorted keys step * ids.size + i of the exceedances of path ids[i] in

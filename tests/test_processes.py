@@ -43,10 +43,29 @@ def test_ensemble_takes_numpy_integer_trials():
 
 
 @pytest.mark.parametrize(
+    "length, message",
+    [
+        (2.5, "length must be an integer"),
+        (True, "length must be an integer"),
+        (0, "length must be >= 1"),
+        (-5, "length must be >= 1"),
+    ],
+)
+def test_ensemble_rejects_bad_length(length, message):
+    # each once constructed and failed only inside the sweep
+    with pytest.raises(ValueError, match=message):
+        Ensemble(ProcessSpec.doubling(), 1, 10, length)
+
+
+def test_ensemble_takes_numpy_integer_length():
+    assert Ensemble(ProcessSpec.doubling(), 1, 10, np.int64(1)).length == 1
+
+
+@pytest.mark.parametrize(
     "event, packed",
     [
         (observables.ExceedanceEvent(((0.25, 0.25 + 2.0**-9),)), True),
-        (observables.ExceedanceEvent(word=(0, 1, 1)), False),
+        (observables.ExceedanceEvent(word=(0, 1, 1) * 22), False),  # words of 64 digits or fewer are packed
         (observables.ExceedanceEvent(((0.3, 0.55),)), False),
     ],
     ids=["packed", "cylinder", "scan"],
